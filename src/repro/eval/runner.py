@@ -8,7 +8,6 @@ tables aggregate.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -160,7 +159,7 @@ def run_walk(
     path_name: str,
     walk: Walk,
     snapshots: list[SensorSnapshot],
-    *deprecated: TraceWriter | None,
+    *,
     trace: TraceWriter | None = None,
     telemetry: object | None = None,
     fault_plan: object | None = None,
@@ -187,16 +186,6 @@ def run_walk(
     Raises:
         ValueError: if the walk and trace lengths differ.
     """
-    if deprecated:
-        warnings.warn(
-            "positional configuration for run_walk() is deprecated; "
-            "pass trace= as a keyword",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(deprecated) > 1 or trace is not None:
-            raise TypeError("run_walk() accepts at most one trace writer")
-        trace = deprecated[0]
     if gps_duty_cycling is not None:
         framework.gps_duty_cycling = gps_duty_cycling
     if telemetry is not None:

@@ -19,7 +19,7 @@ Both surfaces are deterministic given the plan (see
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -106,22 +106,6 @@ class FaultyScheme(LocalizationScheme):
                 spread=1.0,
             )
         return self.inner.estimate(snapshot)
-
-    def estimate_batch(
-        self, snapshots: Sequence[SensorSnapshot]
-    ) -> list[SchemeOutput | None]:
-        """Evaluate the fault schedule serially for every snapshot.
-
-        The fault gate keys on each snapshot's step index, so the wrapper
-        preserves the batch *interface* without batching: each call runs
-        the scalar path — injected outcomes, including ``crash`` ordering,
-        match serial execution exactly.  The population core treats
-        fault-wrapped schemes as scalar-only for the same reason.
-        """
-        outcomes: list[SchemeOutput | None] = []
-        for snapshot in snapshots:
-            outcomes.append(self.estimate(snapshot))
-        return outcomes
 
     def reset(self) -> None:
         self.inner.reset()

@@ -9,12 +9,10 @@ over grid cells, and the BMA engine mixes those posteriors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Annotated
 
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.shapes import Shape
 
 
 @dataclass(frozen=True)
@@ -105,44 +103,6 @@ class Grid:
         log_p -= log_p.max()
         p = np.exp(log_p)
         return p / p.sum()
-
-    def gaussian_posteriors(
-        self,
-        means: Annotated[np.ndarray, Shape("(L, 2)")],
-        sigmas: Annotated[np.ndarray, Shape("(L,)")],
-    ) -> Annotated[np.ndarray, Shape("(L, I)")]:
-        """Rasterize ``L`` isotropic Gaussians into one posterior per row.
-
-        The population core's lane-batched twin of
-        :meth:`gaussian_posterior`: every row is **bit-identical** to the
-        scalar call with that row's mean and sigma — the squared-distance
-        reduction runs over the same two addends in the same order, and
-        each row is shifted/normalized by its own scalar max/sum — so the
-        batched BMA pre-pass can feed rows straight into the scalar
-        mixture loop without perturbing walk results.
-
-        Raises:
-            ValueError: on mismatched ``means``/``sigmas`` lengths.
-        """
-        means = np.asarray(means, dtype=float)
-        sigmas = np.asarray(sigmas, dtype=float)
-        if means.ndim != 2 or means.shape[1] != 2:
-            raise ValueError("means must be an (L, 2) array")
-        if sigmas.shape != (means.shape[0],):
-            raise ValueError("sigmas must have one entry per mean")
-        sigma = np.maximum(sigmas, self.cell_size / 2.0)
-        out = np.empty((means.shape[0], self.n_cells))
-        # Row-chunked: every row is independent, and chunking bounds the
-        # (chunk, I, 2) difference tensor at city-scale populations.
-        for lo in range(0, means.shape[0], 256):
-            hi = lo + 256
-            diff = self._centers[None, :, :] - means[lo:hi, None, :]
-            d2 = np.sum(diff**2, axis=2)
-            log_p = -d2 / (2.0 * sigma[lo:hi] * sigma[lo:hi])[:, None]
-            log_p -= log_p.max(axis=1, keepdims=True)
-            p = np.exp(log_p)
-            out[lo:hi] = p / p.sum(axis=1, keepdims=True)
-        return out
 
     def histogram_posterior(
         self, points: np.ndarray, weights: np.ndarray | None = None

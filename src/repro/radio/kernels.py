@@ -431,44 +431,6 @@ class CompiledFingerprintDatabase:
             out = np.where(n_keys == 0, np.inf, out)
         return out
 
-    def distances_batch(
-        self, scans: Sequence[dict[str, float]]
-    ) -> Annotated[np.ndarray, Shape("(K, E)")]:
-        """Return the RSSI distances of ``K`` scans to every entry at once.
-
-        Row ``k`` is **bit-identical** to ``distances(scans[k])``: scans
-        are lowered to the same dense vectors plus out-of-vocabulary
-        offsets, and the squared-difference reduction runs over the same
-        transmitter axis — stacking scans only adds a leading dimension.
-        This is the population core's per-scheme matcher: one matrix
-        evaluation replaces ``K`` per-walker passes over the survey.
-        """
-        n_keys = len(self.transmitter_ids)
-        vectors = np.full((len(scans), n_keys), MISSING_RSSI_DBM)
-        extras = np.zeros(len(scans))
-        for k, scan in enumerate(scans):
-            extra = 0.0
-            for key, value in scan.items():
-                j = self._column.get(key)
-                if j is None:
-                    diff = value - MISSING_RSSI_DBM
-                    extra += diff * diff
-                else:
-                    vectors[k, j] = value
-            extras[k] = extra
-        out = np.empty((len(scans), len(self.entries)))
-        # Scan-chunked: rows are independent, and chunking bounds the
-        # (chunk, E, F) difference tensor at city-scale populations.
-        for lo in range(0, len(scans), 128):
-            hi = lo + 128
-            difference = self.matrix[None, :, :] - vectors[lo:hi, None, :]
-            squared = (difference * difference).sum(axis=2) + extras[lo:hi, None]
-            out[lo:hi] = np.sqrt(squared)
-        for k, scan in enumerate(scans):
-            if not scan:
-                out[k] = np.where(self._n_keys == 0, np.inf, out[k])
-        return out
-
     def _top(self, rssi_dbm: dict[str, float], k: int) -> tuple[np.ndarray, np.ndarray]:
         if k <= 0:
             raise ValueError("k must be positive")
@@ -522,7 +484,7 @@ class CompiledFingerprintDatabase:
     def enable_density_memo(self) -> None:
         """Memoize :meth:`spatial_density_around` by exact query point.
 
-        The population core's feature pre-pass: densities are pure
+        Enabled by the population core: densities are pure
         functions of ``(point, radius)``, and a population of walkers on
         shared paths queries the same HMM-predicted grid centers over and
         over — one lane pays the scalar cost, every other lane reuses the

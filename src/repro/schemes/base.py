@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -142,18 +142,6 @@ class Scheme(Protocol):
         """Produce a location estimate from one sensor snapshot."""
         ...
 
-    def estimate_batch(
-        self, snapshots: Sequence[SensorSnapshot]
-    ) -> list[SchemeOutput | None]:
-        """Produce one estimate per snapshot (population batching hook).
-
-        Stateless schemes may vectorize across the batch;
-        :class:`LocalizationScheme` provides the universal default — a
-        loop over :meth:`estimate` — so the batched result is always
-        element-for-element identical to serial calls.
-        """
-        ...
-
     def reset(self) -> None:
         """Clear any internal state before a new walk."""
         ...
@@ -174,19 +162,6 @@ class LocalizationScheme(abc.ABC):
     @abc.abstractmethod
     def estimate(self, snapshot: SensorSnapshot) -> SchemeOutput | None:
         """Produce a location estimate from one sensor snapshot."""
-
-    def estimate_batch(
-        self, snapshots: Sequence[SensorSnapshot]
-    ) -> list[SchemeOutput | None]:
-        """Produce one estimate per snapshot.
-
-        Default: a serial loop over :meth:`estimate`, which is trivially
-        identical to scalar execution.  Stateless schemes (GPS, the
-        fingerprint matchers) override this with genuinely vectorized
-        paths; stateful filters must keep per-walker state and generally
-        cannot share one instance across a batch.
-        """
-        return [self.estimate(snapshot) for snapshot in snapshots]
 
     def reset(self) -> None:
         """Clear any internal state before a new walk (default: none)."""
@@ -225,26 +200,6 @@ class TimedScheme(LocalizationScheme):
         if output is not None:
             self.n_available += 1
         return output
-
-    def estimate_batch(
-        self, snapshots: Sequence[SensorSnapshot]
-    ) -> list[SchemeOutput | None]:
-        """Forward batching to the inner scheme, keeping the metrics honest.
-
-        The wrapper preserves the inner scheme's batch capability; the
-        recorded latency is the batch wall time amortized per snapshot,
-        which is exactly the per-call cost the batch achieves.
-        """
-        if not snapshots:
-            return []
-        start = monotonic_s()
-        outputs = self.inner.estimate_batch(snapshots)
-        per_call_ms = (monotonic_s() - start) * 1e3 / len(snapshots)
-        for output in outputs:
-            self.latency_ms.observe(per_call_ms)
-            if output is not None:
-                self.n_available += 1
-        return outputs
 
     def reset(self) -> None:
         self.inner.reset()

@@ -23,7 +23,6 @@ samples per fingerprint.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -83,18 +82,15 @@ class FingerprintScheme(LocalizationScheme):
         raise NotImplementedError
 
     def _candidate_entries(
-        self, scan: dict[str, float], scores: np.ndarray | None = None
+        self, scan: dict[str, float]
     ) -> list[tuple[Fingerprint, float]]:
         """Rank fingerprints by RSSI distance under the continuity window.
 
         One dense distance pass serves both the unconstrained top-k and
-        the windowed top-k.  Batched callers pass precomputed ``scores``
-        (one row of :meth:`~repro.radio.kernels.CompiledFingerprintDatabase.distances_batch`,
-        bit-identical to the scalar pass) so ranking is never recomputed.
+        the windowed top-k.
         """
         index = self._index
-        if scores is None:
-            scores = index.distances(scan)
+        scores = index.distances(scan)
         order = np.argsort(scores, kind="stable")
         global_top = [
             (index.entries[i], float(scores[i])) for i in order[: self.k]
@@ -119,33 +115,7 @@ class FingerprintScheme(LocalizationScheme):
         scan = self._scan(snapshot)
         if not scan:
             return None
-        return self._estimate_from(scan)
-
-    def estimate_batch(
-        self, snapshots: Sequence[SensorSnapshot]
-    ) -> list[SchemeOutput | None]:
-        """Batch-match: one dense distance pass for all non-empty scans.
-
-        Score rows from the batched kernel are bit-identical to scalar
-        distance passes, and :meth:`_estimate_from` is then applied in
-        snapshot order so the temporal-continuity anchor advances exactly
-        as it would under serial :meth:`estimate` calls.
-        """
-        scans = [self._scan(snapshot) for snapshot in snapshots]
-        live = [i for i, scan in enumerate(scans) if scan]
-        outputs: list[SchemeOutput | None] = [None] * len(scans)
-        if not live:
-            return outputs
-        score_rows = self._index.distances_batch([scans[i] for i in live])
-        for row, i in enumerate(live):
-            outputs[i] = self._estimate_from(scans[i], score_rows[row])
-        return outputs
-
-    def _estimate_from(
-        self, scan: dict[str, float], scores: np.ndarray | None = None
-    ) -> SchemeOutput | None:
-        """Build the output for one non-empty scan (shared scalar tail)."""
-        top = self._candidate_entries(scan, scores)
+        top = self._candidate_entries(scan)
         best_entry, best_distance = top[0]
         self._last_position = best_entry.position
         finite = [(e, d) for e, d in top if math.isfinite(d)]
