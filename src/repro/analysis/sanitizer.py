@@ -30,7 +30,8 @@ recorded event streams record-for-record:
 5. **Bisection.**  :func:`first_divergence` binary-searches cumulative
    prefix hashes of the two streams for the first index where they
    disagree, and the report localizes that record to its job, worker,
-   and walk seed with surrounding context.
+   walk seed, and walk step (from the ``step`` events) with surrounding
+   context.
 
 Exit semantics are wired in :mod:`repro.cli` (``repro sanitize``):
 0 = streams identical, 1 = divergence found, 2 = usage error.
@@ -201,6 +202,8 @@ class Divergence:
     worker_id: str
     walk_seed: int | None
     context: list[str] = field(default_factory=list)
+    #: The walk step the diverging record belongs to, when known.
+    step: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -210,6 +213,7 @@ class Divergence:
             "job_id": self.job_id,
             "worker_id": self.worker_id,
             "walk_seed": self.walk_seed,
+            "step": self.step,
             "context": list(self.context),
         }
 
@@ -263,6 +267,8 @@ class SanitizeReport:
             where += f", worker {div.worker_id}"
         if div.walk_seed is not None:
             where += f", walk_seed {div.walk_seed}"
+        if div.step is not None:
+            where += f", step {div.step}"
         lines.append(f"  verdict: DIVERGED at {where}")
         for label, record in (("A", div.record_a), ("B", div.record_b)):
             rendered = (
@@ -329,7 +335,30 @@ def _localize(
         worker_id=worker_id,
         walk_seed=walk_seed if isinstance(walk_seed, int) else None,
         context=context,
+        step=_step_of(anchor, index, a, job_id),
     )
+
+
+def _step_of(
+    record: dict[str, Any], index: int, a: list[dict[str, Any]], job_id: str
+) -> int | None:
+    """Return the walk step a diverging record belongs to, if any.
+
+    A record that names its step (``data.index`` on a ``step`` event,
+    ``data.step`` on fault/quarantine events) answers directly;
+    otherwise the nearest preceding ``step`` event of the same job in
+    run A does.
+    """
+    data = record.get("data")
+    if isinstance(data, dict):
+        for key in ("index", "step"):
+            if isinstance(data.get(key), int):
+                return int(data[key])
+    for i in range(min(index, len(a)) - 1, -1, -1):
+        if a[i].get("kind") == "step" and a[i].get("job_id", "") == job_id:
+            step = a[i].get("data", {}).get("index")
+            return step if isinstance(step, int) else None
+    return None
 
 
 def _clear_result_memos() -> None:

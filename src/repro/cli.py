@@ -22,15 +22,12 @@ Commands mirror the paper's workflow:
     Record a raw sensor trace for offline experimentation.
 ``tables``
     Regenerate the paper's energy and response-time tables.
-``trace PLACE PATH --out steps.jsonl``
-    Walk a path with full step tracing on and export the JSONL
-    decision telemetry stream (see README "Observability").
-``report TRACE``
-    Aggregate a JSONL step trace into per-scheme usage, availability,
-    latency percentiles, duty-cycle stats, and (for metered traces)
-    I/O counters.  One of three post-run analysis paths — see also
-    ``telemetry`` for fleet event streams and ``bench trend`` for
-    performance history.
+``report LOG``
+    Aggregate the ``step`` events of a telemetry log into per-scheme
+    usage, availability, latency percentiles, and duty-cycle stats, one
+    table per walk.  One of three post-run analysis paths — see also
+    ``telemetry`` for fleet rollups and ``bench trend`` for performance
+    history.
 ``telemetry tail|summary|export``
     Inspect a fleet telemetry event log: ``tail`` prints recent events
     (or follows a live run with ``--follow``), ``summary`` renders
@@ -67,11 +64,11 @@ Commands mirror the paper's workflow:
     whole report history and flags best-ever regressions (see README
     "Performance").
 
-``run PLACE PATH`` also accepts ``--trace PATH`` to export the
-step-telemetry stream while printing its usual evaluation, and ``run
-EXPERIMENT --telemetry LOG`` streams the fleet's live event log
-(job/span/fault/metric events with correlated run/job/worker IDs) to
-``LOG`` while the experiment runs.  Offline
+Both forms of ``run`` accept ``--telemetry LOG``, which streams the
+live ``uniloc_telemetry`` event log (job/step/span/fault/metric events
+with correlated run/job/worker IDs) to ``LOG`` while the walks run;
+``run PLACE PATH --telemetry LOG`` also records per-scheme latencies,
+and ``repro report LOG`` aggregates the log's step events.  Offline
 artifacts come from the fleet cache: set ``REPRO_CACHE_DIR`` (or pass
 ``--cache-dir``) and repeated invocations skip training and surveying.
 """
@@ -136,7 +133,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _prepare_run(args: argparse.Namespace, metrics=None):
-    """Shared setup for the walk-driving commands (``run``/``trace``).
+    """Setup for ``run PLACE PATH``.
 
     Returns ``(setup, framework, walk, snaps)`` or an exit code on a
     bad place/path.  When ``metrics`` is given it is attached to the
@@ -178,33 +175,6 @@ def _prepare_run(args: argparse.Namespace, metrics=None):
     finally:
         if metrics is not None:
             cache.metrics = previous_metrics
-
-
-def _open_trace(args: argparse.Namespace, out_path: str, metrics=None):
-    """Open the JSONL trace sink *before* the expensive setup.
-
-    Model training takes minutes; a typo'd output path should fail in
-    milliseconds, not after the walk.  Returns a ``TraceWriter`` or an
-    exit code.
-    """
-    from repro.obs import TraceWriter
-
-    try:
-        return TraceWriter(
-            out_path, place=args.place, path_name=args.path, metrics=metrics
-        )
-    except OSError as exc:
-        print(f"cannot write trace: {exc}", file=sys.stderr)
-        return 2
-
-
-def _discard_trace(tw, out_path: str) -> None:
-    """Remove a trace stub left behind by a failed setup."""
-    tw.close()
-    try:
-        os.unlink(out_path)
-    except OSError:
-        pass
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
@@ -253,6 +223,40 @@ def _list_experiments() -> int:
     return 0
 
 
+def _walk_path(args: argparse.Namespace, session=None):
+    """Walk ``run PLACE PATH``'s path; returns a ``WalkResult`` or an exit code.
+
+    With a telemetry ``session`` the walk is framed as its one job, like
+    a serial engine job: per-scheme latencies are traced, and the step
+    events land between ``job/started`` and ``job/finished`` plus the
+    job's metric deltas (artifact I/O included).
+    """
+    from repro.eval import run_walk
+    from repro.fleet.executor import emit_job_finished, emit_job_started
+    from repro.obs import MetricsRegistry, Tracer
+
+    if session is None:
+        prepared = _prepare_run(args)
+        if isinstance(prepared, int):
+            return prepared
+        setup, framework, walk, snaps = prepared
+        return run_walk(framework, setup.place, args.path, walk, snaps)
+    metrics = MetricsRegistry()
+    emitter = session.emitter(job_id=session.job_id(0), walk_seed=args.seed)
+    start_s = emit_job_started(emitter, args.place, args.path)
+    prepared = _prepare_run(args, metrics=metrics)
+    if isinstance(prepared, int):
+        return prepared
+    setup, framework, walk, snaps = prepared
+    framework.tracer = Tracer()
+    framework.metrics = metrics
+    result = run_walk(
+        framework, setup.place, args.path, walk, snaps, telemetry=emitter
+    )
+    emit_job_finished(emitter, start_s, len(result.records), metrics)
+    return result
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a registered experiment, or UniLoc over one place/path."""
     from repro.eval.registry import EXPERIMENTS
@@ -264,20 +268,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     if args.path is None:
         if args.place in EXPERIMENTS:
-            if args.trace is not None:
-                print(
-                    "--trace only applies to `run PLACE PATH`", file=sys.stderr
-                )
-                return 2
             return _run_experiment(args)
-    if args.path is not None and args.telemetry is not None:
-        print(
-            "--telemetry only applies to experiment runs "
-            "(`repro run <experiment>`)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.path is None:
         print(
             f"{args.place!r} is neither a registered experiment "
             f"(see `repro run --list`) nor was a PATH given",
@@ -285,29 +276,36 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         return 2
 
-    from repro.eval import SCHEME_NAMES, run_walk
+    from repro.eval import SCHEME_NAMES
     from repro.eval.plots import render_bars, render_cdf
 
-    tw = None
-    if args.trace is not None:
-        tw = _open_trace(args, args.trace)
-        if isinstance(tw, int):
-            return tw
-    prepared = _prepare_run(args)
-    if isinstance(prepared, int):
-        if tw is not None:
-            _discard_trace(tw, args.trace)
-        return prepared
-    setup, framework, walk, snaps = prepared
-    if tw is not None:
-        from repro.obs import Tracer
+    session = None
+    if args.telemetry is not None:
+        from repro.obs.telemetry import TelemetrySession
 
-        framework.tracer = Tracer()
-        with tw:
-            result = run_walk(framework, setup.place, args.path, walk, snaps, trace=tw)
-        print(f"wrote {tw.n_steps} step events to {args.trace}")
-    else:
-        result = run_walk(framework, setup.place, args.path, walk, snaps)
+        # Opened before the expensive setup: model training takes
+        # minutes, and an unwritable log should fail in milliseconds.
+        try:
+            session = TelemetrySession(
+                args.telemetry, experiment=f"{args.place}/{args.path}"
+            )
+        except OSError as exc:
+            print(f"cannot write telemetry log: {exc}", file=sys.stderr)
+            return 2
+    try:
+        result = _walk_path(args, session)
+    finally:
+        if session is not None:
+            session.close()
+    if isinstance(result, int):
+        if session is not None:
+            session.path.unlink(missing_ok=True)
+        return result
+    if session is not None:
+        print(
+            f"wrote {session.writer.n_events} telemetry events "
+            f"to {args.telemetry}"
+        )
 
     print(f"\n{args.place}/{args.path}: {len(result.records)} estimates\n")
     errors_by_system = {}
@@ -403,51 +401,24 @@ def cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Walk a path with tracing enabled and export the JSONL telemetry."""
-    from repro.eval import run_walk
-    from repro.obs import MetricsRegistry, Tracer
-
-    registry = MetricsRegistry()
-    tw = _open_trace(args, args.out, metrics=registry)
-    if isinstance(tw, int):
-        return tw
-    prepared = _prepare_run(args, metrics=registry)
-    if isinstance(prepared, int):
-        _discard_trace(tw, args.out)
-        return prepared
-    setup, framework, walk, snaps = prepared
-    framework.tracer = Tracer()
-    framework.metrics = registry
-    with tw:
-        run_walk(framework, setup.place, args.path, walk, snaps, trace=tw)
-    print(f"wrote {tw.n_steps} step events to {args.out}\n")
-    print(framework.metrics.render())
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    """Aggregate a JSONL step trace into a summary table.
+    """Aggregate a telemetry log's step events, one table per walk.
 
-    ``repro report`` is the trace-aggregation view; live fleet runs are
-    inspected with ``repro telemetry`` instead.
+    ``repro report`` is the per-step view of a log; ``repro telemetry
+    summary`` is its fleet-level sibling.
     """
-    from repro.obs import iter_trace, render_report, summarize_trace
+    from repro.obs import read_telemetry, render_report, summarize_steps
 
-    steps = []
-    metrics_payload: dict = {}
     try:
-        stream = iter_trace(args.trace)
-        meta = next(stream)
-        for event in stream:
-            if event.get("type") == "step":
-                steps.append(event)
-            elif event.get("type") == "metrics":
-                metrics_payload = event.get("metrics", {})
+        _, events = read_telemetry(args.log)
     except (OSError, ValueError) as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
+        print(f"cannot read telemetry log: {exc}", file=sys.stderr)
         return 2
-    print(render_report(summarize_trace(meta, steps, metrics=metrics_payload)))
+    summaries = summarize_steps(events)
+    if not summaries:
+        print(f"{args.log} has no step events", file=sys.stderr)
+        return 2
+    print("\n\n".join(render_report(summary) for summary in summaries))
     return 0
 
 
@@ -859,13 +830,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cache-dir", help="persistent artifact cache directory")
     p_run.add_argument("--models", help="load fitted models instead of training")
     p_run.add_argument(
-        "--trace", help="also export the JSONL step-telemetry stream here"
-    )
-    p_run.add_argument(
         "--telemetry",
         metavar="LOG",
-        help="stream the merged fleet telemetry event log here "
-        "(experiment runs only)",
+        help="stream the telemetry event log (job, step, fault and metric "
+        "events) here; `repro report LOG` aggregates its steps",
     )
     p_run.set_defaults(func=cmd_run)
 
@@ -893,22 +861,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.set_defaults(func=cmd_cache)
 
-    p_trace = sub.add_parser(
-        "trace", help="walk a path and export JSONL step telemetry"
-    )
-    p_trace.add_argument("place")
-    p_trace.add_argument("path")
-    p_trace.add_argument("--out", required=True, help="JSONL trace destination")
-    p_trace.add_argument("--models", help="load fitted models instead of training")
-    p_trace.add_argument("--cache-dir", help="persistent artifact cache directory")
-    p_trace.set_defaults(func=cmd_trace)
-
     p_report = sub.add_parser(
         "report",
-        help="summarize a JSONL step trace (usage, latency, duty cycle, "
-        "I/O counters); see also `telemetry` and `bench trend`",
+        help="summarize a telemetry log's step events (usage, latency, "
+        "duty cycle); see also `telemetry` and `bench trend`",
     )
-    p_report.add_argument("trace")
+    p_report.add_argument("log", help="telemetry event log (JSONL)")
     p_report.set_defaults(func=cmd_report)
 
     p_tel = sub.add_parser(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.core import StepDecision, UniLocFramework, select_best
 from repro.core.oracle import OracleSelection
 from repro.motion import Moment, Walk
-from repro.obs.trace_log import TraceWriter
+from repro.obs.telemetry import EventSinkLike, decision_to_dict
 from repro.sensors import SensorSnapshot
 from repro.world import EnvironmentType, Place
 
@@ -153,6 +153,68 @@ def score_step(place: Place, moment: Moment, decision: StepDecision) -> StepReco
     )
 
 
+def emit_step(telemetry: EventSinkLike, record: StepRecord) -> None:
+    """Stream one scored step as a ``step``/``decision`` telemetry event.
+
+    The event's ``data`` is the decision record that explains the step
+    (:func:`~repro.obs.telemetry.decision_to_dict`) plus its ground
+    truth: ``index``, ``time_s``, ``environment``, ``scheme_errors``,
+    ``uniloc1_error``/``uniloc2_error`` and the ``oracle`` choice.
+    Shared by :func:`run_walk` and
+    :func:`~repro.fleet.executor.run_population`, beside
+    :func:`score_step`; a disabled sink costs one attribute lookup.
+    """
+    if not telemetry.enabled:
+        return
+    oracle = record.oracle
+    telemetry.emit(
+        "step",
+        "decision",
+        index=record.moment.index,
+        time_s=record.moment.time_s,
+        environment=record.environment.value,
+        decision=decision_to_dict(record.decision),
+        scheme_errors=record.scheme_errors,
+        uniloc1_error=record.uniloc1_error,
+        uniloc2_error=record.uniloc2_error,
+        oracle=(
+            None
+            if oracle is None
+            else {"scheme": oracle.scheme, "error": oracle.error}
+        ),
+    )
+
+
+def prepare_walk(
+    framework: UniLocFramework,
+    walk: Walk,
+    snapshots: list[SensorSnapshot],
+    *,
+    telemetry: object | None = None,
+    fault_plan: object | None = None,
+) -> list[SensorSnapshot]:
+    """Ready a framework to walk a recorded trace; return the trace to feed it.
+
+    Attaches the ``telemetry`` sink before the fault plan is applied, so
+    injector events stream too; applies the plan's scheme wrappers and
+    sensor corruption; checks the walk and trace lengths; and resets the
+    framework.  Shared by :func:`run_walk` and
+    :func:`~repro.fleet.executor.run_population`.
+
+    Raises:
+        ValueError: if the walk and trace lengths differ.
+    """
+    if telemetry is not None:
+        framework.telemetry = telemetry
+    if fault_plan is not None:
+        fault_plan.apply(framework)
+        snapshots = fault_plan.corrupt(snapshots)
+    if len(walk.moments) != len(snapshots):
+        raise ValueError("walk and snapshot trace must be the same length")
+    framework.reset()
+    return snapshots
+
+
 def run_walk(
     framework: UniLocFramework,
     place: Place,
@@ -160,7 +222,6 @@ def run_walk(
     walk: Walk,
     snapshots: list[SensorSnapshot],
     *,
-    trace: TraceWriter | None = None,
     telemetry: object | None = None,
     fault_plan: object | None = None,
     gps_duty_cycling: bool | None = None,
@@ -171,12 +232,11 @@ def run_walk(
     :func:`~repro.fleet.executor.run_walks` and
     :func:`~repro.fleet.executor.run_population`:
 
-    * ``trace=``: append every step's decision telemetry plus the
-      ground-truth errors to a JSONL stream as the walk runs (see
-      :mod:`repro.obs.trace_log`), so a crash mid-walk still leaves a
-      replayable prefix on disk.
     * ``telemetry=``: an event sink attached to the framework before any
-      fault plan is applied, so degradation and injector events stream.
+      fault plan is applied, so degradation and injector events stream;
+      every scored step is streamed to the framework's sink as a
+      ``step`` event (:func:`emit_step`) as the walk runs, so a crash
+      mid-walk still leaves a replayable prefix on disk.
     * ``fault_plan=``: a :class:`~repro.faults.plan.FaultPlan` applied to
       the framework (scheme wrappers) and the snapshot trace (sensor
       corruption) before the walk starts.
@@ -188,32 +248,14 @@ def run_walk(
     """
     if gps_duty_cycling is not None:
         framework.gps_duty_cycling = gps_duty_cycling
-    if telemetry is not None:
-        framework.telemetry = telemetry
-    if fault_plan is not None:
-        fault_plan.apply(framework)
-        snapshots = fault_plan.corrupt(snapshots)
-    if len(walk.moments) != len(snapshots):
-        raise ValueError("walk and snapshot trace must be the same length")
-    framework.reset()
+    snapshots = prepare_walk(
+        framework, walk, snapshots, telemetry=telemetry, fault_plan=fault_plan
+    )
     result = WalkResult(place_name=place.name, path_name=path_name)
     for moment, snapshot in zip(walk.moments, snapshots):
-        decision = framework.step(snapshot)
-        record = score_step(place, moment, decision)
+        record = score_step(place, moment, framework.step(snapshot))
         result.records.append(record)
-        if trace is not None:
-            oracle = record.oracle
-            trace.write_step(
-                decision,
-                index=moment.index,
-                time_s=moment.time_s,
-                environment=record.environment.value,
-                scheme_errors=record.scheme_errors,
-                uniloc1_error=record.uniloc1_error,
-                uniloc2_error=record.uniloc2_error,
-                oracle_scheme=oracle.scheme if oracle is not None else None,
-                oracle_error=oracle.error if oracle is not None else None,
-            )
+        emit_step(framework.telemetry, record)
     return result
 
 

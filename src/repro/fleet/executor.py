@@ -260,6 +260,33 @@ def _prepare_job(job: WalkJob, cache: ArtifactCache) -> tuple[Any, Any, Any, lis
     return framework, setup, walk, snaps
 
 
+def emit_job_started(emitter: EventEmitter, place: str, path: str) -> float:
+    """Open one walk's event frame; returns the start time to close it with.
+
+    Every engine that streams a walk — the serial and pool paths of
+    :func:`iter_walks`, each lane of :func:`run_population`, and
+    ``repro run PLACE PATH --telemetry`` — frames it with this and
+    :func:`emit_job_finished`.
+    """
+    emitter.emit("job", "started", place=place, path=path)
+    return monotonic_s()
+
+
+def emit_job_finished(
+    emitter: EventEmitter, start_s: float, steps: int, metrics: MetricsRegistry
+) -> None:
+    """Close a walk's event frame opened by :func:`emit_job_started`.
+
+    Emits the ``fleet.walk`` span, ``job/finished``, and the job's
+    registry as per-name metric deltas.
+    """
+    emitter.emit(
+        "span", "fleet.walk", duration_ms=(monotonic_s() - start_s) * 1e3
+    )
+    emitter.emit("job", "finished", steps=steps)
+    emitter.emit_snapshot(metrics.snapshot())
+
+
 def execute_job(
     job: WalkJob,
     cache: ArtifactCache,
@@ -287,12 +314,26 @@ def execute_job(
     return _compact_result(result) if job.compact else result
 
 
+@dataclass(frozen=True)
+class _Lane:
+    """One job's state while its walk runs as a population lane."""
+
+    job: WalkJob
+    framework: Any
+    place: Any
+    walk: Any
+    snaps: tuple[Any, ...]
+    metrics: MetricsRegistry | None
+    emitter: EventEmitter | None = None
+    start_s: float = 0.0
+
+
 def run_population(
     jobs: list[WalkJob],
     *,
     cache: ArtifactCache | None = None,
     metrics: MetricsRegistry | None = None,
-    telemetry: EventSinkLike | None = None,
+    telemetry: TelemetrySession | None = None,
 ) -> list[Any]:
     """Run every job in-process as one walker population.
 
@@ -305,59 +346,88 @@ def run_population(
     serial step and the scoring helper is shared), so this is a pure
     throughput choice for single-machine fleets.
 
-    Unsupported here: per-walk trace writers (record serially for that)
-    and worker-crash containment (everything runs in this process, so
-    job exceptions propagate raw, like ``workers=1``).
+    ``telemetry`` follows :func:`run_walks`' contract: a session
+    (default: the process-wide one) gives each lane its own emitter and
+    registry, so every job streams the same job/step/fault/metric
+    events the serial engine emits for it; lanes' events interleave in
+    the log, one step index at a time.
+
+    Unsupported here: worker-crash containment (everything runs in this
+    process, so job exceptions propagate raw, like ``workers=1``).
 
     Raises:
         ValueError: if ``jobs`` is empty (a population needs a lane).
     """
     from repro.core.population import PopulationFramework
-    from repro.eval.runner import WalkResult, score_step
+    from repro.eval.runner import WalkResult, emit_step, prepare_walk, score_step
 
     cache = cache if cache is not None else default_cache()
+    session = telemetry if telemetry is not None else current_session()
     previous = cache.metrics
-    if metrics is not None:
-        cache.metrics = metrics
+    lanes: list[_Lane] = []
     try:
-        lanes = []
-        for job in jobs:
+        for index, job in enumerate(jobs):
+            # Like the serial engine: a per-job registry under a session,
+            # so each job's metric deltas stream on their own.
+            lane_metrics = metrics if session is None else MetricsRegistry()
+            emitter: EventEmitter | None = None
+            start_s = 0.0
+            if session is not None:
+                emitter = session.emitter(
+                    job_id=session.job_id(index), walk_seed=job.walk_seed
+                )
+                start_s = emit_job_started(emitter, job.place_name, job.path_name)
+            if lane_metrics is not None:
+                cache.metrics = lane_metrics
             framework, setup, walk, snaps = _prepare_job(job, cache)
-            if telemetry is not None:
-                framework.telemetry = telemetry
-            if job.fault_plan is not None:
-                job.fault_plan.apply(framework)
-                snaps = job.fault_plan.corrupt(snaps)
-            if len(walk.moments) != len(snaps):
-                raise ValueError("walk and snapshot trace must be the same length")
-            framework.reset()
-            lanes.append((job, framework, setup, walk, snaps))
-        population = PopulationFramework([lane[1] for lane in lanes])
+            cache.metrics = previous
+            snaps = prepare_walk(
+                framework, walk, snaps, telemetry=emitter, fault_plan=job.fault_plan
+            )
+            lanes.append(
+                _Lane(
+                    job=job,
+                    framework=framework,
+                    place=setup.place,
+                    walk=walk,
+                    snaps=tuple(snaps),
+                    metrics=lane_metrics,
+                    emitter=emitter,
+                    start_s=start_s,
+                )
+            )
+        population = PopulationFramework([lane.framework for lane in lanes])
         results = [
-            WalkResult(place_name=setup.place.name, path_name=job.path_name)
-            for job, _, setup, _, _ in lanes
+            WalkResult(place_name=lane.place.name, path_name=lane.job.path_name)
+            for lane in lanes
         ]
-        for step in range(max(len(lane[4]) for lane in lanes)):
-            active = [k for k, lane in enumerate(lanes) if step < len(lane[4])]
+        for step in range(max(len(lane.snaps) for lane in lanes)):
+            active = [k for k, lane in enumerate(lanes) if step < len(lane.snaps)]
             decisions = population.step_batch(
-                [lanes[k][4][step] for k in active],
-                lanes=[lanes[k][1] for k in active],
+                [lanes[k].snaps[step] for k in active],
+                lanes=[lanes[k].framework for k in active],
             )
             for k, decision in zip(active, decisions):
-                _, _, setup, walk, _ = lanes[k]
-                results[k].records.append(
-                    score_step(setup.place, walk.moments[step], decision)
+                lane = lanes[k]
+                record = score_step(lane.place, lane.walk.moments[step], decision)
+                results[k].records.append(record)
+                emit_step(lane.framework.telemetry, record)
+        for lane, result in zip(lanes, results):
+            if lane.metrics is None:
+                continue
+            lane.metrics.counter("fleet.walks").inc()
+            lane.metrics.counter("fleet.steps").inc(len(result.records))
+            if lane.emitter is not None:
+                emit_job_finished(
+                    lane.emitter, lane.start_s, len(result.records), lane.metrics
                 )
-        if metrics is not None:
-            metrics.counter("fleet.walks").inc(len(results))
-            metrics.counter(
-                "fleet.steps"
-            ).inc(sum(len(result.records) for result in results))
+                if metrics is not None:
+                    metrics.merge_snapshot(lane.metrics.snapshot())
     finally:
         cache.metrics = previous
     return [
-        _compact_result(result) if job.compact else result
-        for (job, _, _, _, _), result in zip(lanes, results)
+        _compact_result(result) if lane.job.compact else result
+        for lane, result in zip(lanes, results)
     ]
 
 
@@ -395,15 +465,13 @@ def _execute_in_worker(
     metrics = MetricsRegistry()
     spool: TelemetrySpool | None = None
     emitter: EventEmitter | None = None
+    start_s = 0.0
     if spec is not None:
         spool = TelemetrySpool(spec.spool_root)
         emitter = spool.emitter(spec)
-        emitter.emit(
-            "job", "started", place=job.place_name, path=job.path_name
-        )
+        start_s = emit_job_started(emitter, job.place_name, job.path_name)
     previous = cache.metrics
     cache.metrics = metrics
-    start_s = monotonic_s()
     try:
         result = execute_job(job, cache, telemetry=emitter)
     except BaseException as exc:
@@ -417,13 +485,7 @@ def _execute_in_worker(
     metrics.counter("fleet.steps").inc(len(result.records))
     metrics.gauge("fleet.worker_pid").set(os.getpid())
     if emitter is not None and spool is not None:
-        emitter.emit(
-            "span",
-            "fleet.walk",
-            duration_ms=(monotonic_s() - start_s) * 1e3,
-        )
-        emitter.emit("job", "finished", steps=len(result.records))
-        emitter.emit_snapshot(metrics.snapshot())
+        emit_job_finished(emitter, start_s, len(result.records), metrics)
         spool.close()
         return result, {}
     return result, metrics.snapshot()
@@ -490,17 +552,15 @@ def iter_walks(
         for index, job in enumerate(jobs):
             emitter: EventEmitter | None = None
             job_metrics = metrics
+            start_s = 0.0
             if session is not None:
                 emitter = session.emitter(
                     job_id=session.job_id(index), walk_seed=job.walk_seed
                 )
-                emitter.emit(
-                    "job", "started", place=job.place_name, path=job.path_name
-                )
+                start_s = emit_job_started(emitter, job.place_name, job.path_name)
                 # Per-job registry even inline, so the stream carries the
                 # same per-name deltas a pool worker would spool.
                 job_metrics = MetricsRegistry()
-            start_s = monotonic_s()
             with tracer.span("fleet.walk", index=index, path=job.path_name):
                 previous = cache.metrics
                 if job_metrics is not None:
@@ -517,13 +577,9 @@ def iter_walks(
                 job_metrics.counter("fleet.walks").inc()
                 job_metrics.counter("fleet.steps").inc(len(result.records))
             if emitter is not None and job_metrics is not None:
-                emitter.emit(
-                    "span",
-                    "fleet.walk",
-                    duration_ms=(monotonic_s() - start_s) * 1e3,
+                emit_job_finished(
+                    emitter, start_s, len(result.records), job_metrics
                 )
-                emitter.emit("job", "finished", steps=len(result.records))
-                emitter.emit_snapshot(job_metrics.snapshot())
                 if metrics is not None and metrics is not job_metrics:
                     metrics.merge_snapshot(job_metrics.snapshot())
             yield index, result

@@ -1,11 +1,14 @@
-"""Observability: metrics, tracing, telemetry streaming, and reporting.
+"""Observability: metrics, tracing, one telemetry event stream, reporting.
 
 The layer is dependency-free (standard library only) and designed so
 instrumentation can stay permanently wired into the hot paths:
 :data:`NOOP_TRACER` and :data:`NOOP_EMITTER` are the defaults
-everywhere and their disabled calls cost one attribute lookup.  See
-README's "Observability" section for the JSONL trace/telemetry schemas
-and CLI workflow.
+everywhere and their disabled calls cost one attribute lookup.  Every
+recorded event — metric deltas, spans, faults, job lifecycle, and each
+scored step decision — goes into one ``uniloc_telemetry`` JSONL stream
+(:mod:`repro.obs.telemetry`); :mod:`repro.obs.report` aggregates its
+``step`` events.  See README's "Observability" section for the event
+schema and CLI workflow.
 """
 
 from repro.obs import clock
@@ -34,6 +37,7 @@ from repro.obs.report import (
     SchemeSummary,
     TraceSummary,
     render_report,
+    summarize_steps,
     summarize_trace,
 )
 from repro.obs.telemetry import (
@@ -50,6 +54,7 @@ from repro.obs.telemetry import (
     WorkerTelemetry,
     apply_metric_event,
     current_session,
+    decision_to_dict,
     fault_timeline,
     follow_telemetry,
     format_event,
@@ -61,15 +66,6 @@ from repro.obs.telemetry import (
     summarize_telemetry,
     telemetry_session,
 )
-from repro.obs.trace_log import (
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    TraceWriter,
-    decision_from_dict,
-    decision_to_dict,
-    iter_trace,
-    read_trace,
-)
 from repro.obs.tracing import NOOP_TRACER, NoopTracer, Span, Tracer, TracerLike
 
 __all__ = [
@@ -78,8 +74,6 @@ __all__ = [
     "NOOP_TRACER",
     "TELEMETRY_FORMAT",
     "TELEMETRY_VERSION",
-    "TRACE_FORMAT",
-    "TRACE_VERSION",
     "Counter",
     "EventContext",
     "EventEmitter",
@@ -101,30 +95,27 @@ __all__ = [
     "TelemetryWriter",
     "Timer",
     "TraceSummary",
-    "TraceWriter",
     "Tracer",
     "TracerLike",
     "WorkerTelemetry",
     "apply_metric_event",
     "clock",
     "current_session",
-    "decision_from_dict",
     "decision_to_dict",
     "fault_timeline",
     "follow_telemetry",
     "format_event",
     "get_exporter",
     "iter_telemetry",
-    "iter_trace",
     "percentile",
     "profile_callable",
     "prometheus_name",
     "read_telemetry",
-    "read_trace",
     "registry_from_events",
     "render_report",
     "render_telemetry_summary",
     "set_session",
+    "summarize_steps",
     "summarize_telemetry",
     "summarize_trace",
     "telemetry_session",

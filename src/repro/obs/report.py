@@ -1,18 +1,19 @@
-"""Trace aggregation: turn a JSONL step trace into a readable summary.
+"""Step-event aggregation: turn a telemetry log into a readable summary.
 
-This is the read side of :mod:`repro.obs.trace_log`: given the step
-events of one walk it computes, per scheme, the availability rate, the
-UniLoc1 usage share, the estimate-latency percentiles, and the mean
-ground-truth error (when the trace recorded truth), plus walk-level
-stats — GPS duty cycle, indoor fraction, mean tau, ensemble errors.
-``repro report`` prints :func:`render_report`'s table; tests and
-notebooks consume the :class:`TraceSummary` dataclass directly.
+This is the read side of the ``step`` events in a ``uniloc_telemetry``
+log (:mod:`repro.obs.telemetry`): given the step payloads of one walk
+it computes, per scheme, the availability rate, the UniLoc1 usage
+share, the estimate-latency percentiles, and the mean ground-truth
+error, plus walk-level stats — GPS duty cycle, indoor fraction, mean
+tau, ensemble errors.  ``repro report`` prints :func:`render_report`'s
+table once per job; tests and notebooks consume the
+:class:`TraceSummary` dataclass directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.obs.metrics import Histogram
 
@@ -53,9 +54,6 @@ class TraceSummary:
     tau: Histogram
     uniloc1_errors: Histogram
     uniloc2_errors: Histogram
-    #: The trace's trailing ``{"type": "metrics"}`` payload, when the
-    #: producer metered its I/O (``MetricsRegistry.as_dict()`` shape).
-    metrics: dict[str, Any] = field(default_factory=dict)
 
     @property
     def gps_duty_cycle(self) -> float:
@@ -76,15 +74,12 @@ class TraceSummary:
 
 
 def summarize_trace(
-    meta: dict[str, Any],
-    steps: list[dict[str, Any]],
-    metrics: dict[str, Any] | None = None,
+    meta: dict[str, Any], steps: list[dict[str, Any]]
 ) -> TraceSummary:
-    """Aggregate the step events of one trace (see :func:`read_trace`).
+    """Aggregate the step payloads (event ``data``) of one walk.
 
-    ``metrics`` is the optional trailing metrics payload a metered
-    :class:`~repro.obs.trace_log.TraceWriter` appends; pass it through
-    so :func:`render_report` can print the I/O counters.
+    ``meta`` supplies the walk's ``place`` and ``path`` (the ``data`` of
+    its ``job/started`` event); both default to empty.
     """
     schemes: dict[str, SchemeSummary] = {}
     tau = Histogram()
@@ -133,8 +128,27 @@ def summarize_trace(
         tau=tau,
         uniloc1_errors=uniloc1_errors,
         uniloc2_errors=uniloc2_errors,
-        metrics=dict(metrics) if metrics else {},
     )
+
+
+def summarize_steps(events: Iterable[dict[str, Any]]) -> list[TraceSummary]:
+    """Summarize every job of a telemetry log that has ``step`` events.
+
+    Returns one :class:`TraceSummary` per such job, in ``job_id`` order,
+    titled from that job's ``job/started`` event.
+    """
+    started: dict[str, dict[str, Any]] = {}
+    steps: dict[str, list[dict[str, Any]]] = {}
+    for event in events:
+        job_id = event.get("job_id", "")
+        if event.get("kind") == "step":
+            steps.setdefault(job_id, []).append(event.get("data", {}))
+        elif (event.get("kind"), event.get("name")) == ("job", "started"):
+            started[job_id] = event.get("data", {})
+    return [
+        summarize_trace(started.get(job_id, {}), steps[job_id])
+        for job_id in sorted(steps)
+    ]
 
 
 def render_report(summary: TraceSummary) -> str:
@@ -180,23 +194,4 @@ def render_report(summary: TraceSummary) -> str:
                 f"p50 {hist.percentile(50):.2f} m   "
                 f"p90 {hist.percentile(90):.2f} m"
             )
-    io_metrics = {
-        name: value
-        for name, value in sorted(summary.metrics.items())
-        if ".io." in name
-    }
-    if io_metrics:
-        lines.append("")
-        lines.append("I/O counters:")
-        for name, value in io_metrics.items():
-            if isinstance(value, dict):
-                count = int(value.get("count", 0))
-                if count:
-                    lines.append(
-                        f"  {name:28s} n={count:<6d} "
-                        f"p50 {value.get('p50', 0.0):.3f} ms  "
-                        f"p90 {value.get('p90', 0.0):.3f} ms"
-                    )
-            else:
-                lines.append(f"  {name:28s} {value:g}")
     return "\n".join(lines)

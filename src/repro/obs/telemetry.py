@@ -36,6 +36,11 @@ produced.  Timestamps come from the injectable
 :mod:`repro.obs.clock`, and nothing here touches a seed or a cache
 key, keeping the DET002 determinism contract intact.
 
+``kind="step"`` events are the per-step decision record: one
+``step``/``decision`` event per scored step, emitted by the eval layer
+(:func:`repro.eval.runner.emit_step`) where ground truth is known, and
+aggregated by ``repro report`` (:mod:`repro.obs.report`).
+
 ``kind="metric"`` events mirror the registry snapshot format
 (``instrument`` + ``value``/``values``) and are applied through
 :func:`apply_metric_event`, which delegates to ``merge_snapshot`` so
@@ -45,6 +50,7 @@ streamed and snapshotted metrics can never diverge semantically.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -63,8 +69,9 @@ TELEMETRY_VERSION = 1
 #: The event taxonomy.  ``metric`` lines are registry deltas; ``span``
 #: lines are timed operations; ``fault``/``quarantine`` lines are the
 #: degradation lifecycle; ``job`` lines are walk lifecycle edges;
-#: ``log`` lines are free-form annotations.
-EVENT_KINDS = ("metric", "span", "fault", "quarantine", "job", "log")
+#: ``step`` lines are scored framework decisions; ``log`` lines are
+#: free-form annotations.
+EVENT_KINDS = ("metric", "span", "fault", "quarantine", "job", "step", "log")
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,58 @@ def make_event(
     if data:
         event["data"] = data
     return event
+
+
+def _finite(value: float | None) -> float | None:
+    """Map non-finite floats to None (JSON has no NaN/Inf)."""
+    if value is None or not math.isfinite(value):
+        return None
+    return float(value)
+
+
+def _finite_map(values: dict[str, float]) -> dict[str, float | None]:
+    return {name: _finite(v) for name, v in values.items()}
+
+
+def _xy(point: Any) -> dict[str, float] | None:
+    return None if point is None else {"x": point.x, "y": point.y}
+
+
+def decision_to_dict(decision: Any) -> dict[str, Any]:
+    """Serialize a :class:`~repro.core.framework.StepDecision` to JSON-ready form.
+
+    Scheme outputs are reduced to their point estimate and spread — the
+    particle clouds and candidate lists are deliberately dropped (they
+    are reproducible from the recorded sensor trace and would bloat the
+    stream by orders of magnitude).  Non-finite floats (an unavailable
+    step's ``tau`` is NaN) become ``null`` so the line stays strict JSON.
+    """
+    return {
+        "outputs": {
+            name: (
+                None
+                if out is None
+                else {
+                    "x": out.position.x,
+                    "y": out.position.y,
+                    "spread": _finite(out.spread),
+                }
+            )
+            for name, out in decision.outputs.items()
+        },
+        "predicted_errors": _finite_map(decision.predicted_errors),
+        "confidences": _finite_map(decision.confidences),
+        "weights": _finite_map(decision.weights),
+        "tau": _finite(decision.tau),
+        "indoor": decision.indoor,
+        "selected": decision.selected,
+        "uniloc1": _xy(decision.uniloc1_position),
+        "uniloc2": _xy(decision.uniloc2_position),
+        "gps_enabled": decision.gps_enabled,
+        "scheme_latency_ms": _finite_map(decision.scheme_latency_ms),
+        "failures": dict(decision.failures),
+        "quarantined": list(decision.quarantined),
+    }
 
 
 class EventSinkLike(Protocol):

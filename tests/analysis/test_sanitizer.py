@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.sanitizer import (
     Divergence,
     SanitizeReport,
+    _localize,
     first_divergence,
     load_sanitize_report,
     normalize_event,
@@ -132,6 +133,56 @@ class TestSanitizeExperiment:
         assert div.job_id == "job-0000"
         assert div.walk_seed == 11
         assert "DIVERGED" in report.render()
+
+    def test_perturbed_step_decision_is_localized_to_its_step(self, tmp_path):
+        calls = {"n": 0}
+
+        def runner(name, **overrides):
+            from repro.obs.telemetry import current_session
+
+            calls["n"] += 1
+            emitter = current_session().emitter(job_id="job-0002", walk_seed=102)
+            emitter.emit("job", "started", place="office", path="survey")
+            for index in range(10):
+                selected = "wifi"
+                if calls["n"] == 2 and index == 7:
+                    selected = "fusion"
+                emitter.emit(
+                    "step", "decision", index=index, decision={"selected": selected}
+                )
+                if index == 7:
+                    emitter.emit("log", "after-step", note="no step index here")
+
+        report = sanitize_experiment(
+            "fake", out_dir=tmp_path, runner=runner, warmup=False
+        )
+        div = report.divergence
+        assert div is not None
+        assert div.record_a["data"]["decision"] == {"selected": "wifi"}
+        assert div.record_b["data"]["decision"] == {"selected": "fusion"}
+        assert (div.job_id, div.walk_seed, div.step) == ("job-0002", 102, 7)
+        assert (
+            "job job-0002, worker main, walk_seed 102, step 7" in report.render()
+        )
+        assert report.to_dict()["divergence"]["step"] == 7
+
+    def test_step_comes_from_the_nearest_preceding_step_event(self):
+        def event(kind, job_id, **data):
+            return {"kind": kind, "name": "x", "job_id": job_id, "data": data}
+
+        a = [
+            event("step", "job-0000", index=4),
+            event("step", "job-0001", index=9),
+            event("step", "job-0000", index=5),
+            event("log", "job-0000", note="a"),
+        ]
+        b = a[:3] + [event("log", "job-0000", note="b")]
+        div = first_divergence(a, b)
+        assert div == 3
+        assert _localize(div, a, b).step == 5
+        # A fault event names its own step.
+        a[3] = event("fault", "job-0000", step=6, scheme="wifi")
+        assert _localize(3, a, b).step == 6
 
     def test_rng_seed_reprs_are_stable_for_arrays_and_tuples(self, tmp_path):
         def runner(name, **overrides):

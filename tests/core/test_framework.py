@@ -167,11 +167,13 @@ def test_metrics_registry_counts_steps(framework, office_system):
 
 
 def test_run_walk_emits_aggregatable_trace(framework, office_system, tmp_path):
-    """A traced walk's JSONL stream must aggregate back into the same
-    usage shares and duty cycle the in-memory WalkResult reports."""
+    """A walk's telemetry step events must aggregate back (as ``repro
+    report`` does) into the usage shares and duty cycle the in-memory
+    WalkResult reports."""
     import pytest as _pytest
 
-    from repro.obs import TraceWriter, Tracer, read_trace, summarize_trace
+    from repro.obs import Tracer, read_telemetry, summarize_steps
+    from repro.obs.telemetry import TelemetrySession
 
     setup, walk, snaps = (
         office_system["setup"],
@@ -180,16 +182,28 @@ def test_run_walk_emits_aggregatable_trace(framework, office_system, tmp_path):
     )
     framework.tracer = Tracer()
     path = tmp_path / "steps.jsonl"
-    with TraceWriter(path, place=setup.place.name, path_name="survey") as tw:
-        result = run_walk(framework, setup.place, "survey", walk, snaps, trace=tw)
-    meta, steps = read_trace(path)
+    with TelemetrySession(path, run_id="run-walk") as session:
+        emitter = session.emitter(job_id=session.job_id(0))
+        emitter.emit("job", "started", place=setup.place.name, path="survey")
+        result = run_walk(
+            framework, setup.place, "survey", walk, snaps, telemetry=emitter
+        )
+    _, events = read_telemetry(path)
+    steps = [e for e in events if e["kind"] == "step"]
     assert len(steps) == len(result.records)
-    summary = summarize_trace(meta, steps)
+    assert [e["data"]["index"] for e in steps] == [
+        r.moment.index for r in result.records
+    ]
+    [summary] = summarize_steps(events)
+    assert (summary.place, summary.path) == (setup.place.name, "survey")
     assert summary.gps_duty_cycle == _pytest.approx(result.gps_duty_cycle())
     for name, share in result.usage("uniloc1").items():
         assert summary.schemes[name].usage == _pytest.approx(
             share * summary.estimate_rate
         )
+    assert summary.uniloc2_errors.mean == _pytest.approx(
+        result.mean_error("uniloc2")
+    )
     wifi_latency = summary.schemes["wifi"].latency
     assert wifi_latency.count > 0
     assert wifi_latency.percentile(99) >= wifi_latency.percentile(50) > 0.0

@@ -9,7 +9,7 @@ results staying byte-identical throughout.
 
 import pytest
 
-from repro.fleet import ArtifactCache, WalkJob, run_walks
+from repro.fleet import ArtifactCache, WalkJob, run_population, run_walks
 from repro.obs import MetricsRegistry
 from repro.obs.telemetry import (
     TelemetrySession,
@@ -17,6 +17,7 @@ from repro.obs.telemetry import (
     read_telemetry,
     registry_from_events,
     summarize_telemetry,
+    telemetry_session,
 )
 
 
@@ -114,10 +115,55 @@ def test_walk_results_identical_with_and_without_telemetry(warm_cache, tmp_path)
     parallel, _, _ = _run_with_telemetry(
         jobs, workers=4, cache=warm_cache, tmp_path=tmp_path, tag="par"
     )
-    for bare, a, b in zip(bare_serial, serial, parallel):
+    with TelemetrySession(tmp_path / "pop.jsonl", run_id="run-pop") as session:
+        population = run_population(jobs, cache=warm_cache, telemetry=session)
+    for bare, *streamed in zip(bare_serial, serial, parallel, population):
         for estimator in ("wifi", "uniloc1", "uniloc2", "optsel"):
-            assert bare.errors(estimator) == a.errors(estimator) == b.errors(estimator)
-        assert bare.usage("uniloc1") == a.usage("uniloc1") == b.usage("uniloc1")
+            for result in streamed:
+                assert result.errors(estimator) == bare.errors(estimator)
+        for result in streamed:
+            assert result.usage("uniloc1") == bare.usage("uniloc1")
+
+
+def _events_by_job(log, kind):
+    _, events = read_telemetry(log)
+    by_job = {}
+    for event in events:
+        if event["kind"] == kind:
+            by_job.setdefault(event["job_id"], []).append(event)
+    return by_job
+
+
+def test_population_streams_the_serial_engines_step_events(warm_cache, tmp_path):
+    jobs = _office_jobs(2)
+    _, _, serial_log = _run_with_telemetry(
+        jobs, workers=1, cache=warm_cache, tmp_path=tmp_path, tag="serial"
+    )
+    population_log = tmp_path / "population.jsonl"
+    with telemetry_session(population_log, run_id="run-population"):
+        results = run_population(jobs, cache=warm_cache)
+    serial_steps = _events_by_job(serial_log, "step")
+    population_steps = _events_by_job(population_log, "step")
+    assert sorted(population_steps) == ["job-0000", "job-0001"]
+    for index, result in enumerate(results):
+        job_id = f"job-{index:04d}"
+        steps = population_steps[job_id]
+        assert len(steps) == len(result.records)
+        assert [e["data"] for e in steps] == [
+            e["data"] for e in serial_steps[job_id]
+        ]
+        assert {e["walk_seed"] for e in steps} == {jobs[index].walk_seed}
+    # Each lane is framed like a serial job, metric deltas included.
+    for kind in ("job", "metric"):
+        serial = _events_by_job(serial_log, kind)
+        population = _events_by_job(population_log, kind)
+        assert {
+            job: [(e["name"], e["data"].get("steps")) for e in events]
+            for job, events in population.items()
+        } == {
+            job: [(e["name"], e["data"].get("steps")) for e in events]
+            for job, events in serial.items()
+        }
 
 
 def test_serial_and_parallel_streams_carry_same_rollups(warm_cache, tmp_path):

@@ -1,8 +1,11 @@
-"""Tests for trace aggregation and report rendering."""
+"""Tests for step-event aggregation and report rendering."""
 
 import pytest
 
-from repro.obs import render_report, summarize_trace
+from repro.obs import render_report, summarize_steps, summarize_trace
+from repro.obs.telemetry import EventContext, make_event
+
+JOB = EventContext(run_id="run-test", job_id="job-0000", walk_seed=100)
 
 
 def step_event(
@@ -16,39 +19,42 @@ def step_event(
     tau=5.0,
     uniloc1_error=None,
     uniloc2_error=None,
+    context=JOB,
 ):
-    """Build a minimal step event the way trace_log writes them."""
-    event = {
-        "type": "step",
-        "decision": {
-            "outputs": {
-                name: ({"x": 0.0, "y": 0.0, "spread": 1.0} if ok else None)
-                for name, ok in outputs.items()
+    """Build a minimal telemetry ``step`` event the way ``emit_step`` does."""
+    return make_event(
+        "step",
+        "decision",
+        context,
+        data={
+            "index": 0,
+            "decision": {
+                "outputs": {
+                    name: ({"x": 0.0, "y": 0.0, "spread": 1.0} if ok else None)
+                    for name, ok in outputs.items()
+                },
+                "predicted_errors": {},
+                "confidences": {},
+                "weights": {},
+                "tau": tau,
+                "indoor": indoor,
+                "selected": selected,
+                "uniloc1": None,
+                "uniloc2": None,
+                "gps_enabled": gps_enabled,
+                "scheme_latency_ms": latencies or {},
             },
-            "predicted_errors": {},
-            "confidences": {},
-            "weights": {},
-            "tau": tau,
-            "indoor": indoor,
-            "selected": selected,
-            "uniloc1": None,
-            "uniloc2": None,
-            "gps_enabled": gps_enabled,
-            "scheme_latency_ms": latencies or {},
+            "scheme_errors": errors or {},
+            "uniloc1_error": uniloc1_error,
+            "uniloc2_error": uniloc2_error,
+            "oracle": None,
         },
-    }
-    if errors is not None:
-        event["scheme_errors"] = errors
-    if uniloc1_error is not None:
-        event["uniloc1_error"] = uniloc1_error
-    if uniloc2_error is not None:
-        event["uniloc2_error"] = uniloc2_error
-    return event
+    )
 
 
 @pytest.fixture()
 def events():
-    out = []
+    out = [make_event("job", "started", JOB, data={"place": "office", "path": "survey"})]
     # 8 wifi-selected steps with wifi+gps available, GPS powered on 2.
     for i in range(8):
         out.append(
@@ -76,7 +82,8 @@ def events():
 
 
 def test_summary_counts(events):
-    summary = summarize_trace({"place": "office", "path": "survey"}, events)
+    [summary] = summarize_steps(events)
+    assert (summary.place, summary.path) == ("office", "survey")
     assert summary.steps == 10
     assert summary.estimate_rate == pytest.approx(0.8)
     assert summary.gps_duty_cycle == pytest.approx(0.2)
@@ -87,7 +94,7 @@ def test_summary_counts(events):
 
 
 def test_per_scheme_usage_availability_latency(events):
-    summary = summarize_trace({}, events)
+    [summary] = summarize_steps(events)
     wifi = summary.schemes["wifi"]
     assert wifi.availability == pytest.approx(0.8)
     assert wifi.usage == pytest.approx(0.8)
@@ -100,13 +107,30 @@ def test_per_scheme_usage_availability_latency(events):
 
 
 def test_render_report_mentions_everything(events):
-    summary = summarize_trace({"place": "office", "path": "survey"}, events)
+    [summary] = summarize_steps(events)
     text = render_report(summary)
     assert "office/survey" in text
     assert "wifi" in text and "gps" in text
     assert "p50" in text and "p99" in text
     assert "GPS duty cycle 20.0%" in text
     assert "uniloc2 error mean 1.50" in text
+
+
+def test_summarize_steps_splits_jobs_in_job_id_order(events):
+    other = EventContext(run_id="run-test", job_id="job-0001", walk_seed=101)
+    mixed = [
+        make_event("job", "started", other, data={"place": "mall", "path": "p2"}),
+        step_event(selected="wifi", outputs={"wifi": True}, context=other),
+        *events,
+        make_event("job", "started", EventContext(run_id="r", job_id="job-0002")),
+    ]
+    summaries = summarize_steps(mixed)
+    # Job 2 has no step events, so it gets no table.
+    assert [(s.place, s.path, s.steps) for s in summaries] == [
+        ("office", "survey", 10),
+        ("mall", "p2", 1),
+    ]
+    assert summarize_steps(events[:1]) == []
 
 
 def test_empty_trace_renders():

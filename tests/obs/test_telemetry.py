@@ -19,6 +19,7 @@ from repro.obs.telemetry import (
     TelemetryWriter,
     apply_metric_event,
     current_session,
+    decision_to_dict,
     fault_timeline,
     follow_telemetry,
     format_event,
@@ -63,6 +64,35 @@ def test_make_event_rejects_unknown_kind():
         make_event("metric2", "x", CONTEXT)
     for kind in EVENT_KINDS:
         assert make_event(kind, "x", CONTEXT)["kind"] == kind
+
+
+def test_decision_to_dict_encodes_nan_as_null():
+    from repro.core.framework import StepDecision
+    from repro.geometry import Point
+    from repro.schemes.base import SchemeOutput
+
+    decision = StepDecision(
+        outputs={"wifi": SchemeOutput(position=Point(3.0, 4.0), spread=2.5), "gps": None},
+        predicted_errors={"wifi": 1.5, "gps": 13.5},
+        confidences={"wifi": 0.8},
+        weights={"wifi": 1.0},
+        tau=float("nan"),
+        indoor=True,
+        selected="wifi",
+        uniloc1_position=Point(3.0, 4.0),
+        uniloc2_position=None,
+        gps_enabled=False,
+        scheme_latency_ms={"wifi": float("inf")},
+    )
+    encoded = decision_to_dict(decision)
+    assert encoded["tau"] is None
+    assert encoded["scheme_latency_ms"] == {"wifi": None}
+    assert encoded["outputs"] == {"wifi": {"x": 3.0, "y": 4.0, "spread": 2.5}, "gps": None}
+    assert encoded["uniloc1"] == {"x": 3.0, "y": 4.0}
+    assert encoded["uniloc2"] is None
+    # The line must be strict JSON (no bare NaN/Infinity tokens).
+    line = json.dumps(make_event("step", "decision", CONTEXT, data={"decision": encoded}))
+    assert "NaN" not in line and "Infinity" not in line
 
 
 def test_new_run_id_deterministic_under_frozen_clock():

@@ -52,10 +52,10 @@ def test_record_unknown_path(tmp_path, capsys):
     assert main(["record", "office", "nopath", "--out", str(tmp_path / "x.json")]) == 2
 
 
-def _write_synthetic_trace(path):
+def _write_synthetic_steps(path):
     from repro.core.framework import StepDecision
     from repro.geometry import Point
-    from repro.obs import TraceWriter
+    from repro.obs.telemetry import TelemetrySession, decision_to_dict
     from repro.schemes.base import SchemeOutput
 
     decision = StepDecision(
@@ -71,15 +71,26 @@ def _write_synthetic_trace(path):
         gps_enabled=False,
         scheme_latency_ms={"wifi": 0.3},
     )
-    with TraceWriter(path, place="office", path_name="survey") as tw:
-        for _ in range(4):
-            tw.write_step(decision, scheme_errors={"wifi": 1.1}, uniloc2_error=1.0)
+    with TelemetrySession(path, run_id="run-cli") as session:
+        emitter = session.emitter(job_id=session.job_id(0))
+        emitter.emit("job", "started", place="office", path="survey")
+        for index in range(4):
+            emitter.emit(
+                "step",
+                "decision",
+                index=index,
+                decision=decision_to_dict(decision),
+                scheme_errors={"wifi": 1.1},
+                uniloc1_error=None,
+                uniloc2_error=1.0,
+                oracle=None,
+            )
 
 
 def test_report_summarizes_trace(tmp_path, capsys):
-    trace = tmp_path / "steps.jsonl"
-    _write_synthetic_trace(trace)
-    assert main(["report", str(trace)]) == 0
+    log = tmp_path / "steps.jsonl"
+    _write_synthetic_steps(log)
+    assert main(["report", str(log)]) == 0
     out = capsys.readouterr().out
     assert "office/survey" in out
     assert "4 steps" in out
@@ -92,31 +103,47 @@ def test_report_rejects_non_trace(tmp_path, capsys):
     bogus = tmp_path / "bogus.jsonl"
     bogus.write_text('{"not": "a trace"}\n')
     assert main(["report", str(bogus)]) == 2
-    assert "cannot read trace" in capsys.readouterr().err
+    assert "cannot read telemetry log" in capsys.readouterr().err
     assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
+    # A well-formed log without step events has nothing to report.
+    stepless = tmp_path / "stepless.jsonl"
+    _write_synthetic_telemetry(stepless)
+    assert main(["report", str(stepless)]) == 2
+    assert "no step events" in capsys.readouterr().err
 
 
 def test_trace_unknown_place_errors(tmp_path, capsys):
-    out_file = tmp_path / "steps.jsonl"
-    assert main(["trace", "atlantis", "path1", "--out", str(out_file)]) == 2
+    """A traced walk (`run PLACE PATH --telemetry`) at an unknown place."""
+    log = tmp_path / "steps.jsonl"
+    assert main(["run", "atlantis", "path1", "--telemetry", str(log)]) == 2
     assert "unknown place" in capsys.readouterr().err
+    assert not log.exists()  # the stub log is not left behind
 
 
 def test_trace_command_emits_reportable_stream(tmp_path, capsys):
-    """End-to-end acceptance: a traced walk -> JSONL -> `repro report`."""
-    out_file = tmp_path / "steps.jsonl"
-    assert main(["trace", "office", "survey", "--out", str(out_file)]) == 0
+    """End-to-end acceptance: a traced walk (`run PLACE PATH --telemetry`)
+    -> telemetry log -> `repro report`."""
+    log = tmp_path / "steps.jsonl"
+    assert main(["run", "office", "survey", "--telemetry", str(log)]) == 0
     out = capsys.readouterr().out
-    assert "step events" in out
-    assert "uniloc.step_ms" in out  # metrics dump
-    from repro.obs import read_trace
+    assert "telemetry events" in out
+    assert "UniLoc1 scheme usage" in out  # the usual evaluation output
+    from repro.obs import read_telemetry
 
-    meta, steps = read_trace(out_file)
-    assert meta["place"] == "office"
+    meta, events = read_telemetry(log)
+    assert meta["experiment"] == "office/survey"
+    kinds = [(e["kind"], e["name"]) for e in events]
+    assert kinds[0] == ("job", "started")
+    assert ("job", "finished") in kinds
+    assert {e["job_id"] for e in events} == {"job-0000"}
+    steps = [e["data"] for e in events if e["kind"] == "step"]
     assert len(steps) > 50
     assert steps[0]["decision"]["scheme_latency_ms"]
-    assert main(["report", str(out_file)]) == 0
+    metrics = {e["name"] for e in events if e["kind"] == "metric"}
+    assert "uniloc.step_ms" in metrics
+    assert main(["report", str(log)]) == 0
     report = capsys.readouterr().out
+    assert "office/survey" in report
     assert "wifi" in report
     assert "GPS duty cycle" in report
 
@@ -150,8 +177,11 @@ def test_run_unknown_experiment_errors(capsys):
 
 
 def test_run_experiment_rejects_trace_flag(capsys):
-    assert main(["run", "fig3", "--trace", "/tmp/x.jsonl"]) == 2
-    assert "--trace" in capsys.readouterr().err
+    # `--telemetry` is the one output flag; `--trace` is no option at all.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "fig3", "--trace", "/tmp/x.jsonl"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
 
 
 def test_run_table5_experiment(capsys):
@@ -260,12 +290,6 @@ def test_telemetry_rejects_non_telemetry_file(tmp_path, capsys):
     assert "cannot read telemetry log" in capsys.readouterr().err
 
 
-def test_run_telemetry_flag_requires_experiment(tmp_path, capsys):
-    log = tmp_path / "events.jsonl"
-    assert main(["run", "office", "survey", "--telemetry", str(log)]) == 2
-    assert "--telemetry only applies to experiment runs" in capsys.readouterr().err
-
-
 def test_profile_unknown_experiment_errors(capsys):
     assert main(["profile", "fig99"]) == 2
     assert "unknown experiment" in capsys.readouterr().err
@@ -327,14 +351,3 @@ def test_bench_trend_no_readable_history(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "skipping" in err
     assert "no readable bench reports" in err
-
-
-def test_report_shows_io_counters_from_metered_trace(tmp_path, capsys):
-    out_file = tmp_path / "steps.jsonl"
-    assert main(["trace", "office", "survey", "--out", str(out_file)]) == 0
-    capsys.readouterr()
-    assert main(["report", str(out_file)]) == 0
-    report = capsys.readouterr().out
-    assert "I/O counters:" in report
-    assert "uniloc.trace.io.write_bytes" in report
-    assert "uniloc.trace.io.write_ms" in report
