@@ -5,12 +5,15 @@ Unlike the paper-shape benchmarks one directory up, these assert the
 on: batched shadowing evaluation at >= 10x the per-point reference and
 compiled fingerprint matching at >= 5x the per-entry union loop, on
 identical inputs (the pre-kernel baselines live in
-:mod:`repro.bench.baselines`).  ``repro bench run`` records the same
-numbers into a versioned ``BENCH_<date>.json`` for CI comparison.
+:mod:`repro.bench.baselines`).  The particle map constraint's
+bounding-box cull must keep >= 1.5x over the full per-primitive test.
+``repro bench run`` records the same numbers into a versioned
+``BENCH_<date>.json`` for CI comparison.
 
-The floors are deliberately far below the observed speedups (~7x and
->100x on a dev host) so they fail on a real regression — a kernel
-silently falling back to a Python loop — not on scheduler noise.
+The floors are deliberately below the observed speedups (~7x, >100x
+and ~1.7-2.4x on a 2-vCPU dev host) so they fail on a real regression
+— a kernel silently falling back to a Python loop, a cull that keeps
+every primitive — not on scheduler noise.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from repro.bench import run_benches
 #: Acceptance floors, in multiples of the scalar baseline.
 MIN_NEAREST_SPEEDUP = 5.0
 MIN_SHADOWING_SPEEDUP = 10.0
+MIN_MAP_CONSTRAINT_SPEEDUP = 1.5
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +33,12 @@ def bench_report():
 
 
 def test_all_benches_ran(bench_report):
-    for bench in ("shadowing", "fingerprint_nearest", "scan_generation"):
+    for bench in (
+        "shadowing",
+        "fingerprint_nearest",
+        "scan_generation",
+        "map_constraint",
+    ):
         assert f"{bench}.scalar" in bench_report.results
         assert f"{bench}.kernel" in bench_report.results
         for variant in ("scalar", "kernel"):
@@ -53,6 +62,12 @@ def test_batched_shadowing_speedup(bench_report):
 def test_scan_generation_is_faster_batched(bench_report):
     """The batched mean-RSSI path must at least beat the scalar loop."""
     assert bench_report.speedups()["scan_generation"] > 1.0
+
+
+def test_map_constraint_cull_speedup(bench_report):
+    speedup = bench_report.speedups()["map_constraint"]
+    print(f"map constraint: {speedup:.1f}x over the full per-primitive test")
+    assert speedup >= MIN_MAP_CONSTRAINT_SPEEDUP
 
 
 def test_report_roundtrips_through_disk(bench_report, tmp_path):

@@ -1,11 +1,13 @@
-"""Pre-kernel scalar reference implementations of the radio hot paths.
+"""Reference implementations of the radio and map-constraint hot paths.
 
 These are verbatim copies of the scalar algorithms the radio stack used
-before :mod:`repro.radio.kernels` existed.  They serve two purposes:
+before :mod:`repro.radio.kernels` existed, and of the particle map
+constraint before its bounding-box cull.  They serve two purposes:
 
 * **Golden equivalence** — the kernel layer must agree with them to
   1e-9 (:mod:`tests.radio.test_kernel_equivalence` pins this), and the
-  shadowing kernel must agree bit-for-bit.
+  shadowing kernel and the culled map constraint must agree
+  bit-for-bit (:mod:`tests.schemes.test_particle_filter`).
 * **Honest speedups** — the microbench suite (``repro bench``) times the
   kernels against these baselines on the same inputs, so the recorded
   speedups measure the kernels, not a strawman.
@@ -27,6 +29,7 @@ from repro.radio.gaussian_fingerprint import (
     LOG_LIKELIHOOD_FLOOR,
     GaussianFingerprint,
 )
+from repro.schemes.particle_filter import ParticleFilter
 
 #: Reference distance for the path-loss model, meters (pre-kernel copy).
 REFERENCE_DISTANCE_M = 1.0
@@ -144,3 +147,75 @@ def gaussian_log_likelihood_reference(
         term = -0.5 * z * z - math.log(std) - 0.5 * math.log(2.0 * math.pi)
         total += max(term, LOG_LIKELIHOOD_FLOOR)
     return total
+
+
+def walkable_mask_reference(pf: ParticleFilter, positions: np.ndarray) -> np.ndarray:
+    """Pre-cull walkable mask: every position against every primitive."""
+    n = len(positions)
+    if pf._corridors is None or pf._indoor_regions is None:
+        return np.ones(n, dtype=bool)
+    in_corridor = _in_corridor_mask_reference(pf, positions)
+    verts, normals, offsets = pf._indoor_regions
+    # Componentized (p - v) . normal against every region's edges at
+    # once: the same additions in the same order as a stacked
+    # (n, E, 2) product-and-reduce, without the 3-D temporaries.
+    side = (positions[:, None, 0] - verts[None, :, 0]) * normals[None, :, 0] + (
+        positions[:, None, 1] - verts[None, :, 1]
+    ) * normals[None, :, 1]  # (n, E)
+    # A position is inside a region when its sides against all of
+    # that region's edges agree; reduceat folds each region's columns.
+    inside = np.logical_and.reduceat(
+        side >= -1e-9, offsets, axis=1
+    ) | np.logical_and.reduceat(side <= 1e-9, offsets, axis=1)  # (n, R)
+    return in_corridor | ~inside.any(axis=1)
+
+
+def _in_corridor_mask_reference(
+    pf: ParticleFilter, positions: np.ndarray
+) -> np.ndarray:
+    """Pre-cull corridor containment against every corridor segment."""
+    if pf._corridors is None:
+        return np.zeros(len(positions), dtype=bool)
+    starts, ends, half_widths = pf._corridors
+    d = ends - starts  # (m, 2)
+    seg_len2 = np.maximum((d * d).sum(axis=1), 1e-12)  # (m,)
+    # t[i, j]: projection parameter of particle i on corridor j.
+    # Componentized per coordinate: the same multiplies and two-term
+    # additions, in the same order, as the stacked (n, m, 2) form,
+    # but with only (n, m) temporaries (cache-resident at population
+    # scale).
+    dx = positions[:, None, 0] - starts[None, :, 0]  # (n, m)
+    dy = positions[:, None, 1] - starts[None, :, 1]
+    t = np.clip(
+        (dx * d[None, :, 0] + dy * d[None, :, 1]) / seg_len2, 0.0, 1.0
+    )
+    ex = positions[:, None, 0] - (starts[None, :, 0] + t * d[None, :, 0])
+    ey = positions[:, None, 1] - (starts[None, :, 1] + t * d[None, :, 1])
+    dist = np.sqrt(ex * ex + ey * ey)  # (n, m)
+    return (dist <= half_widths[None, :]).any(axis=1)
+
+
+def crosses_wall_reference(
+    pf: ParticleFilter, old: np.ndarray, new: np.ndarray
+) -> np.ndarray:
+    """Pre-cull wall crossing: every move against every wall."""
+    if pf._wall_starts is None:
+        return np.zeros(len(old), dtype=bool)
+    r = new - old  # (n, 2)
+    s = pf._wall_ends - pf._wall_starts  # (m, 2)
+    rx, ry = r[:, None, 0], r[:, None, 1]
+    sx, sy = s[None, :, 0], s[None, :, 1]
+    # Componentized as in walkable_mask: the same products and
+    # differences as a stacked (n, m, 2) form, with (n, m) temporaries.
+    qx = pf._wall_starts[None, :, 0] - old[:, None, 0]  # (n, m)
+    qy = pf._wall_starts[None, :, 1] - old[:, None, 1]
+    r_cross_s = rx * sy - ry * sx
+    qp_cross_r = qx * ry - qy * rx
+    qp_cross_s = qx * sy - qy * sx
+    nonparallel = np.abs(r_cross_s) > 1e-12
+    # Parallel pairs divide by ~0, but ``nonparallel`` masks them below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = qp_cross_s / r_cross_s
+        u = qp_cross_r / r_cross_s
+    hits = nonparallel & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
+    return hits.any(axis=1)

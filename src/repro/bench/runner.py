@@ -1,12 +1,13 @@
 """The microbench runner behind ``repro bench``.
 
-Each bench times one radio hot path in two variants on identical
-inputs: ``scalar`` (the pre-kernel reference from
+Each bench times one radio hot path, or the particle map constraint,
+in two variants on identical inputs: ``scalar`` (the reference from
 :mod:`repro.bench.baselines`, or the scalar per-point API where that
 *is* the current implementation) and ``kernel`` (the batched
-:mod:`repro.radio.kernels` path).  The ``walk_step`` bench has no
-scalar twin — it times the full ``UniLocFramework.step`` as shipped,
-as an end-to-end canary.
+:mod:`repro.radio.kernels` path, or the culled
+:class:`~repro.schemes.ParticleFilter` constraint).  The ``walk_step``
+bench has no scalar twin — it times the full ``UniLocFramework.step``
+as shipped, as an end-to-end canary.
 
 Reports are schema-versioned JSON (``format: "bench"``) so CI can
 compare a fresh run against a committed baseline.  Cross-machine
@@ -303,6 +304,43 @@ def _scan_bench(setup: Any, seed: int, repeats: int) -> dict[str, Timing]:
     }
 
 
+def _map_constraint_bench(
+    setup: Any, walk: Any, seed: int, repeats: int
+) -> dict[str, Timing]:
+    """Culled particle map constraint vs the pre-cull reference.
+
+    Both variants test one recorded cloud: a 300-particle filter walked
+    20 steps down the recorded walk, and its next proposed move, through
+    ``walkable_mask`` plus the wall-crossing test.
+    """
+    from repro.bench import baselines
+    from repro.schemes import ParticleFilter
+
+    rng = np.random.default_rng(seed + 47)
+    moments = walk.moments[:21]
+    pf = ParticleFilter(setup.place)
+    pf.initialize(moments[0].position, 1.0, rng)
+    for moment in moments[1:-1]:
+        pf.predict(moment.step_length, moment.heading)
+    old = pf.positions
+    last = moments[-1]
+    step = last.step_length * np.array([np.cos(last.heading), np.sin(last.heading)])
+    new = old + step + rng.normal(0.0, pf.position_noise_std, old.shape)
+
+    def scalar() -> None:
+        baselines.walkable_mask_reference(pf, new)
+        baselines.crosses_wall_reference(pf, old, new)
+
+    def kernel() -> None:
+        pf.walkable_mask(new)
+        pf._crosses_wall(old, new)
+
+    return {
+        "map_constraint.scalar": time_callable(scalar, repeats),
+        "map_constraint.kernel": time_callable(kernel, repeats),
+    }
+
+
 def _walk_step_bench(
     setup: Any, snapshots: list[Any], framework: Any, repeats: int
 ) -> dict[str, Timing]:
@@ -354,6 +392,7 @@ def run_benches(
     results.update(_shadowing_bench(setup, seed, repeats))
     results.update(_fingerprint_bench(setup, scans, repeats))
     results.update(_scan_bench(setup, seed, repeats))
+    results.update(_map_constraint_bench(setup, walk, seed, repeats))
     if include_walk_step:
         models = cache.error_models(seed)
         framework = build_framework(setup, models, walk.moments[0].position)

@@ -6,9 +6,12 @@ scale (the paper's step-model personalization: "step length adaptively
 updated by particle filter", §III-B).  Map constraints kill particles that
 leave the walkable area; systematic resampling keeps the cloud healthy.
 
-Everything is numpy-vectorized: corridor containment for all particles is
-computed against all corridor segments at once, so 300 particles x ~500
-steps remain fast in pure Python.
+Everything is numpy-vectorized, and the map constraint only looks at
+map primitives near the cloud: an exact bounding-box cull (see
+:meth:`ParticleFilter.walkable_mask`) picks the corridors, indoor regions
+and walls whose padded boxes meet the cloud's box, and the containment
+and crossing tests then run on all particles against those primitives
+at once, so 300 particles x ~500 steps remain fast in pure Python.
 """
 
 from __future__ import annotations
@@ -20,6 +23,42 @@ import numpy as np
 
 from repro.geometry import Point
 from repro.world import Place
+
+#: Padding (m) of every broad-phase box.  It only has to exceed how far
+#: the 1e-9 side tolerance and float rounding reach outside a primitive
+#: (under 1e-6 m on metre-scale maps), and stays far below any corridor
+#: width.
+BOX_PAD_M = 1e-3
+
+
+def _padded_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Return boxes from corners ``lo``/``hi``, grown by :data:`BOX_PAD_M`.
+
+    Each ``(k, 4)`` row is ``(x_lo, y_lo, -x_hi, -y_hi)``: with the upper
+    corner negated, "box meets cloud" is one comparison (:func:`_overlaps`).
+    """
+    return np.hstack([lo - BOX_PAD_M, -(hi + BOX_PAD_M)])
+
+
+def _cloud_box(points: np.ndarray) -> np.ndarray | None:
+    """Return the bounding box of ``points`` as ``(x_hi, y_hi, -x_lo, -y_lo)``.
+
+    Returns None, meaning "keep every primitive", when ``points`` is
+    empty or holds a NaN or infinite coordinate: such a cloud has no
+    finite box, and a NaN box compares false against every primitive
+    box, which would cull them all.  ``min``/``max`` propagate NaN and
+    keep infinities, so a finite box means every point is finite.
+    """
+    if len(points) == 0:
+        return None
+    x, y = points[:, 0], points[:, 1]
+    box = np.array([x.max(), y.max(), -x.min(), -y.min()])
+    return box if np.isfinite(box).all() else None
+
+
+def _overlaps(boxes: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Return a mask of the :func:`_padded_boxes` rows that meet ``box``."""
+    return (boxes <= box).all(axis=1)
 
 
 def _corridor_arrays(place: Place) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -43,19 +82,32 @@ def _indoor_region_arrays(
     the index of each region's first edge.  The map constraint only
     applies *inside* indoor regions: outdoors (open spaces) a pedestrian
     can walk anywhere, which is precisely why the paper's motion scheme
-    loses its map anchor there.  Regions produced by the world builder
-    are convex quadrilaterals; containment is tested by requiring a
-    consistent cross-product sign against every edge of one region.
+    loses its map anchor there.  Containment is tested by requiring a
+    consistent cross-product sign against every edge of one region,
+    which is only right for convex regions; the bounding-box cull of
+    :meth:`ParticleFilter.walkable_mask` relies on convexity too.  The
+    world builder makes convex quadrilaterals.
+
+    Raises:
+        ValueError: if an indoor region is not convex.
     """
     from repro.world import is_indoor  # local import to avoid a cycle
 
     verts, normals, offsets = [], [], []
     n_edges = 0
-    for region in place.regions:
+    for index, region in enumerate(place.regions):
         if not is_indoor(region.env_type):
             continue
         region_verts = np.array([[v.x, v.y] for v in region.polygon.vertices])
         edges = np.roll(region_verts, -1, axis=0) - region_verts
+        nxt = np.roll(edges, -1, axis=0)
+        turns = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+        if not ((turns >= 0.0).all() or (turns <= 0.0).all()):
+            raise ValueError(
+                f"indoor region {index} ({region.env_type.value}) of place "
+                f"{place.name!r} is not convex; the map constraint needs "
+                "convex indoor regions"
+            )
         # Outward-ish normals; sign consistency handled at query time.
         normals.append(np.column_stack([-edges[:, 1], edges[:, 0]]))
         verts.append(region_verts)
@@ -64,6 +116,31 @@ def _indoor_region_arrays(
     if not verts:
         return None
     return np.concatenate(verts), np.concatenate(normals), np.array(offsets)
+
+
+def _in_corridor_mask(
+    positions: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    half_widths: np.ndarray,
+) -> np.ndarray:
+    """Return a boolean mask of positions inside some of the given corridors."""
+    d = ends - starts  # (m, 2)
+    seg_len2 = np.maximum((d * d).sum(axis=1), 1e-12)  # (m,)
+    # t[i, j]: projection parameter of particle i on corridor j.
+    # Componentized per coordinate: the same multiplies and two-term
+    # additions, in the same order, as the stacked (n, m, 2) form,
+    # but with only (n, m) temporaries.  Every corridor is tested on
+    # its own, so a subset gives each particle the same distances.
+    dx = positions[:, None, 0] - starts[None, :, 0]  # (n, m)
+    dy = positions[:, None, 1] - starts[None, :, 1]
+    t = np.clip(
+        (dx * d[None, :, 0] + dy * d[None, :, 1]) / seg_len2, 0.0, 1.0
+    )
+    ex = positions[:, None, 0] - (starts[None, :, 0] + t * d[None, :, 0])
+    ey = positions[:, None, 1] - (starts[None, :, 1] + t * d[None, :, 1])
+    dist = np.sqrt(ex * ex + ey * ey)  # (n, m)
+    return (dist <= half_widths[None, :]).any(axis=1)
 
 
 @dataclass
@@ -96,9 +173,30 @@ class ParticleFilter:
         if walls:
             self._wall_starts = np.array([[w.start.x, w.start.y] for w in walls])
             self._wall_ends = np.array([[w.end.x, w.end.y] for w in walls])
+            self._wall_boxes = _padded_boxes(
+                np.minimum(self._wall_starts, self._wall_ends),
+                np.maximum(self._wall_starts, self._wall_ends),
+            )
         else:
             self._wall_starts = None
             self._wall_ends = None
+        # Broad-phase boxes for the cull in walkable_mask.
+        if self._corridors is not None:
+            starts, ends, half_widths = self._corridors
+            reach = half_widths[:, None]
+            self._corridor_boxes = _padded_boxes(
+                np.minimum(starts, ends) - reach, np.maximum(starts, ends) + reach
+            )
+        if self._indoor_regions is not None:
+            verts, _, offsets = self._indoor_regions
+            self._region_edge_counts = np.diff(offsets, append=len(verts))
+            self._edge_region = np.repeat(
+                np.arange(len(offsets)), self._region_edge_counts
+            )
+            self._region_boxes = _padded_boxes(
+                np.minimum.reduceat(verts, offsets, axis=0),
+                np.maximum.reduceat(verts, offsets, axis=0),
+            )
         self.positions = np.zeros((self.n_particles, 2))
         self.scales = np.ones(self.n_particles)
         self.weights = np.full(self.n_particles, 1.0 / self.n_particles)
@@ -126,12 +224,44 @@ class ParticleFilter:
         cannot reach.  Outdoor positions are always walkable, so in open
         spaces the map imposes no constraint (and PDR drifts, as in the
         paper).
+
+        Only the corridors and indoor regions whose padded boxes meet
+        the bounding box of ``positions`` are tested, with the same
+        arithmetic as a test against all of them, so the mask is the
+        same.  A primitive is skipped only when every position is more
+        than :data:`BOX_PAD_M` outside its box.  For a corridor, that
+        puts the position more than the half-width plus the pad from the
+        centerline, so the computed distance exceeds ``half_width``.
+        For a convex region, the position then lies beyond some edge's
+        line, and that edge's side value falls far below ``-1e-9``; the
+        opposite sign test fails for any point, since a region's side
+        values sum to twice its signed area, far above ``E * 1e-9``.
+        When no indoor region is near, every position is walkable.  A
+        cloud with a NaN or infinite coordinate is tested against every
+        primitive.
         """
         n = len(positions)
         if self._corridors is None or self._indoor_regions is None:
             return np.ones(n, dtype=bool)
-        in_corridor = self._in_corridor_mask(positions)
+        corridors = self._corridors
         verts, normals, offsets = self._indoor_regions
+        box = _cloud_box(positions)
+        if box is not None:
+            near_regions = _overlaps(self._region_boxes, box)
+            if not near_regions.any():
+                return np.ones(n, dtype=bool)
+            near_corridors = _overlaps(self._corridor_boxes, box)
+            starts, ends, half_widths = corridors
+            corridors = (
+                starts[near_corridors],
+                ends[near_corridors],
+                half_widths[near_corridors],
+            )
+            near_edges = near_regions[self._edge_region]
+            verts, normals = verts[near_edges], normals[near_edges]
+            counts = self._region_edge_counts[near_regions]
+            offsets = np.cumsum(counts) - counts
+        in_corridor = _in_corridor_mask(positions, *corridors)
         # Componentized (p - v) . normal against every region's edges at
         # once: the same additions in the same order as a stacked
         # (n, E, 2) product-and-reduce, without the 3-D temporaries.
@@ -144,28 +274,6 @@ class ParticleFilter:
             side >= -1e-9, offsets, axis=1
         ) | np.logical_and.reduceat(side <= 1e-9, offsets, axis=1)  # (n, R)
         return in_corridor | ~inside.any(axis=1)
-
-    def _in_corridor_mask(self, positions: np.ndarray) -> np.ndarray:
-        """Return a boolean mask of positions inside some corridor."""
-        if self._corridors is None:
-            return np.zeros(len(positions), dtype=bool)
-        starts, ends, half_widths = self._corridors
-        d = ends - starts  # (m, 2)
-        seg_len2 = np.maximum((d * d).sum(axis=1), 1e-12)  # (m,)
-        # t[i, j]: projection parameter of particle i on corridor j.
-        # Componentized per coordinate: the same multiplies and two-term
-        # additions, in the same order, as the stacked (n, m, 2) form,
-        # but with only (n, m) temporaries (cache-resident at population
-        # scale).
-        dx = positions[:, None, 0] - starts[None, :, 0]  # (n, m)
-        dy = positions[:, None, 1] - starts[None, :, 1]
-        t = np.clip(
-            (dx * d[None, :, 0] + dy * d[None, :, 1]) / seg_len2, 0.0, 1.0
-        )
-        ex = positions[:, None, 0] - (starts[None, :, 0] + t * d[None, :, 0])
-        ey = positions[:, None, 1] - (starts[None, :, 1] + t * d[None, :, 1])
-        dist = np.sqrt(ex * ex + ey * ey)  # (n, m)
-        return (dist <= half_widths[None, :]).any(axis=1)
 
     def predict(self, step_length: float, heading: float) -> None:
         """Advance every particle by one step.
@@ -200,17 +308,34 @@ class ParticleFilter:
         checking the movement segment against the wall list (standard
         orientation predicates, vectorized particles x walls) makes the
         map constraint robust to step length.
+
+        As in :meth:`walkable_mask`, only walls whose padded boxes meet
+        the bounding box of ``old`` and ``new`` together are tested.  A
+        skipped wall is more than :data:`BOX_PAD_M` from every move along
+        some axis, so no move truly intersects it.  The one case where
+        the full test could still report a hit is ill-conditioned: a move
+        nearly collinear with a far wall, with ``|r x s|`` just above
+        ``1e-12``, where that answer is rounding noise; the cull returns
+        the geometrically correct "no crossing" there.  Moves with a NaN
+        or infinite coordinate are tested against every wall.
         """
         if self._wall_starts is None:
             return np.zeros(len(old), dtype=bool)
+        starts, ends = self._wall_starts, self._wall_ends
+        box = _cloud_box(np.concatenate((old, new)))
+        if box is not None:
+            near = _overlaps(self._wall_boxes, box)
+            if not near.any():
+                return np.zeros(len(old), dtype=bool)
+            starts, ends = starts[near], ends[near]
         r = new - old  # (n, 2)
-        s = self._wall_ends - self._wall_starts  # (m, 2)
+        s = ends - starts  # (m, 2)
         rx, ry = r[:, None, 0], r[:, None, 1]
         sx, sy = s[None, :, 0], s[None, :, 1]
         # Componentized as in walkable_mask: the same products and
         # differences as a stacked (n, m, 2) form, with (n, m) temporaries.
-        qx = self._wall_starts[None, :, 0] - old[:, None, 0]  # (n, m)
-        qy = self._wall_starts[None, :, 1] - old[:, None, 1]
+        qx = starts[None, :, 0] - old[:, None, 0]  # (n, m)
+        qy = starts[None, :, 1] - old[:, None, 1]
         r_cross_s = rx * sy - ry * sx
         qp_cross_r = qx * ry - qy * rx
         qp_cross_s = qx * sy - qy * sx
