@@ -1,11 +1,11 @@
 """Repo-specific static analysis: the engine behind ``repro lint``.
 
-Five invariants make this repro trustworthy — explicit seeding,
-clock-free deterministic paths, pure process-boundary values, honest
-metric names, and unit-suffixed quantities — and none of them is
-checkable by ruff or mypy.  This package checks them: a plugin rule
-protocol, an AST runner with content-hash result caching, a baseline
-mechanism for grandfathering, and both human and JSON reporting.  See
+Four invariants make this repro trustworthy — explicit seeding,
+clock-free deterministic paths, pure process-boundary values, and
+unit-suffixed quantities — and none of them is checkable by ruff or
+mypy.  This package checks them: a per-file plugin rule protocol, an
+AST runner with content-hash result caching, a baseline mechanism for
+grandfathering, and both human and JSON reporting.  See
 README's "Static analysis" section for the workflow and DESIGN.md for
 the module map.
 """

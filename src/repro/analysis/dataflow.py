@@ -20,11 +20,8 @@ compiler:
   ``origins(expr)``: the set of ultimate origins an expression's value
   can have, resolved through local aliases with arithmetic, tuple
   packing, and f-strings treated as lineage-preserving.
-* :class:`CallSite` / :class:`CallGraph` — the package-level call graph
-  assembled from per-file facts (one :func:`function_calls` pass per
-  file, canonicalized through :mod:`repro.analysis.names`), which is
-  how a cross-file rule resolves a call in ``eval/registry.py`` to a
-  contract declared in ``radio/kernels.py``.
+* :func:`module_global_assigns` — the module-level assignments, so a
+  rule can resolve a name to a module constant.
 
 The analysis is deliberately flow-*insensitive* within a function: a
 name's origins are the union over every assignment to it, in any
@@ -40,7 +37,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from repro.analysis.names import canonical_call, canonicalize, dotted_name, import_bindings
+from repro.analysis.names import canonical_call, canonicalize, dotted_name
 
 #: The origin taxonomy.  ``attribute`` chains are rooted at a parameter
 #: or module-level name (``job.fault_plan.seed``); ``container`` covers
@@ -398,48 +395,8 @@ class FunctionDataflow:
 
 
 # ---------------------------------------------------------------------------
-# Module-level views: functions, globals, and the call graph.
+# Module-level view: globals.
 # ---------------------------------------------------------------------------
-
-
-def module_name(display: str) -> str:
-    """Derive the dotted module name from a display path.
-
-    ``src/repro/radio/kernels.py`` becomes ``repro.radio.kernels``;
-    paths outside a recognizable package root fall back to the stem.
-    """
-    normalized = display.replace("\\", "/")
-    for marker in ("src/", ""):
-        prefix = f"{marker}repro/"
-        at = normalized.find(prefix)
-        if at >= 0:
-            tail = normalized[at + len(marker) :]
-            return tail[: -len(".py")].replace("/", ".") if tail.endswith(
-                ".py"
-            ) else tail.replace("/", ".")
-    stem = normalized.rsplit("/", 1)[-1]
-    return stem[: -len(".py")] if stem.endswith(".py") else stem
-
-
-def module_functions(
-    tree: ast.AST,
-) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    """Yield ``(qualname, node)`` for every function, including methods.
-
-    Methods are qualified as ``ClassName.method``; nested functions as
-    ``outer.<locals>.inner`` are *not* yielded (their scope is private).
-    """
-
-    def visit(nodes: list[ast.stmt], prefix: str) -> Iterator[
-        tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]
-    ]:
-        for statement in nodes:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield f"{prefix}{statement.name}", statement
-            elif isinstance(statement, ast.ClassDef):
-                yield from visit(statement.body, f"{prefix}{statement.name}.")
-
-    yield from visit(list(getattr(tree, "body", [])), "")
 
 
 def module_global_assigns(
@@ -458,120 +415,9 @@ def module_global_assigns(
                 yield [statement.target.id], statement.value
 
 
-@dataclass(frozen=True)
-class CallSite:
-    """One resolved call edge: ``caller`` invokes ``callee``.
-
-    Attributes:
-        caller: module-qualified qualname of the calling function
-            (``repro.eval.registry._pooled``).
-        callee: canonical dotted name of the target
-            (``repro.fleet.executor.run_walks``).
-        line, col: location of the call expression.
-    """
-
-    caller: str
-    callee: str
-    line: int
-    col: int
-
-    def to_dict(self) -> dict[str, object]:
-        """Serialize for the engine's JSON fact cache."""
-        return {
-            "caller": self.caller,
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CallSite":
-        """Rebuild a call site from its serialized form."""
-        return cls(
-            caller=str(data["caller"]),
-            callee=str(data["callee"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            col=int(data["col"]),  # type: ignore[call-overload]
-        )
-
-
-def function_calls(tree: ast.AST, display: str) -> list[CallSite]:
-    """Extract every resolvable call edge from one module.
-
-    Only calls whose target canonicalizes to a dotted name are
-    recorded; dynamic dispatch (``handlers[k]()``) has no static edge.
-    Calls to names defined in the same module are qualified with the
-    module name so cross-file consumers see one namespace.
-    """
-    bindings = import_bindings(tree)
-    module = module_name(display)
-    local_names = {qualname.split(".")[0] for qualname, _ in module_functions(tree)}
-    sites: list[CallSite] = []
-    for qualname, func in module_functions(tree):
-        caller = f"{module}.{qualname}"
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None:
-                continue
-            head = dotted.partition(".")[0]
-            if head in bindings:
-                callee = canonicalize(dotted, bindings)
-            elif head in local_names:
-                callee = f"{module}.{dotted}"
-            else:
-                callee = dotted
-            sites.append(
-                CallSite(
-                    caller=caller,
-                    callee=callee,
-                    line=node.lineno,
-                    col=node.col_offset,
-                )
-            )
-    return sites
-
-
-class CallGraph:
-    """The package-level call graph, assembled from per-file facts."""
-
-    def __init__(self, sites: list[CallSite]) -> None:
-        self.sites = list(sites)
-        self._callees: dict[str, set[str]] = {}
-        self._callers: dict[str, set[str]] = {}
-        for site in self.sites:
-            self._callees.setdefault(site.caller, set()).add(site.callee)
-            self._callers.setdefault(site.callee, set()).add(site.caller)
-
-    @classmethod
-    def from_facts(
-        cls, facts: list[tuple[str, list[dict[str, object]]]]
-    ) -> "CallGraph":
-        """Build the graph from each file's serialized call-site facts."""
-        sites: list[CallSite] = []
-        for _display, payload in facts:
-            for entry in payload:
-                sites.append(CallSite.from_dict(entry))
-        return cls(sites)
-
-    def callees(self, qualname: str) -> frozenset[str]:
-        """Return every target ``qualname`` calls (empty when unknown)."""
-        return frozenset(self._callees.get(qualname, frozenset()))
-
-    def callers(self, qualname: str) -> frozenset[str]:
-        """Return every function that calls ``qualname``."""
-        return frozenset(self._callers.get(qualname, frozenset()))
-
-
 __all__ = [
     "ORIGIN_KINDS",
     "Origin",
     "FunctionDataflow",
-    "CallSite",
-    "CallGraph",
-    "function_calls",
-    "module_functions",
     "module_global_assigns",
-    "module_name",
 ]

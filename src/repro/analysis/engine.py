@@ -4,23 +4,21 @@ The repo's correctness story rests on invariants no off-the-shelf
 linter checks: every RNG is explicitly seeded, no wall-clock value
 leaks into a simulation or cache-key path, everything crossing the
 ``ProcessPoolExecutor`` boundary is a frozen pure value, and every
-metric/span name fits the observability grammar and is actually
-emitted somewhere.  This engine polices those invariants at review
-time — as plain AST rules over ``src/`` and ``tests/`` — instead of
-via flaky bisects after a figure stops reproducing.
+physical quantity carries its unit in its name.  This engine polices
+those invariants at review time — as plain AST rules over ``src/`` and
+``tests/`` — instead of via flaky bisects after a figure stops
+reproducing.
 
 Architecture:
 
 * :class:`Rule` — the plugin protocol.  A rule inspects one parsed
-  :class:`SourceFile` at a time (``check``) and may additionally
-  cross-check per-file *facts* over the whole tree (``cross_check``),
-  which is how the observability rule proves a counter read somewhere
-  is emitted somewhere else.
-* :class:`LintEngine` — file discovery, per-file result caching keyed
-  on content hash (the cache artifact carries the shared
-  :mod:`repro.formats` header, like every other on-disk artifact in
-  the repo), baseline subtraction, and inline ``lint: ignore[RULE]``
-  suppression.
+  :class:`SourceFile` at a time (``check``) and returns its findings;
+  no rule sees more than one file.
+* :class:`LintEngine` — file discovery, inline ``lint: ignore[RULE]``
+  suppression, per-file result caching keyed on content hash (a cached
+  entry holds the file's kept findings and its suppressed count; the
+  cache artifact carries the shared :mod:`repro.formats` header, like
+  every other on-disk artifact in the repo), and baseline subtraction.
 * :class:`LintReport` — the scored result, renderable as a fixed-width
   human table or the ``--json`` machine format.
 
@@ -37,14 +35,14 @@ import hashlib
 import inspect
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.formats import UnsupportedFormatError, check_header, format_header
 
 #: Bump to invalidate every cached lint result at once.
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 CACHE_FORMAT = "lint_cache"
 BASELINE_FORMAT = "lint_baseline"
@@ -141,9 +139,8 @@ class SourceFile:
         self.text = text
         self.lines = text.splitlines()
         #: True for production code under ``src/repro`` — the scope in
-        #: which the determinism/purity/observability invariants are
-        #: enforced.  Tests may freely use ad-hoc metric names and
-        #: measure wall time.
+        #: which the determinism/purity invariants are enforced.  Tests
+        #: may freely measure wall time.
         self.in_src = (
             in_src
             if in_src is not None
@@ -184,11 +181,7 @@ class SourceFile:
 class Rule:
     """The plugin protocol every analyzer rule implements.
 
-    Subclasses set the class attributes and override :meth:`check`;
-    rules that reason across files additionally override
-    :meth:`cross_check`, consuming the JSON-serializable facts their
-    ``check`` returned per file (facts survive the result cache, so a
-    cached file still participates in cross-checking).
+    Subclasses set the class attributes and override :meth:`check`.
     """
 
     id: str = "RULE000"
@@ -197,13 +190,9 @@ class Rule:
     #: Bump when the rule's logic changes, to invalidate cached results.
     version: int = 1
 
-    def check(self, file: SourceFile) -> tuple[list[Finding], Any]:
-        """Inspect one file; return ``(findings, facts-or-None)``."""
+    def check(self, file: SourceFile) -> list[Finding]:
+        """Inspect one file; return its findings."""
         raise NotImplementedError
-
-    def cross_check(self, facts: list[tuple[str, Any]]) -> list[Finding]:
-        """Inspect all files' facts; return whole-tree findings."""
-        return []
 
     def finding(
         self, file: SourceFile, node: ast.AST, message: str
@@ -372,11 +361,11 @@ def write_baseline(path: str | Path, findings: Iterable[Finding]) -> int:
 
 @dataclass
 class _CacheEntry:
-    """One file's cached lint outcome (verbatim findings + rule facts)."""
+    """One file's lint outcome: findings left after inline ignores."""
 
     sha: str
     findings: list[Finding]
-    facts: dict[str, Any] = field(default_factory=dict)
+    n_suppressed: int = 0
 
 
 class LintEngine:
@@ -423,7 +412,7 @@ class LintEngine:
             entries[display] = _CacheEntry(
                 sha=spec["sha"],
                 findings=[Finding.from_dict(f) for f in spec["findings"]],
-                facts=spec.get("facts", {}),
+                n_suppressed=spec["suppressed"],
             )
         return entries
 
@@ -437,7 +426,7 @@ class LintEngine:
                 display: {
                     "sha": entry.sha,
                     "findings": [f.to_dict() for f in entry.findings],
-                    "facts": entry.facts,
+                    "suppressed": entry.n_suppressed,
                 }
                 for display, entry in sorted(entries.items())
             },
@@ -452,28 +441,25 @@ class LintEngine:
     # -- the run -----------------------------------------------------------
 
     def _check_file(self, file: SourceFile) -> _CacheEntry:
-        """Run every rule's per-file pass over one parsed file."""
-        findings: list[Finding] = []
-        facts: dict[str, Any] = {}
+        """Run every rule over one parsed file, applying inline ignores."""
+        entry = _CacheEntry(
+            sha=hashlib.sha256(file.text.encode()).hexdigest(), findings=[]
+        )
         for rule in self.rules:
-            rule_findings, rule_facts = rule.check(file)
-            findings.extend(rule_findings)
-            if rule_facts is not None:
-                facts[rule.id] = rule_facts
-        sha = hashlib.sha256(file.text.encode()).hexdigest()
-        return _CacheEntry(sha=sha, findings=findings, facts=facts)
+            for finding in rule.check(file):
+                if finding.rule in file.ignored_rules(finding.line):
+                    entry.n_suppressed += 1
+                else:
+                    entry.findings.append(finding)
+        return entry
 
     def lint_paths(self, paths: Iterable[str | Path]) -> LintReport:
-        """Discover, analyze, cross-check, and score the given paths."""
+        """Discover, analyze, and score the given paths."""
         files = discover_files(paths)
         cache = self._load_cache()
         report = LintReport(findings=[], n_files=len(files))
         fresh: dict[str, _CacheEntry] = {}
         raw_findings: list[Finding] = []
-        all_facts: dict[str, list[tuple[str, Any]]] = {
-            rule.id: [] for rule in self.rules
-        }
-        sources: dict[str, SourceFile] = {}
 
         for path in files:
             display = display_path(path)
@@ -498,57 +484,28 @@ class LintEngine:
                         )
                     )
                     continue
-                sources[display] = source
                 entry = self._check_file(source)
             fresh[display] = entry
             raw_findings.extend(entry.findings)
-            for rule_id, facts in entry.facts.items():
-                all_facts.setdefault(rule_id, []).append((display, facts))
-
-        for rule in self.rules:
-            raw_findings.extend(rule.cross_check(all_facts.get(rule.id, [])))
+            report.n_suppressed_inline += entry.n_suppressed
 
         self._save_cache(fresh)
-        self._score(report, raw_findings, sources)
+        self._score(report, raw_findings)
         return report
 
     def lint_text(
         self, text: str, display: str, in_src: bool | None = None
     ) -> list[Finding]:
-        """Analyze one in-memory snippet (no cache, no baseline).
-
-        Cross-file rules cross-check against this snippet alone, so a
-        read of a metric the snippet never emits still surfaces — which
-        is exactly what the rule fixtures exercise.
-        """
-        source = SourceFile(display, text, in_src=in_src)
-        entry = self._check_file(source)
-        findings = list(entry.findings)
-        for rule in self.rules:
-            if rule.id in entry.facts:
-                findings.extend(
-                    rule.cross_check([(display, entry.facts[rule.id])])
-                )
+        """Analyze one in-memory snippet (no cache, no baseline)."""
+        entry = self._check_file(SourceFile(display, text, in_src=in_src))
         report = LintReport(findings=[], n_files=1)
-        self._score(report, findings, {display: source})
+        self._score(report, entry.findings)
         return report.findings
 
-    def _score(
-        self,
-        report: LintReport,
-        raw_findings: list[Finding],
-        sources: dict[str, SourceFile],
-    ) -> None:
-        """Apply inline ignores + baseline, then sort into the report."""
+    def _score(self, report: LintReport, raw_findings: list[Finding]) -> None:
+        """Subtract the baseline, then sort into the report."""
         kept: list[Finding] = []
         for finding in raw_findings:
-            source = sources.get(finding.path)
-            if (
-                source is not None
-                and finding.rule in source.ignored_rules(finding.line)
-            ):
-                report.n_suppressed_inline += 1
-                continue
             if finding.fingerprint() in self.baseline:
                 report.n_suppressed_baseline += 1
                 continue

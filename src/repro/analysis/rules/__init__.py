@@ -3,8 +3,9 @@
 Adding a rule is three steps: subclass
 :class:`~repro.analysis.engine.Rule` in a module here, instantiate it in
 :func:`default_rules`, and drop a known-bad fixture under
-``tests/analysis/fixtures/`` so the rule's behavior is pinned.  The
-engine handles everything else (caching, baselining, CLI/CI wiring).
+``tests/analysis/fixtures/`` so the rule's behavior is pinned.  A rule
+sees one file at a time and returns findings; the engine handles
+everything else (inline ignores, caching, baselining, CLI/CI wiring).
 Rules that need to reason about where a value *came from* (rather than
 what one AST node looks like) build on the dataflow IR in
 :mod:`repro.analysis.dataflow`; see DESIGN.md's rule-author guide.
@@ -19,19 +20,15 @@ from repro.analysis.rules.determinism import (
     WallClockRead,
 )
 from repro.analysis.rules.escape import EscapeAnalysis
-from repro.analysis.rules.observability import MetricNameIntegrity
 from repro.analysis.rules.purity import ProcessBoundaryPurity
 from repro.analysis.rules.seed_lineage import SeedLineage
-from repro.analysis.rules.shapes import ShapeContracts
 from repro.analysis.rules.units import UnitSuffixConvention
 
 __all__ = [
     "DET002_ALLOWED_MODULES",
     "EscapeAnalysis",
-    "MetricNameIntegrity",
     "ProcessBoundaryPurity",
     "SeedLineage",
-    "ShapeContracts",
     "UnitSuffixConvention",
     "UnseededRandomness",
     "WallClockRead",
@@ -45,10 +42,8 @@ def default_rules() -> list[Rule]:
         UnseededRandomness(),
         WallClockRead(),
         SeedLineage(),
-        MetricNameIntegrity(),
         ProcessBoundaryPurity(),
         EscapeAnalysis(),
-        ShapeContracts(),
         UnitSuffixConvention(),
     ]
     return sorted(rules, key=lambda rule: rule.id)

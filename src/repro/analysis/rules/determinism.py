@@ -11,7 +11,6 @@ review and trivially missed — so they are rules.
 from __future__ import annotations
 
 import ast
-from typing import Any
 
 from repro.analysis.engine import Finding, Rule, SourceFile
 from repro.analysis.names import canonicalize, dotted_name, import_bindings
@@ -55,7 +54,7 @@ class UnseededRandomness(Rule):
     title = "unseeded or global-state randomness"
     version = 1
 
-    def check(self, file: SourceFile) -> tuple[list[Finding], Any]:
+    def check(self, file: SourceFile) -> list[Finding]:
         bindings = import_bindings(file.tree)
         findings: list[Finding] = []
         for node in ast.walk(file.tree):
@@ -102,7 +101,7 @@ class UnseededRandomness(Rule):
                         "numpy default_rng(...) generator",
                     )
                 )
-        return findings, None
+        return findings
 
 
 #: Canonical names whose return value is a clock read.
@@ -156,9 +155,9 @@ class WallClockRead(Rule):
     title = "raw wall-clock read in deterministic path"
     version = 1
 
-    def check(self, file: SourceFile) -> tuple[list[Finding], Any]:
+    def check(self, file: SourceFile) -> list[Finding]:
         if not file.in_src or file.display.endswith(DET002_ALLOWED_MODULES):
-            return [], None
+            return []
         bindings = import_bindings(file.tree)
         findings: list[Finding] = []
         for node in ast.walk(file.tree):
@@ -190,4 +189,4 @@ class WallClockRead(Rule):
                     "tests can control time",
                 )
             )
-        return findings, None
+        return findings

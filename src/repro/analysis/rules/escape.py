@@ -17,7 +17,6 @@ the impure value was born, not just where it escaped.
 from __future__ import annotations
 
 import ast
-from typing import Any
 
 from repro.analysis.dataflow import FunctionDataflow, Origin
 from repro.analysis.engine import Finding, Rule, SourceFile
@@ -71,9 +70,9 @@ class EscapeAnalysis(Rule):
     title = "impure value escapes to the process boundary via dataflow"
     version = 1
 
-    def check(self, file: SourceFile) -> tuple[list[Finding], Any]:
+    def check(self, file: SourceFile) -> list[Finding]:
         if not file.in_src:
-            return [], None
+            return []
         bindings = import_bindings(file.tree)
         findings: list[Finding] = []
         seen_calls: set[ast.Call] = set()
@@ -100,7 +99,7 @@ class EscapeAnalysis(Rule):
                     findings.extend(
                         self._check_sink(file, flow, node, short, fields=True)
                     )
-        return findings, None
+        return findings
 
     def _check_sink(
         self,

@@ -14,7 +14,6 @@ pure values, and nobody hands a lambda to the executor entry points.
 from __future__ import annotations
 
 import ast
-from typing import Any
 
 from repro.analysis.engine import Finding, Rule, SourceFile
 from repro.analysis.names import canonicalize, dotted_name, import_bindings
@@ -110,16 +109,16 @@ class ProcessBoundaryPurity(Rule):
     title = "impure value at the process boundary"
     version = 1
 
-    def check(self, file: SourceFile) -> tuple[list[Finding], Any]:
+    def check(self, file: SourceFile) -> list[Finding]:
         if not file.in_src:
-            return [], None
+            return []
         findings: list[Finding] = []
         if any(fragment in file.display for fragment in _BOUNDARY_PACKAGES):
             for node in ast.walk(file.tree):
                 if isinstance(node, ast.ClassDef):
                     findings.extend(self._check_dataclass(file, node))
         findings.extend(self._check_boundary_calls(file))
-        return findings, None
+        return findings
 
     def _check_dataclass(
         self, file: SourceFile, node: ast.ClassDef

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Any
 
 from repro.analysis.dataflow import (
     FunctionDataflow,
@@ -108,9 +107,9 @@ class SeedLineage(Rule):
     title = "RNG seed with no seed-parameter lineage"
     version = 1
 
-    def check(self, file: SourceFile) -> tuple[list[Finding], Any]:
+    def check(self, file: SourceFile) -> list[Finding]:
         if not file.in_src:
-            return [], None
+            return []
         bindings = import_bindings(file.tree)
         findings: list[Finding] = []
         findings.extend(self._check_module_globals(file, bindings))
@@ -131,7 +130,7 @@ class SeedLineage(Rule):
                             file, flow, node, canonical
                         )
                     )
-        return findings, None
+        return findings
 
     def _check_module_globals(
         self, file: SourceFile, bindings: dict[str, str]

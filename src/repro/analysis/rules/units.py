@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import replace
-from typing import Any
 
 from repro.analysis.engine import Finding, Rule, SourceFile
 
@@ -120,18 +119,18 @@ class UnitSuffixConvention(Rule):
     title = "missing unit suffix on physical quantity"
     version = 2
 
-    def check(self, file: SourceFile) -> tuple[list[Finding], Any]:
+    def check(self, file: SourceFile) -> list[Finding]:
         if not file.in_src or not any(
             fragment in file.display for fragment in _UNIT_MODULES
         ):
-            return [], None
+            return []
         findings: list[Finding] = []
         for node in ast.walk(file.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 findings.extend(self._check_signature(file, node))
             elif isinstance(node, ast.ClassDef):
                 findings.extend(self._check_fields(file, node))
-        return findings, None
+        return findings
 
     def _check_fields(self, file: SourceFile, node: ast.ClassDef) -> list[Finding]:
         """Flag bare-quantity annotated class fields (dataclass style).

@@ -45,11 +45,10 @@ Commands mirror the paper's workflow:
 ``lint [paths] [--rule ID] [--format text|json|sarif] [--baseline [FILE]]``
     Run the repo-specific static-analysis rules over the tree: the
     syntactic set (unseeded randomness, wall-clock reads,
-    process-boundary purity, metric-name integrity, unit suffixes)
-    plus the dataflow-aware set (DET101 seed lineage, PUR101 escape
-    analysis, SHP001 shape contracts).  Exits 1 on any error-tier
-    finding; ``--format sarif`` targets GitHub code scanning (see
-    README "Static analysis").
+    process-boundary purity, unit suffixes) plus the dataflow-aware
+    set (DET101 seed lineage, PUR101 escape analysis).  Exits 1 on any
+    error-tier finding; ``--format sarif`` targets GitHub code scanning
+    (see README "Static analysis").
 ``sanitize EXPERIMENT [--n-walks N] [--json]``
     Runtime determinism check: run a registered experiment twice under
     scripted clocks and a recording RNG constructor, then bisect the

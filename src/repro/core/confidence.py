@@ -16,11 +16,6 @@ even when all errors are large or all are small.
 from __future__ import annotations
 
 import math
-from typing import Annotated
-
-import numpy as np
-
-from repro.shapes import Shape
 
 
 def confidence(predicted_error: float, residual_std: float, tau: float) -> float:
@@ -67,89 +62,3 @@ def normalized_weights(confidences: dict[str, float]) -> dict[str, float]:
         return {name: 1.0 / n for name in confidences}
     return {name: c / total for name, c in confidences.items()}
 
-
-def confidences_batch(
-    predicted_errors: Annotated[np.ndarray, Shape("(N, S)")],
-    residual_stds: Annotated[np.ndarray, Shape("(N, S)")],
-    taus: Annotated[np.ndarray, Shape("(N,)")],
-) -> Annotated[np.ndarray, Shape("(N, S)")]:
-    """Vectorized :func:`confidence` over an ``(N, S)`` walker-by-scheme grid.
-
-    Population-scale twin for analysis and batched decision previews.  It
-    matches the scalar function to ~1 ulp but is **not** guaranteed
-    bit-identical (vectorized ``erf`` vs ``math.erf``), so the per-walker
-    decision path of :class:`repro.core.framework.UniLocFramework` keeps
-    calling the scalar :func:`confidence`.
-
-    ``NaN`` entries in ``predicted_errors`` mark unavailable schemes and
-    produce ``NaN`` confidence.
-
-    Raises:
-        ValueError: on mismatched shapes or a negative residual deviation.
-    """
-    mu = np.asarray(predicted_errors, dtype=float)
-    std = np.asarray(residual_stds, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    if mu.shape != std.shape:
-        raise ValueError("predicted_errors and residual_stds must have equal shapes")
-    if taus.shape != mu.shape[:1]:
-        raise ValueError("taus must have one entry per population row")
-    if np.any(std < 0.0):
-        raise ValueError("residual_std must be non-negative")
-    tau_col = taus[:, None]
-    degenerate = (std == 0.0) | ~np.isfinite(std)
-    safe_std = np.where(degenerate, 1.0, std)
-    z = (tau_col - mu) / safe_std
-    smooth = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
-    hard = np.where(mu <= tau_col, 1.0, 0.0)
-    out = np.where(degenerate, hard, smooth)
-    return np.where(np.isnan(mu), np.nan, out)
-
-
-def adaptive_thresholds(
-    predicted_errors: Annotated[np.ndarray, Shape("(N, S)")],
-) -> Annotated[np.ndarray, Shape("(N,)")]:
-    """Rowwise :func:`adaptive_threshold`: per-walker mean over available schemes.
-
-    ``NaN`` entries mark unavailable schemes and are excluded from each
-    row's mean; a row with no available scheme yields ``NaN`` (the scalar
-    path raises instead — population rows must stay rectangular).
-    """
-    mu = np.asarray(predicted_errors, dtype=float)
-    if mu.ndim != 2:
-        raise ValueError("predicted_errors must be an (N, S) array")
-    available = ~np.isnan(mu)
-    counts = available.sum(axis=1)
-    totals = np.where(available, mu, 0.0).sum(axis=1)
-    return np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
-
-
-def normalized_weights_batch(
-    confidences: Annotated[np.ndarray, Shape("(N, S)")],
-) -> Annotated[np.ndarray, Shape("(N, S)")]:
-    """Rowwise :func:`normalized_weights` (paper Eq. 5) over a population.
-
-    ``NaN`` marks unavailable schemes: they get weight 0, and rows whose
-    available confidences sum to zero fall back to uniform weight over
-    the available schemes, matching the scalar dict behavior.
-    """
-    c = np.asarray(confidences, dtype=float)
-    if c.ndim != 2:
-        raise ValueError("confidences must be an (N, S) array")
-    available = ~np.isnan(c)
-    mass = np.where(available, c, 0.0)
-    totals = mass.sum(axis=1, keepdims=True)
-    counts = available.sum(axis=1, keepdims=True)
-    uniform = np.where(available, 1.0 / np.maximum(counts, 1), 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        weighted = mass / totals
-    return np.where(totals > 0.0, weighted, uniform)
-
-
-def _erf(values: np.ndarray) -> np.ndarray:
-    """Elementwise erf without a hard scipy dependency."""
-    try:
-        from scipy.special import erf as scipy_erf
-    except ImportError:  # pragma: no cover - scipy ships with the toolchain
-        return np.vectorize(math.erf, otypes=[float])(values)
-    return np.asarray(scipy_erf(values), dtype=float)

@@ -18,12 +18,9 @@ confidence computation (Eq. 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Annotated
 
 import numpy as np
 from scipy import stats
-
-from repro.shapes import Shape
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,8 @@ class LinearErrorModel:
             raise RuntimeError("error model has not been fitted")
         return self._summary
 
-    def _design_matrix(
-        self, features: Annotated[np.ndarray, Shape("(n, p)")]
-    ) -> np.ndarray:
-        """Append the intercept column when configured."""
+    def _design_matrix(self, features: np.ndarray) -> np.ndarray:
+        """Append the intercept column to ``(n, p)`` features when configured."""
         if not self.fit_intercept:
             return features
         ones = np.ones((features.shape[0], 1))
@@ -91,8 +86,8 @@ class LinearErrorModel:
 
     def fit(
         self,
-        features: Annotated[np.ndarray, Shape("(n, p)")],
-        errors: Annotated[np.ndarray, Shape("(n,)")],
+        features: np.ndarray,
+        errors: np.ndarray,
     ) -> RegressionSummary:
         """Fit the model by ordinary least squares.
 
@@ -173,29 +168,6 @@ class LinearErrorModel:
             x = np.append(x, 1.0)
         return max(float(x @ self._beta), 0.0)
 
-    def predict_batch(
-        self, features: Annotated[np.ndarray, Shape("(N, p)")]
-    ) -> Annotated[np.ndarray, Shape("(N,)")]:
-        """Predict errors for ``N`` walkers in one design-matrix matmul.
-
-        The population-scale twin of :meth:`predict`: ``features`` rows
-        are ordered like ``feature_names``.  Matches the scalar path to
-        ~1 ulp but is **not** bit-identical (BLAS gemv vs per-row dot),
-        so the per-walker decision path keeps calling :meth:`predict`.
-
-        Raises:
-            RuntimeError: if the model is unfitted.
-            ValueError: on a feature-width mismatch.
-        """
-        if self._beta is None:
-            raise RuntimeError("error model has not been fitted")
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2 or features.shape[1] != len(self.feature_names):
-            raise ValueError(
-                f"features must be (N, {len(self.feature_names)}), got {features.shape}"
-            )
-        x = self._design_matrix(features)
-        return np.maximum(x @ self._beta, 0.0)
 
 
     def to_dict(self) -> dict:

@@ -14,11 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Annotated
-
-import numpy as np
-
-from repro.shapes import Shape
 
 
 @dataclass
@@ -83,58 +78,6 @@ class ExponentialSmoother:
 
     def reset(self) -> None:
         """Forget the state."""
-        self._state = None
-
-
-@dataclass
-class ExponentialSmootherBank:
-    """N independent :class:`ExponentialSmoother` lanes updated as one array.
-
-    Population-scale smoothing for per-walker scalar streams (predicted
-    errors, confidences).  Each lane follows the exact scalar recurrence
-    ``s += alpha * (x - s)`` — elementwise over lanes, so every lane is
-    bit-identical to a standalone smoother fed the same samples.
-
-    Attributes:
-        n_lanes: number of independent streams.
-        alpha: weight of the newest sample in (0, 1]; 1 disables
-            smoothing.
-    """
-
-    n_lanes: int
-    alpha: float = 0.3
-    _state: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.n_lanes <= 0:
-            raise ValueError("n_lanes must be positive")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-
-    def update(
-        self, values: Annotated[np.ndarray, Shape("(N,)")]
-    ) -> Annotated[np.ndarray, Shape("(N,)")]:
-        """Feed one sample per lane; return the smoothed values (a copy).
-
-        Raises:
-            ValueError: if ``values`` is not an ``(n_lanes,)`` vector.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_lanes,):
-            raise ValueError(f"values must have shape ({self.n_lanes},)")
-        if self._state is None:
-            self._state = values.copy()
-        else:
-            self._state += self.alpha * (values - self._state)
-        return self._state.copy()
-
-    @property
-    def values(self) -> Annotated[np.ndarray, Shape("(N,)")] | None:
-        """Return current smoothed values (None before any sample)."""
-        return None if self._state is None else self._state.copy()
-
-    def reset(self) -> None:
-        """Forget all lane states."""
         self._state = None
 
 

@@ -13,7 +13,7 @@ common :class:`Exporter` protocol:
   shared :mod:`repro.formats` header, the machine-readable twin of
   ``MetricsRegistry.as_dict()``.
 
-Metric names keep the OBS001 dotted grammar internally
+Metric names keep their dotted grammar internally
 (``uniloc.selected.wifi``); the Prometheus exporter maps them to the
 legal ``[a-zA-Z0-9_]`` charset (``uniloc_selected_wifi``) at the edge,
 which is where naming conventions are supposed to be translated.
@@ -50,7 +50,7 @@ class Exporter(Protocol):
 
 
 def prometheus_name(name: str) -> str:
-    """Map a dotted OBS001 metric name onto the Prometheus charset."""
+    """Map a dotted metric name onto the Prometheus charset."""
     return _ILLEGAL.sub("_", name)
 
 

@@ -38,12 +38,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Annotated, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.geometry import Grid, Point
-from repro.shapes import Shape
 from repro.radio.fingerprint import (
     MISSING_RSSI_DBM,
     Fingerprint,
@@ -148,10 +147,8 @@ class ShadowingField:
         total = float(np.sin(arg).sum())
         return self.sigma_db * total / _WAVE_NORM
 
-    def shadowing_db(
-        self, points_xy: Annotated[np.ndarray, Shape("(N, 2)")]
-    ) -> Annotated[np.ndarray, Shape("(N,)")]:
-        """Evaluate the field for an ``(N, 2)`` array of points at once."""
+    def shadowing_db(self, points_xy: np.ndarray) -> np.ndarray:
+        """Evaluate the field at ``(N, 2)`` points at once; return ``(N,)``."""
         points = np.asarray(points_xy, dtype=float)
         if self.sigma_db <= 0.0:
             return np.zeros(points.shape[0])
@@ -206,9 +203,7 @@ class ShadowingBank:
     def n_transmitters(self) -> int:
         return int(self.cos_angles.shape[0])
 
-    def shadowing_db(
-        self, rx_xy: Annotated[np.ndarray, Shape("(N, 2)")]
-    ) -> Annotated[np.ndarray, Shape("(N, M)")]:
+    def shadowing_db(self, rx_xy: np.ndarray) -> np.ndarray:
         """Return the ``(N, M)`` shadowing surface at ``(N, 2)`` receivers."""
         rx = np.asarray(rx_xy, dtype=float)
         n, m = rx.shape[0], self.n_transmitters
@@ -255,10 +250,10 @@ def _shadowing_bank(
 
 def path_loss_db(
     model: "PropagationModel",
-    distance_m: Annotated[np.ndarray, Shape("(N, M)")],
+    distance_m: np.ndarray,
     walls: np.ndarray | float = 0.0,
-) -> Annotated[np.ndarray, Shape("(N, M)")]:
-    """Return batched deterministic path loss (vector twin of the scalar API)."""
+) -> np.ndarray:
+    """Return ``(N, M)`` path loss at ``(N, M)`` distances (scalar API's twin)."""
     d = np.maximum(np.asarray(distance_m, dtype=float), REFERENCE_DISTANCE_M)
     return (
         model.pl0_db
@@ -269,11 +264,11 @@ def path_loss_db(
 
 def mean_rssi_dbm(
     model: "PropagationModel",
-    tx_xy: Annotated[np.ndarray, Shape("(M, 2)")],
+    tx_xy: np.ndarray,
     tx_seeds: Sequence[int],
-    rx_xy: Annotated[np.ndarray, Shape("(N, 2)")],
+    rx_xy: np.ndarray,
     walls: np.ndarray | float = 0.0,
-) -> Annotated[np.ndarray, Shape("(N, M)")]:
+) -> np.ndarray:
     """Return the noise-free ``(N, M)`` RSSI surface for ``M`` transmitters.
 
     Args:
@@ -398,14 +393,14 @@ class CompiledFingerprintDatabase:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def positions(self) -> Annotated[np.ndarray, Shape("(E, 2)")]:
+    def positions(self) -> np.ndarray:
         """Return the (read-only) ``(n, 2)`` array of surveyed positions."""
         return self._positions
 
     def distances(
         self, rssi_dbm: dict[str, float], rows: np.ndarray | None = None
-    ) -> Annotated[np.ndarray, Shape("(E,)")]:
-        """Return the RSSI distance from a scan to every (or selected) entry.
+    ) -> np.ndarray:
+        """Return the ``(n,)`` RSSI distances from a scan to every (or selected) entry.
 
         Equivalent to the scalar union-of-keys distance: transmitters in
         the survey vocabulary are compared densely (absent readings score
@@ -622,13 +617,11 @@ class CompiledGaussianFingerprintDatabase:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def positions(self) -> Annotated[np.ndarray, Shape("(E, 2)")]:
+    def positions(self) -> np.ndarray:
         """Return the (read-only) ``(n, 2)`` array of surveyed positions."""
         return self._positions
 
-    def log_likelihoods(
-        self, rssi_dbm: dict[str, float]
-    ) -> Annotated[np.ndarray, Shape("(E,)")]:
+    def log_likelihoods(self, rssi_dbm: dict[str, float]) -> np.ndarray:
         """Return each entry's log-likelihood of the scan, as an ``(n,)`` array."""
         vector = np.full(len(self.transmitter_ids), MISSING_RSSI_DBM)
         in_scan = np.zeros(len(self.transmitter_ids), dtype=bool)

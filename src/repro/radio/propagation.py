@@ -93,10 +93,6 @@ class PropagationModel:
         field = ShadowingField.for_transmitter(self, tx_seed)
         return field.shadowing_db_at(rx.x, rx.y)
 
-    def shadowing_field(self, tx_seed: int) -> ShadowingField:
-        """Return this model's cached shadowing kernel for one transmitter."""
-        return ShadowingField.for_transmitter(self, tx_seed)
-
     def distance_for_rssi(self, rssi_dbm: float) -> float:
         """Invert the deterministic model: distance implied by an RSSI.
 

@@ -42,16 +42,6 @@ class SensorSnapshot:
     light_lux: float
     detected_landmarks: tuple[Landmark, ...] = field(default_factory=tuple)
 
-    @property
-    def n_audible_aps(self) -> int:
-        """Return the number of audible Wi-Fi access points."""
-        return len(self.wifi_scan)
-
-    @property
-    def n_audible_towers(self) -> int:
-        """Return the number of audible cell towers."""
-        return len(self.cell_scan)
-
     # -- degraded-copy constructors (snapshots are frozen) -------------
     #
     # Fault injection and the robustness suites derive corrupted traces

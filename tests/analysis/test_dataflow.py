@@ -1,23 +1,15 @@
-"""The dataflow IR: origin resolution, scoping, and the call graph."""
+"""The dataflow IR: origin resolution, scoping, and module globals."""
 
 import ast
 
-from repro.analysis.dataflow import (
-    CallGraph,
-    CallSite,
-    FunctionDataflow,
-    function_calls,
-    module_functions,
-    module_global_assigns,
-    module_name,
-)
+from repro.analysis.dataflow import FunctionDataflow, module_global_assigns
 from repro.analysis.names import import_bindings
 
 
 def flow_of(text: str, name: str | None = None) -> FunctionDataflow:
     tree = ast.parse(text)
     bindings = import_bindings(tree)
-    funcs = {q: f for q, f in module_functions(tree)}
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     func = funcs[name] if name else next(iter(funcs.values()))
     return FunctionDataflow(func, bindings)
 
@@ -122,51 +114,7 @@ class TestOriginResolution:
 
 
 class TestModuleViews:
-    def test_module_functions_qualify_methods(self):
-        tree = ast.parse(
-            "def top():\n    pass\n"
-            "class Box:\n"
-            "    def method(self):\n        pass\n"
-        )
-        names = [q for q, _ in module_functions(tree)]
-        assert names == ["top", "Box.method"]
-
     def test_module_global_assigns(self):
         tree = ast.parse("A = 1\nB: int = 2\nc, d = 3, 4\n")
         names = [n for names, _ in module_global_assigns(tree) for n in names]
         assert names == ["A", "B"]
-
-    def test_module_name_from_display_path(self):
-        assert module_name("src/repro/radio/kernels.py") == "repro.radio.kernels"
-        assert module_name("repro/cli.py") == "repro.cli"
-        assert module_name("scripts/tool.py") == "tool"
-
-
-class TestCallGraph:
-    TEXT = (
-        "from repro.fleet import run_walks\n"
-        "def plan():\n    return build()\n"
-        "def build():\n    return run_walks([])\n"
-    )
-
-    def test_function_calls_canonicalize_and_qualify(self):
-        sites = function_calls(ast.parse(self.TEXT), "src/repro/eval/x.py")
-        edges = {(s.caller, s.callee) for s in sites}
-        assert ("repro.eval.x.plan", "repro.eval.x.build") in edges
-        assert (
-            "repro.eval.x.build",
-            "repro.fleet.run_walks",
-        ) in edges
-
-    def test_graph_joins_facts_across_files(self):
-        sites = function_calls(ast.parse(self.TEXT), "src/repro/eval/x.py")
-        graph = CallGraph.from_facts(
-            [("src/repro/eval/x.py", [s.to_dict() for s in sites])]
-        )
-        assert "repro.fleet.run_walks" in graph.callees("repro.eval.x.build")
-        assert graph.callers("repro.eval.x.build") == {"repro.eval.x.plan"}
-        assert graph.callees("repro.eval.x.nope") == frozenset()
-
-    def test_call_site_roundtrip(self):
-        site = CallSite(caller="a.b", callee="c.d", line=3, col=7)
-        assert CallSite.from_dict(site.to_dict()) == site

@@ -9,8 +9,6 @@ display path, because most rules only police production scope.
 
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import LintEngine
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -81,29 +79,6 @@ class TestPUR001:
         # Outside fleet/faults only the executor-call check applies.
         assert rules_of(findings) == ["PUR001"]
         assert "lambda passed into run_walks()" in findings[0].message
-
-
-class TestOBS001:
-    def test_flags_grammar_breaks_and_orphaned_read(self):
-        findings = lint_fixture("obs001.py", "src/repro/fixture.py")
-        assert rules_of(findings) == ["OBS001"] * 3
-        messages = " | ".join(f.message for f in findings)
-        assert "'Uniloc.bad_namespace'" in messages
-        assert "'uniloc.Bad-Segment'" in messages
-        assert "'uniloc.never_emitted' is read here but never" in messages
-
-    def test_tests_may_use_adhoc_names(self):
-        assert lint_fixture("obs001.py", "tests/test_fixture.py") == []
-
-    def test_fstring_read_matches_fstring_emit(self):
-        text = (
-            "def a(m, name):\n"
-            '    m.counter(f"uniloc.quarantine.entered.{name}").inc()\n'
-            "def b(m, outage):\n"
-            '    return m.counter(f"uniloc.quarantine.entered.{outage}").value\n'
-        )
-        engine = LintEngine(cache_path=None)
-        assert engine.lint_text(text, display="src/repro/fixture.py") == []
 
 
 class TestUNIT001:
@@ -201,64 +176,6 @@ class TestPUR101:
         assert lint_fixture("pur101.py", "tests/test_fixture.py") == []
 
 
-class TestSHP001:
-    def test_flags_broadcast_matmul_and_contract_breaks(self):
-        findings = lint_fixture("shp001.py", "src/repro/radio/fixture.py")
-        assert rules_of(findings) == ["SHP001"] * 3
-        messages = " | ".join(f.message for f in findings)
-        assert "broadcast mismatch: dim 'M' vs 'N'" in messages
-        assert "matmul inner-dim mismatch: (3, 4) @ (5, 5)" in messages
-        assert "axis 1 is 3, contract requires 2" in messages
-
-    def test_consistent_shapes_are_clean(self):
-        text = (
-            "import numpy as np\n"
-            "from typing import Annotated\n"
-            "from repro.shapes import Shape\n"
-            "def kernel(\n"
-            '    tx: Annotated[np.ndarray, Shape("(M, 2)")],\n'
-            '    rx: Annotated[np.ndarray, Shape("(N, 2)")],\n'
-            ') -> Annotated[np.ndarray, Shape("(N, M)")]:\n'
-            "    d = np.hypot(\n"
-            "        rx[:, 0][:, None] - tx[:, 0],\n"
-            "        rx[:, 1][:, None] - tx[:, 1],\n"
-            "    )\n"
-            "    return d\n"
-        )
-        engine = LintEngine(cache_path=None)
-        assert engine.lint_text(text, display="src/repro/fixture.py") == []
-
-    def test_symbol_rebinding_to_two_literals_is_flagged(self):
-        text = (
-            "import numpy as np\n"
-            "from typing import Annotated\n"
-            "from repro.shapes import Shape\n"
-            "def f(\n"
-            '    a: Annotated[np.ndarray, Shape("(N,)")],\n'
-            '    b: Annotated[np.ndarray, Shape("(N,)")],\n'
-            ") -> None:\n"
-            "    pass\n"
-            "def caller() -> None:\n"
-            "    f(np.zeros(3), np.zeros(4))\n"
-        )
-        engine = LintEngine(cache_path=None)
-        findings = engine.lint_text(text, display="src/repro/fixture.py")
-        assert rules_of(findings) == ["SHP001"]
-        assert "already bound to 3" in findings[0].message
-
-    def test_unknown_dims_stay_silent(self):
-        text = (
-            "import numpy as np\n"
-            "from typing import Annotated\n"
-            "from repro.shapes import Shape\n"
-            "def f(a: Annotated[np.ndarray, Shape('(N, 2)')]) -> np.ndarray:\n"
-            "    other = np.asarray(object())\n"
-            "    return a + other\n"
-        )
-        engine = LintEngine(cache_path=None)
-        assert engine.lint_text(text, display="src/repro/fixture.py") == []
-
-
 def test_every_rule_has_a_fixture():
     """Adding a rule without pinning its behavior is a lint-on-lint bug."""
     from repro.analysis import default_rules
@@ -276,17 +193,3 @@ def test_fixtures_parse():
 
     for path in FIXTURES.glob("*.py"):
         ast.parse(path.read_text())
-
-
-@pytest.mark.parametrize(
-    "name,expected",
-    [("uniloc.steps", None), ("uniloc", "needs at least"), ("nope.x", "namespace")],
-)
-def test_grammar_error_shapes(name, expected):
-    from repro.analysis.rules.observability import grammar_error
-
-    problem = grammar_error(name)
-    if expected is None:
-        assert problem is None
-    else:
-        assert expected in problem
