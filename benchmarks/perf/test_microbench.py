@@ -6,14 +6,17 @@ on: batched shadowing evaluation at >= 10x the per-point reference and
 compiled fingerprint matching at >= 5x the per-entry union loop, on
 identical inputs (the pre-kernel baselines live in
 :mod:`repro.bench.baselines`).  The particle map constraint's
-bounding-box cull must keep >= 1.5x over the full per-primitive test.
-``repro bench run`` records the same numbers into a versioned
-``BENCH_<date>.json`` for CI comparison.
+bounding-box cull must keep >= 1.5x over the full per-primitive test,
+and the BMA readout (mixture plus Eq. 4 mean) >= 1.2x over its
+``(I, 2)`` reference on office's 448-cell grid.  ``repro bench run``
+records the same numbers into a versioned ``BENCH_<date>.json`` for CI
+comparison.
 
-The floors are deliberately below the observed speedups (~7x, >100x
-and ~1.7-2.4x on a 2-vCPU dev host) so they fail on a real regression
-— a kernel silently falling back to a Python loop, a cull that keeps
-every primitive — not on scheduler noise.
+The floors are deliberately below the observed speedups (~7x, >100x,
+~1.7-2.4x and ~1.5x on a 2-vCPU dev host) so they fail on a real
+regression — a kernel silently falling back to a Python loop, a cull
+that keeps every primitive, a readout back on ``(I, 2)`` temporaries —
+not on scheduler noise.
 """
 
 import pytest
@@ -24,6 +27,7 @@ from repro.bench import run_benches
 MIN_NEAREST_SPEEDUP = 5.0
 MIN_SHADOWING_SPEEDUP = 10.0
 MIN_MAP_CONSTRAINT_SPEEDUP = 1.5
+MIN_BMA_READOUT_SPEEDUP = 1.2
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +42,7 @@ def test_all_benches_ran(bench_report):
         "fingerprint_nearest",
         "scan_generation",
         "map_constraint",
+        "bma_readout",
     ):
         assert f"{bench}.scalar" in bench_report.results
         assert f"{bench}.kernel" in bench_report.results
@@ -68,6 +73,12 @@ def test_map_constraint_cull_speedup(bench_report):
     speedup = bench_report.speedups()["map_constraint"]
     print(f"map constraint: {speedup:.1f}x over the full per-primitive test")
     assert speedup >= MIN_MAP_CONSTRAINT_SPEEDUP
+
+
+def test_bma_readout_speedup(bench_report):
+    speedup = bench_report.speedups()["bma_readout"]
+    print(f"BMA readout: {speedup:.1f}x over the (I, 2) reference")
+    assert speedup >= MIN_BMA_READOUT_SPEEDUP
 
 
 def test_report_roundtrips_through_disk(bench_report, tmp_path):

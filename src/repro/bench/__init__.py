@@ -28,6 +28,7 @@ from repro.bench.runner import (
     load_report,
     run_benches,
     time_callable,
+    ungated_benches,
 )
 from repro.bench.trend import (
     BenchTrend,
@@ -56,4 +57,5 @@ __all__ = [
     "render_markdown",
     "run_benches",
     "time_callable",
+    "ungated_benches",
 ]

@@ -1,13 +1,16 @@
-"""Reference implementations of the radio and map-constraint hot paths.
+"""Reference implementations of the radio, map-constraint and BMA hot paths.
 
 These are verbatim copies of the scalar algorithms the radio stack used
-before :mod:`repro.radio.kernels` existed, and of the particle map
-constraint before its bounding-box cull.  They serve two purposes:
+before :mod:`repro.radio.kernels` existed, of the particle map
+constraint before its bounding-box cull, and of the BMA readout's grid
+rasterizers, mixture and Eq. 4 mean before they dropped their ``(I, 2)``
+temporaries.  They serve two purposes:
 
 * **Golden equivalence** — the kernel layer must agree with them to
   1e-9 (:mod:`tests.radio.test_kernel_equivalence` pins this), and the
-  shadowing kernel and the culled map constraint must agree
-  bit-for-bit (:mod:`tests.schemes.test_particle_filter`).
+  shadowing kernel, the culled map constraint and the BMA readout must
+  agree bit-for-bit (:mod:`tests.schemes.test_particle_filter`,
+  :mod:`tests.geometry.test_grid_equivalence`).
 * **Honest speedups** — the microbench suite (``repro bench``) times the
   kernels against these baselines on the same inputs, so the recorded
   speedups measure the kernels, not a strawman.
@@ -22,13 +25,14 @@ import math
 
 import numpy as np
 
-from repro.geometry import Point
+from repro.geometry import Grid, Point
 from repro.radio.fingerprint import MISSING_RSSI_DBM, Fingerprint
 from repro.radio.gaussian_fingerprint import (
     DEFAULT_STD_DB,
     LOG_LIKELIHOOD_FLOOR,
     GaussianFingerprint,
 )
+from repro.schemes.base import SchemeOutput
 from repro.schemes.particle_filter import ParticleFilter
 
 #: Reference distance for the path-loss model, meters (pre-kernel copy).
@@ -219,3 +223,73 @@ def crosses_wall_reference(
         u = qp_cross_r / r_cross_s
     hits = nonparallel & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
     return hits.any(axis=1)
+
+
+def gaussian_posterior_reference(grid: Grid, mean: Point, sigma: float) -> np.ndarray:
+    """Pre-separable Gaussian rasterization over the ``(I, 2)`` centers."""
+    sigma = max(sigma, grid.cell_size / 2.0)
+    d2 = np.sum((grid.centers() - [mean.x, mean.y]) ** 2, axis=1)
+    log_p = -d2 / (2.0 * sigma * sigma)
+    log_p -= log_p.max()
+    p = np.exp(log_p)
+    return p / p.sum()
+
+
+def histogram_posterior_reference(
+    grid: Grid, points: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Pre-in-place particle histogram, with its copying blend."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("points must be an (n, 2) array")
+    if weights is None:
+        weights = np.ones(points.shape[0])
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape[0] != points.shape[0]:
+        raise ValueError("weights length must match points")
+    ny, nx = grid.shape
+    cols = np.clip(((points[:, 0] - grid.min_x) // grid.cell_size).astype(int), 0, nx - 1)
+    rows = np.clip(((points[:, 1] - grid.min_y) // grid.cell_size).astype(int), 0, ny - 1)
+    idx = rows * nx + cols
+    hist = np.bincount(idx, weights=weights, minlength=grid.n_cells).astype(float)
+    total = hist.sum()
+    if total <= 0.0:
+        return np.full(grid.n_cells, 1.0 / grid.n_cells)
+    hist /= total
+    floor = 1e-9
+    hist = hist + floor
+    return hist / hist.sum()
+
+
+def expected_point_reference(grid: Grid, posterior: np.ndarray) -> Point:
+    """Pre-cumsum Eq. 4 mean over the ``(I, 2)`` centers."""
+    posterior = np.asarray(posterior, dtype=float)
+    if posterior.shape[0] != grid.n_cells:
+        raise ValueError("posterior length must equal the number of cells")
+    total = posterior.sum()
+    if total <= 0.0:
+        raise ValueError("posterior has no probability mass")
+    mean = (grid.centers() * posterior[:, None]).sum(axis=0) / total
+    return Point(float(mean[0]), float(mean[1]))
+
+
+def grid_posterior_reference(output: SchemeOutput, grid: Grid) -> np.ndarray:
+    """``SchemeOutput.grid_posterior`` through the reference rasterizers."""
+    if output.samples is not None and len(output.samples) > 0:
+        return histogram_posterior_reference(grid, output.samples, output.sample_weights)
+    return gaussian_posterior_reference(grid, output.position, max(output.spread, 1.0))
+
+
+def bma_mixture_reference(
+    grid: Grid,
+    outputs: dict[str, SchemeOutput | None],
+    weights: dict[str, float],
+) -> np.ndarray:
+    """Pre-in-place BMA mixture: a scaled copy per scheme, summed into zeros."""
+    mixture = np.zeros(grid.n_cells)
+    for name, weight in weights.items():
+        output = outputs.get(name)
+        if output is None or weight <= 0.0:
+            continue
+        mixture += weight * grid_posterior_reference(output, grid)
+    return mixture

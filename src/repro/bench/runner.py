@@ -1,11 +1,12 @@
 """The microbench runner behind ``repro bench``.
 
-Each bench times one radio hot path, or the particle map constraint,
-in two variants on identical inputs: ``scalar`` (the reference from
-:mod:`repro.bench.baselines`, or the scalar per-point API where that
-*is* the current implementation) and ``kernel`` (the batched
-:mod:`repro.radio.kernels` path, or the culled
-:class:`~repro.schemes.ParticleFilter` constraint).  The ``walk_step``
+Each bench times one radio hot path, the particle map constraint, or
+the BMA readout, in two variants on identical inputs: ``scalar`` (the
+reference from :mod:`repro.bench.baselines`, or the scalar per-point
+API where that *is* the current implementation) and ``kernel`` (the
+batched :mod:`repro.radio.kernels` path, the culled
+:class:`~repro.schemes.ParticleFilter` constraint, or the
+temporary-free :class:`~repro.geometry.Grid` readout).  The ``walk_step``
 bench has no scalar twin — it times the full ``UniLocFramework.step``
 as shipped, as an end-to-end canary.
 
@@ -213,6 +214,25 @@ def compare_reports(
     return regressions
 
 
+def ungated_benches(
+    baseline: BenchReport, current: BenchReport, metric: str = "speedup"
+) -> list[str]:
+    """Return what ``current`` measures but ``compare_reports`` cannot gate.
+
+    Comparison covers only keys both reports carry, so a bench added
+    after the baseline was recorded is silently unchecked; this names
+    those keys (bench names for ``speedup``, ``bench.variant`` for
+    ``p50``).
+    """
+    if metric == "speedup":
+        base, cur = baseline.speedups().keys(), current.speedups().keys()
+    elif metric == "p50":
+        base, cur = baseline.results.keys(), current.results.keys()
+    else:
+        raise ValueError(f"unknown metric {metric!r}; use 'speedup' or 'p50'")
+    return sorted(cur - base)
+
+
 # -- the bench workloads ---------------------------------------------------
 
 
@@ -341,6 +361,38 @@ def _map_constraint_bench(
     }
 
 
+def _bma_readout_bench(
+    setup: Any, walk: Any, snapshots: list[Any], seed: int, repeats: int
+) -> dict[str, Timing]:
+    """BMA mixture plus Eq. 4 mean vs the ``(I, 2)`` reference.
+
+    Both variants read out one recorded step on the framework's 2 m
+    grid: the five schemes run over the walk's first 21 snapshots, and
+    the last step's outputs are mixed with equal weights.
+    """
+    from repro.bench import baselines
+    from repro.core.framework import bma_mixture
+
+    schemes = setup.make_schemes(walk.moments[0].position, scheme_seed=seed)
+    for snapshot in snapshots[:21]:
+        outputs = {name: scheme.estimate(snapshot) for name, scheme in schemes.items()}
+    available = [name for name, output in outputs.items() if output is not None]
+    weights = {name: 1.0 / len(available) for name in available}
+    grid = setup.place.grid(2.0)
+
+    def scalar() -> None:
+        mixture = baselines.bma_mixture_reference(grid, outputs, weights)
+        baselines.expected_point_reference(grid, mixture)
+
+    def kernel() -> None:
+        grid.expected_point(bma_mixture(grid, outputs, weights))
+
+    return {
+        "bma_readout.scalar": time_callable(scalar, repeats),
+        "bma_readout.kernel": time_callable(kernel, repeats),
+    }
+
+
 def _walk_step_bench(
     setup: Any, snapshots: list[Any], framework: Any, repeats: int
 ) -> dict[str, Timing]:
@@ -393,6 +445,7 @@ def run_benches(
     results.update(_fingerprint_bench(setup, scans, repeats))
     results.update(_scan_bench(setup, seed, repeats))
     results.update(_map_constraint_bench(setup, walk, seed, repeats))
+    results.update(_bma_readout_bench(setup, walk, snapshots, seed, repeats))
     if include_walk_step:
         models = cache.error_models(seed)
         framework = build_framework(setup, models, walk.moments[0].position)

@@ -57,8 +57,9 @@ Commands mirror the paper's workflow:
 ``bench run|compare|trend``
     ``bench run`` times the radio kernels against their scalar
     baselines on one place and writes a versioned ``BENCH_<date>.json``
-    report; ``bench compare BASELINE CURRENT`` diffs two reports and
-    exits 1 when a speedup regressed past the threshold; ``bench trend
+    report; ``bench compare BASELINE CURRENT`` diffs two reports,
+    exits 1 when a speedup regressed past the threshold, and names the
+    benches the baseline lacks on an ``ungated:`` line; ``bench trend
     FILES...`` computes per-benchmark speedup trajectories across a
     whole report history and flags best-ever regressions (see README
     "Performance").
@@ -686,7 +687,12 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run the kernel microbenches, or compare two BENCH reports."""
-    from repro.bench import compare_reports, load_report, run_benches
+    from repro.bench import (
+        compare_reports,
+        load_report,
+        run_benches,
+        ungated_benches,
+    )
     from repro.bench.runner import default_bench_filename
     from repro.formats import UnsupportedFormatError
 
@@ -732,6 +738,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{base_speedups.get(bench, float('nan')):8.1f}x   current "
                 f"{cur_speedups.get(bench, float('nan')):8.1f}x"
             )
+        ungated = ungated_benches(baseline, current, metric=args.metric)
+        if ungated:
+            print(f"ungated: {', '.join(ungated)} (not in the baseline)")
         if regressions:
             print(f"\n{len(regressions)} regression(s):", file=sys.stderr)
             for line in regressions:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.framework import bma_mixture
 from repro.geometry import Grid, Point
 from repro.motion import Walk
 from repro.schemes.base import LocalizationScheme, SchemeOutput
@@ -195,15 +196,11 @@ class GlobalWeightBma:
         return cls(grid=grid, weights={k: v / total for k, v in raw.items()})
 
     def fuse(self, outputs: dict[str, SchemeOutput | None]) -> Point | None:
-        """Fuse one step's outputs with the frozen weights."""
-        mixture = np.zeros(self.grid.n_cells)
-        total = 0.0
-        for name, weight in self.weights.items():
-            output = outputs.get(name)
-            if output is None or weight <= 0.0:
-                continue
-            mixture += weight * output.grid_posterior(self.grid)
-            total += weight
-        if total <= 0.0:
+        """Fuse one step's outputs with the frozen weights.
+
+        Returns None when no available output has a positive weight.
+        """
+        mixture = bma_mixture(self.grid, outputs, self.weights)
+        if mixture is None:
             return None
         return self.grid.expected_point(mixture)

@@ -27,8 +27,8 @@ diversity claim must survive:
 * a scheme that raises is caught and excluded for the step;
 * a scheme whose ``estimate()`` exceeds the optional per-step timeout
   budget has its output discarded;
-* non-finite outputs (NaN/Inf position or spread) are rejected before
-  they can poison the BMA mixture;
+* non-finite outputs (NaN/Inf position, spread, particle samples or
+  sample weights) are rejected before they can poison the BMA mixture;
 * schemes that fail repeatedly are quarantined — skipped entirely — for
   an exponentially growing number of steps (:class:`SchemeHealth`), and
   probed again when the backoff expires;
@@ -660,21 +660,39 @@ class UniLocFramework:
         weights: dict[str, float],
         confidences: dict[str, float],
     ) -> Point:
-        """Mix scheme posteriors by weight and read out Eq. 4.
-
-        Each output contributing a positive weight is rasterized onto
-        the BMA grid (:meth:`SchemeOutput.grid_posterior`).
-        """
-        mixture = np.zeros(self._grid.n_cells)
-        for name, weight in weights.items():
-            output = outputs.get(name)
-            if output is None or weight <= 0.0:
-                continue
-            mixture += weight * output.grid_posterior(self._grid)
-        if mixture.sum() <= 0.0:
+        """Mix scheme posteriors by weight and read out Eq. 4."""
+        mixture = bma_mixture(self._grid, outputs, weights)
+        if mixture is None or mixture.sum() <= 0.0:
             # Degenerate mixture (all contributions vanished): fall back
             # to the single output the framework trusts most.
             available = [name for name, out in outputs.items() if out is not None]
             best = max(available, key=lambda name: confidences.get(name, 0.0))
             return outputs[best].position
         return self._grid.expected_point(mixture)
+
+
+def bma_mixture(
+    grid: Grid,
+    outputs: dict[str, SchemeOutput | None],
+    weights: dict[str, float],
+) -> np.ndarray | None:
+    """Return the BMA mixture ``sum_n w_n * P(l | M_n)`` (paper Eq. 3).
+
+    Each output with a positive weight is rasterized onto ``grid``
+    (:meth:`SchemeOutput.grid_posterior`), scaled in place and added in
+    ``weights`` order; the first scaled posterior is the accumulator
+    (``0 + x == x`` for the non-negative cells, so this matches summing
+    into zeros bit for bit).  Returns None when no output contributes.
+    """
+    mixture: np.ndarray | None = None
+    for name, weight in weights.items():
+        output = outputs.get(name)
+        if output is None or weight <= 0.0:
+            continue
+        posterior = output.grid_posterior(grid)
+        posterior *= weight
+        if mixture is None:
+            mixture = posterior
+        else:
+            mixture += posterior
+    return mixture

@@ -73,15 +73,22 @@ class SchemeOutput:
     def is_finite(self) -> bool:
         """Return True when the estimate is numerically usable.
 
-        A scheme emitting NaN/Inf coordinates or a non-finite spread
-        would silently poison the BMA mixture; the framework rejects
-        such outputs before they reach the ensemble (treating them as a
-        scheme failure rather than an unavailable step).
+        A scheme emitting NaN/Inf coordinates, a non-finite spread, or
+        non-finite particle ``samples``/``sample_weights`` would silently
+        poison the BMA mixture (and, through UniLoc2, the HMM); the
+        framework rejects such outputs before they reach the ensemble
+        (treating them as a scheme failure rather than an unavailable
+        step).
         """
         return bool(
             math.isfinite(self.position.x)
             and math.isfinite(self.position.y)
             and math.isfinite(self.spread)
+            and (self.samples is None or np.isfinite(self.samples).all())
+            and (
+                self.sample_weights is None
+                or np.isfinite(self.sample_weights).all()
+            )
         )
 
     def grid_posterior(self, grid: Grid) -> np.ndarray:
@@ -97,6 +104,9 @@ class SchemeOutput:
         of meters, and a candidate-mixture posterior would move that
         scheme's contribution far from its reported estimate (see
         :meth:`candidate_posterior` for the multimodal alternative).
+
+        The array is freshly allocated, so a caller may scale it in place
+        (:func:`repro.core.framework.bma_mixture` does).
         """
         if self.samples is not None and len(self.samples) > 0:
             return grid.histogram_posterior(self.samples, self.sample_weights)

@@ -14,6 +14,7 @@ from repro.bench import (
     default_bench_filename,
     load_report,
     time_callable,
+    ungated_benches,
 )
 from repro.formats import UnsupportedFormatError
 from repro.obs import clock
@@ -118,6 +119,22 @@ class TestCompare:
         regressions = compare_reports(base, cur, threshold=0.25, metric="p50")
         assert len(regressions) == 1
         assert "shadowing.kernel" in regressions[0]
+
+    def test_benches_the_baseline_lacks_are_named_ungated(self):
+        base = report(shadowing=10.0, scan_generation=5.0)
+        cur = report(shadowing=10.0, map_constraint=2.0, bma_readout=1.5)
+        cur.results["walk_step.uniloc"] = Timing(5.0, 6.0, 3)
+        assert ungated_benches(base, cur) == ["bma_readout", "map_constraint"]
+        assert ungated_benches(base, cur, metric="p50") == [
+            "bma_readout.kernel",
+            "bma_readout.scalar",
+            "map_constraint.kernel",
+            "map_constraint.scalar",
+            "walk_step.uniloc",
+        ]
+        assert ungated_benches(cur, cur) == []
+        with pytest.raises(ValueError, match="metric"):
+            ungated_benches(base, cur, metric="mean")
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="metric"):

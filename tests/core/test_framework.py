@@ -1,5 +1,9 @@
 """Tests for the UniLoc framework."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from repro.core import SchemeBundle, UniLocFramework
@@ -245,3 +249,54 @@ def test_run_walk_integration(framework, office_system):
     assert result.mean_error("uniloc2") < 8.0
     usage = result.usage("uniloc1")
     assert sum(usage.values()) == pytest.approx(1.0)
+
+
+class _NanParticleScheme:
+    """Delegates to a scheme but puts a NaN into its particle cloud.
+
+    Position and spread stay finite, so only a check of ``samples`` and
+    ``sample_weights`` can tell the output is unusable.
+    """
+
+    def __init__(self, inner, field):
+        self.inner = inner
+        self.field = field
+
+    @property
+    def name(self):
+        return self.inner.name
+
+    def reset(self):
+        self.inner.reset()
+
+    def estimate(self, snapshot):
+        output = self.inner.estimate(snapshot)
+        if output is None or output.samples is None:
+            return output
+        # Copies: the samples may be the filter's own state.
+        samples = np.array(output.samples, dtype=float)
+        weights = np.ones(len(samples))
+        if self.field == "samples":
+            samples[0] = np.nan
+        else:
+            weights[:] = np.nan
+        return dataclasses.replace(output, samples=samples, sample_weights=weights)
+
+
+@pytest.mark.parametrize("field", ["samples", "sample_weights"])
+def test_nonfinite_particles_are_contained(framework, office_system, field):
+    """Finite position, NaN particles: charged ``nonfinite``, never fused."""
+    framework.bundles["fusion"].scheme = _NanParticleScheme(
+        framework.bundles["fusion"].scheme, field
+    )
+    charged = 0
+    for snap in office_system["snaps"][:12]:
+        decision = framework.step(snap)
+        assert decision.outputs["fusion"] is None
+        if "fusion" not in decision.quarantined:
+            assert decision.failures.get("fusion") == "nonfinite"
+            charged += 1
+        position = decision.uniloc2_position
+        assert math.isfinite(position.x) and math.isfinite(position.y)
+    assert charged > 0
+    assert framework.health("fusion").total_failures == charged

@@ -351,3 +351,26 @@ def test_bench_trend_no_readable_history(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "skipping" in err
     assert "no readable bench reports" in err
+
+
+def test_bench_compare_names_ungated_benches(tmp_path, capsys):
+    from repro.bench import BenchReport, Timing
+
+    def save(name, benches):
+        results = {}
+        for bench in benches:
+            results[f"{bench}.scalar"] = Timing(p50_ms=4.0, p90_ms=4.0, n_iterations=3)
+            results[f"{bench}.kernel"] = Timing(p50_ms=1.0, p90_ms=1.0, n_iterations=3)
+        BenchReport(place="office", seed=0, created_at=1.0, results=results).save(
+            tmp_path / name
+        )
+        return str(tmp_path / name)
+
+    base = save("BENCH_base.json", ["shadowing"])
+    cur = save("BENCH_cur.json", ["shadowing", "map_constraint", "bma_readout"])
+    assert main(["bench", "compare", base, cur]) == 0  # the verdict is unchanged
+    out = capsys.readouterr().out
+    assert "ungated: bma_readout, map_constraint (not in the baseline)" in out
+    assert "no regressions" in out
+    assert main(["bench", "compare", base, base]) == 0
+    assert "ungated" not in capsys.readouterr().out
