@@ -22,6 +22,7 @@ from the production path.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,12 @@ from repro.radio.gaussian_fingerprint import (
     GaussianFingerprint,
 )
 from repro.schemes.base import SchemeOutput
-from repro.schemes.particle_filter import ParticleFilter
+from repro.schemes.particle_filter import (
+    _corridor_arrays,
+    _indoor_region_arrays,
+    _wall_arrays,
+)
+from repro.world import Place
 
 #: Reference distance for the path-loss model, meters (pre-kernel copy).
 REFERENCE_DISTANCE_M = 1.0
@@ -153,13 +159,32 @@ def gaussian_log_likelihood_reference(
     return total
 
 
-def walkable_mask_reference(pf: ParticleFilter, positions: np.ndarray) -> np.ndarray:
+class MapArrays(NamedTuple):
+    """A place's raw corridor, indoor-region and wall arrays."""
+
+    corridors: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    indoor_regions: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    walls: tuple[np.ndarray, np.ndarray] | None
+
+
+def map_arrays(place: Place) -> MapArrays:
+    """Return the raw arrays the map-constraint references test against.
+
+    Region normals point inward; the references' two-sided side test
+    gives the same answer for either orientation (negation is exact).
+    """
+    return MapArrays(
+        _corridor_arrays(place), _indoor_region_arrays(place), _wall_arrays(place)
+    )
+
+
+def walkable_mask_reference(arrays: MapArrays, positions: np.ndarray) -> np.ndarray:
     """Pre-cull walkable mask: every position against every primitive."""
     n = len(positions)
-    if pf._corridors is None or pf._indoor_regions is None:
+    if arrays.corridors is None or arrays.indoor_regions is None:
         return np.ones(n, dtype=bool)
-    in_corridor = _in_corridor_mask_reference(pf, positions)
-    verts, normals, offsets = pf._indoor_regions
+    in_corridor = _in_corridor_mask_reference(arrays, positions)
+    verts, normals, offsets = arrays.indoor_regions
     # Componentized (p - v) . normal against every region's edges at
     # once: the same additions in the same order as a stacked
     # (n, E, 2) product-and-reduce, without the 3-D temporaries.
@@ -175,12 +200,12 @@ def walkable_mask_reference(pf: ParticleFilter, positions: np.ndarray) -> np.nda
 
 
 def _in_corridor_mask_reference(
-    pf: ParticleFilter, positions: np.ndarray
+    arrays: MapArrays, positions: np.ndarray
 ) -> np.ndarray:
     """Pre-cull corridor containment against every corridor segment."""
-    if pf._corridors is None:
+    if arrays.corridors is None:
         return np.zeros(len(positions), dtype=bool)
-    starts, ends, half_widths = pf._corridors
+    starts, ends, half_widths = arrays.corridors
     d = ends - starts  # (m, 2)
     seg_len2 = np.maximum((d * d).sum(axis=1), 1e-12)  # (m,)
     # t[i, j]: projection parameter of particle i on corridor j.
@@ -200,19 +225,20 @@ def _in_corridor_mask_reference(
 
 
 def crosses_wall_reference(
-    pf: ParticleFilter, old: np.ndarray, new: np.ndarray
+    arrays: MapArrays, old: np.ndarray, new: np.ndarray
 ) -> np.ndarray:
     """Pre-cull wall crossing: every move against every wall."""
-    if pf._wall_starts is None:
+    if arrays.walls is None:
         return np.zeros(len(old), dtype=bool)
+    wall_starts, wall_ends = arrays.walls
     r = new - old  # (n, 2)
-    s = pf._wall_ends - pf._wall_starts  # (m, 2)
+    s = wall_ends - wall_starts  # (m, 2)
     rx, ry = r[:, None, 0], r[:, None, 1]
     sx, sy = s[None, :, 0], s[None, :, 1]
     # Componentized as in walkable_mask: the same products and
     # differences as a stacked (n, m, 2) form, with (n, m) temporaries.
-    qx = pf._wall_starts[None, :, 0] - old[:, None, 0]  # (n, m)
-    qy = pf._wall_starts[None, :, 1] - old[:, None, 1]
+    qx = wall_starts[None, :, 0] - old[:, None, 0]  # (n, m)
+    qy = wall_starts[None, :, 1] - old[:, None, 1]
     r_cross_s = rx * sy - ry * sx
     qp_cross_r = qx * ry - qy * rx
     qp_cross_s = qx * sy - qy * sx

@@ -4,8 +4,8 @@ Each bench times one radio hot path, the particle map constraint, or
 the BMA readout, in two variants on identical inputs: ``scalar`` (the
 reference from :mod:`repro.bench.baselines`, or the scalar per-point
 API where that *is* the current implementation) and ``kernel`` (the
-batched :mod:`repro.radio.kernels` path, the culled
-:class:`~repro.schemes.ParticleFilter` constraint, or the
+batched :mod:`repro.radio.kernels` path, the compiled
+:class:`~repro.schemes.particle_filter.MapConstraint`, or the
 temporary-free :class:`~repro.geometry.Grid` readout).  The ``walk_step``
 bench has no scalar twin — it times the full ``UniLocFramework.step``
 as shipped, as an end-to-end canary.
@@ -327,33 +327,46 @@ def _scan_bench(setup: Any, seed: int, repeats: int) -> dict[str, Timing]:
 def _map_constraint_bench(
     setup: Any, walk: Any, seed: int, repeats: int
 ) -> dict[str, Timing]:
-    """Culled particle map constraint vs the pre-cull reference.
+    """Compiled particle map constraint vs the pre-cull reference.
 
-    Both variants test one recorded cloud: a 300-particle filter walked
-    20 steps down the recorded walk, and its next proposed move, through
-    ``walkable_mask`` plus the wall-crossing test.
+    Both variants test the clouds a 300-particle filter proposes over
+    the walk's first 60 steps, exactly as ``ParticleFilter.predict``
+    passes them to ``MapConstraint.allows``.
     """
     from repro.bench import baselines
     from repro.schemes import ParticleFilter
 
-    rng = np.random.default_rng(seed + 47)
-    moments = walk.moments[:21]
     pf = ParticleFilter(setup.place)
-    pf.initialize(moments[0].position, 1.0, rng)
-    for moment in moments[1:-1]:
+    constraint = pf._constraint
+    calls: list[tuple[np.ndarray, ...]] = []
+
+    class Recorder:
+        """Keeps every call ``predict`` makes and forwards it."""
+
+        def allows(self, *columns: np.ndarray) -> np.ndarray:
+            calls.append(columns)
+            return constraint.allows(*columns)
+
+    pf._constraint = Recorder()  # type: ignore[assignment]
+    moments = walk.moments[:61]
+    pf.initialize(moments[0].position, 1.0, np.random.default_rng(seed + 47))
+    for moment in moments[1:]:
         pf.predict(moment.step_length, moment.heading)
-    old = pf.positions
-    last = moments[-1]
-    step = last.step_length * np.array([np.cos(last.heading), np.sin(last.heading)])
-    new = old + step + rng.normal(0.0, pf.position_noise_std, old.shape)
+        pf.resample_if_needed()
+    arrays = baselines.map_arrays(setup.place)
+    clouds = [
+        (np.column_stack((old_x, old_y)), np.column_stack((new_x, new_y)))
+        for old_x, old_y, new_x, new_y in calls
+    ]
 
     def scalar() -> None:
-        baselines.walkable_mask_reference(pf, new)
-        baselines.crosses_wall_reference(pf, old, new)
+        for old, new in clouds:
+            baselines.walkable_mask_reference(arrays, new)
+            baselines.crosses_wall_reference(arrays, old, new)
 
     def kernel() -> None:
-        pf.walkable_mask(new)
-        pf._crosses_wall(old, new)
+        for columns in calls:
+            constraint.allows(*columns)
 
     return {
         "map_constraint.scalar": time_callable(scalar, repeats),

@@ -6,12 +6,40 @@ scale (the paper's step-model personalization: "step length adaptively
 updated by particle filter", §III-B).  Map constraints kill particles that
 leave the walkable area; systematic resampling keeps the cloud healthy.
 
-Everything is numpy-vectorized, and the map constraint only looks at
-map primitives near the cloud: an exact bounding-box cull (see
-:meth:`ParticleFilter.walkable_mask`) picks the corridors, indoor regions
-and walls whose padded boxes meet the cloud's box, and the containment
-and crossing tests then run on all particles against those primitives
-at once, so 300 particles x ~500 steps remain fast in pure Python.
+The map constraint is compiled once per place (:func:`compile_map_constraint`)
+and shared by every filter on it.  Each predict makes one call,
+:meth:`MapConstraint.allows`, which keeps a move when its end is walkable
+and its path crosses no wall.  The call is built to make few numpy calls,
+since at 300 particles per-call overhead, not arithmetic, is its cost:
+
+* **Cull.**  One bounding box of the old and new positions, from 1-D
+  ``min``/``max`` over their x and y columns, is compared against the
+  padded boxes of every corridor, indoor region and wall at once; only
+  the primitives whose boxes meet it are tested.  For the walkable test
+  of the new positions that is a superset of the primitives near them,
+  which is exact: each primitive's answer does not depend on which
+  others are tested.
+* **Layout.**  Primitives are stored by field, so every test is a
+  ``(primitive, particle)`` array and reduces over its first axis.
+  Regions are padded to a common edge count by repeating an edge, which
+  leaves the per-region AND unchanged.
+* **Exactness.**  The masks equal the unculled predicates of
+  :mod:`repro.bench.baselines` for every particle.  Each element sees the
+  same subtractions, products, two-term additions and divisions in the
+  same order.  A skipped primitive cannot change the answer: a corridor
+  whose box misses a position by :data:`BOX_PAD_M` is farther than its
+  half-width from it; a convex region's side value against some edge
+  falls far below ``-1e-9``; and a skipped wall is more than the pad
+  from every move along some axis (the one case where the full test
+  could still report a hit is a move nearly collinear with a far wall,
+  with ``|r x s|`` just above ``1e-12``: rounding noise, where the cull
+  gives the geometrically right "no crossing").  A box with a NaN or
+  infinite coordinate keeps every primitive.  Region normals point
+  inward (clockwise regions have theirs negated, which IEEE negation
+  does exactly), so containment needs only the ``side >= -1e-9`` half
+  of the two-sided test: a region's side values sum to twice its area
+  at every point, so for a region whose area is not near zero all of
+  them can never be ``<= 1e-9``.
 """
 
 from __future__ import annotations
@@ -30,39 +58,25 @@ from repro.world import Place
 #: width.
 BOX_PAD_M = 1e-3
 
+#: An indoor region whose doubled area is at most this many m² per edge
+#: is rejected as degenerate.  The one-sided containment test needs the
+#: doubled area above ``edges * 1e-9``; this keeps a 1000x margin and
+#: is far below any real room.
+MIN_TWICE_AREA_PER_EDGE_M2 = 1e-6
+
 
 def _padded_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Return boxes from corners ``lo``/``hi``, grown by :data:`BOX_PAD_M`.
 
     Each ``(k, 4)`` row is ``(x_lo, y_lo, -x_hi, -y_hi)``: with the upper
-    corner negated, "box meets cloud" is one comparison (:func:`_overlaps`).
+    corner negated, "box meets cloud" is one comparison against the
+    cloud's ``(x_hi, y_hi, -x_lo, -y_lo)``.
     """
     return np.hstack([lo - BOX_PAD_M, -(hi + BOX_PAD_M)])
 
 
-def _cloud_box(points: np.ndarray) -> np.ndarray | None:
-    """Return the bounding box of ``points`` as ``(x_hi, y_hi, -x_lo, -y_lo)``.
-
-    Returns None, meaning "keep every primitive", when ``points`` is
-    empty or holds a NaN or infinite coordinate: such a cloud has no
-    finite box, and a NaN box compares false against every primitive
-    box, which would cull them all.  ``min``/``max`` propagate NaN and
-    keep infinities, so a finite box means every point is finite.
-    """
-    if len(points) == 0:
-        return None
-    x, y = points[:, 0], points[:, 1]
-    box = np.array([x.max(), y.max(), -x.min(), -y.min()])
-    return box if np.isfinite(box).all() else None
-
-
-def _overlaps(boxes: np.ndarray, box: np.ndarray) -> np.ndarray:
-    """Return a mask of the :func:`_padded_boxes` rows that meet ``box``."""
-    return (boxes <= box).all(axis=1)
-
-
 def _corridor_arrays(place: Place) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Precompute corridor segment arrays ``(starts, ends, half_widths)``."""
+    """Return corridor segment arrays ``(starts, ends, half_widths)``."""
     corridors = place.floorplan.corridors
     if not corridors:
         return None
@@ -75,21 +89,26 @@ def _corridor_arrays(place: Place) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
 def _indoor_region_arrays(
     place: Place,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Precompute edge arrays of indoor regions for vectorized containment.
+    """Return edge arrays of indoor regions for vectorized containment.
 
     Returns ``(vertices, edge_normals, offsets)``: every indoor region's
     edges stacked into one ``(E, 2)`` pair of arrays, with ``offsets``
     the index of each region's first edge.  The map constraint only
     applies *inside* indoor regions: outdoors (open spaces) a pedestrian
     can walk anywhere, which is precisely why the paper's motion scheme
-    loses its map anchor there.  Containment is tested by requiring a
-    consistent cross-product sign against every edge of one region,
-    which is only right for convex regions; the bounding-box cull of
-    :meth:`ParticleFilter.walkable_mask` relies on convexity too.  The
-    world builder makes convex quadrilaterals.
+    loses its map anchor there.  Normals point inward (the left normal
+    of a counter-clockwise region, negated on a clockwise one), so a
+    point is inside when its side value against every edge of one
+    region is non-negative.  That is only right for convex regions, and
+    only one-sided for regions of non-zero area; the bounding-box cull
+    relies on convexity too.  The world builder makes convex
+    quadrilaterals.
 
     Raises:
-        ValueError: if an indoor region is not convex.
+        ValueError: if an indoor region has near-zero area, or is not
+            convex: some vertex lies strictly outside some edge's line
+            (this also rejects self-intersecting stars, whose turns all
+            have one sign).
     """
     from repro.world import is_indoor  # local import to avoid a cycle
 
@@ -100,16 +119,29 @@ def _indoor_region_arrays(
             continue
         region_verts = np.array([[v.x, v.y] for v in region.polygon.vertices])
         edges = np.roll(region_verts, -1, axis=0) - region_verts
-        nxt = np.roll(edges, -1, axis=0)
-        turns = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if not ((turns >= 0.0).all() or (turns <= 0.0).all()):
+        twice_area = float(
+            np.sum(region_verts[:, 0] * edges[:, 1] - region_verts[:, 1] * edges[:, 0])
+        )
+        label = (
+            f"indoor region {index} ({region.env_type.value}) of place {place.name!r}"
+        )
+        if abs(twice_area) <= len(edges) * MIN_TWICE_AREA_PER_EDGE_M2:
             raise ValueError(
-                f"indoor region {index} ({region.env_type.value}) of place "
-                f"{place.name!r} is not convex; the map constraint needs "
-                "convex indoor regions"
+                f"{label} has near-zero area; the map constraint needs "
+                "indoor regions with area"
             )
-        # Outward-ish normals; sign consistency handled at query time.
-        normals.append(np.column_stack([-edges[:, 1], edges[:, 0]]))
+        region_normals = np.column_stack([-edges[:, 1], edges[:, 0]])
+        if twice_area < 0.0:
+            region_normals = -region_normals
+        # sides[i, j]: vertex j against edge i's line, non-negative inside.
+        offsets_from_edge = region_verts[None, :, :] - region_verts[:, None, :]
+        sides = (offsets_from_edge * region_normals[:, None, :]).sum(axis=2)
+        if (sides < 0.0).any():
+            raise ValueError(
+                f"{label} is not convex; the map constraint needs convex "
+                "indoor regions"
+            )
+        normals.append(region_normals)
         verts.append(region_verts)
         offsets.append(n_edges)
         n_edges += len(region_verts)
@@ -118,29 +150,214 @@ def _indoor_region_arrays(
     return np.concatenate(verts), np.concatenate(normals), np.array(offsets)
 
 
-def _in_corridor_mask(
-    positions: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    half_widths: np.ndarray,
+def _wall_arrays(place: Place) -> tuple[np.ndarray, np.ndarray] | None:
+    """Return wall segment arrays ``(starts, ends)``."""
+    walls = place.floorplan.walls
+    if not walls:
+        return None
+    starts = np.array([[w.start.x, w.start.y] for w in walls])
+    ends = np.array([[w.end.x, w.end.y] for w in walls])
+    return starts, ends
+
+
+class MapConstraint:
+    """A place's corridors, indoor regions and walls, packed for predict.
+
+    Attributes:
+        corridors: ``(6, C)`` start x, start y, direction x, direction
+            y, squared length (at least ``1e-12``) and half-width; None
+            when the walkable test is off.
+        regions: ``(4, R, K)`` vertex x, vertex y and inward normal x,
+            y of each region's edges, padded to ``K`` edges by
+            repeating its last edge; None when the walkable test is off.
+        walls: ``(4, W)`` start x, start y and direction x, y; None
+            without walls.
+        boxes: ``(C + R + W, 4)`` padded boxes (:func:`_padded_boxes`)
+            of the corridors, then the regions, then the walls.
+
+    The walkable test is off, and every position walkable, on a place
+    without corridors or without indoor regions.
+    """
+
+    def __init__(self, place: Place) -> None:
+        corridors = _corridor_arrays(place)
+        regions = _indoor_region_arrays(place)
+        walls = _wall_arrays(place)
+        self.corridors: np.ndarray | None = None
+        self.regions: np.ndarray | None = None
+        self.walls: np.ndarray | None = None
+        boxes = [np.empty((0, 4))]
+        if corridors is not None and regions is not None:
+            starts, ends, half_widths = corridors
+            d = ends - starts
+            seg_len2 = np.maximum((d * d).sum(axis=1), 1e-12)
+            self.corridors = np.vstack([starts.T, d.T, seg_len2, half_widths])
+            reach = half_widths[:, None]
+            boxes.append(
+                _padded_boxes(
+                    np.minimum(starts, ends) - reach, np.maximum(starts, ends) + reach
+                )
+            )
+            verts, normals, offsets = regions
+            counts = np.diff(offsets, append=len(verts))
+            # Column k of region r is its edge min(k, count - 1).
+            edge = offsets[:, None] + np.minimum(
+                np.arange(counts.max()), counts[:, None] - 1
+            )
+            self.regions = np.stack(
+                [verts[edge, 0], verts[edge, 1], normals[edge, 0], normals[edge, 1]]
+            )
+            boxes.append(
+                _padded_boxes(
+                    np.minimum.reduceat(verts, offsets, axis=0),
+                    np.maximum.reduceat(verts, offsets, axis=0),
+                )
+            )
+        if walls is not None:
+            starts, ends = walls
+            self.walls = np.vstack([starts.T, (ends - starts).T])
+            boxes.append(
+                _padded_boxes(np.minimum(starts, ends), np.maximum(starts, ends))
+            )
+        self.boxes = np.concatenate(boxes)
+        self._n_corridors = 0 if self.corridors is None else self.corridors.shape[1]
+        self._n_regions = 0 if self.regions is None else self.regions.shape[1]
+
+    def allows(
+        self,
+        old_x: np.ndarray,
+        old_y: np.ndarray,
+        new_x: np.ndarray,
+        new_y: np.ndarray,
+    ) -> np.ndarray:
+        """Return a mask of the moves ``old -> new`` the map allows.
+
+        A move is allowed when its end is walkable and its path crosses
+        no wall.  A position is blocked only when it lies inside an
+        *indoor* region but outside every corridor, i.e. inside a wall
+        or a room it cannot reach.  Outdoor positions are always
+        walkable, so in open spaces the map imposes no constraint (and
+        PDR drifts, as in the paper).  Checking the move against the
+        walls keeps a long step from leaping a thin wall zone.  A zero
+        move is parallel to every wall, so ``allows(x, y, x, y)`` is
+        the walkable mask alone.
+
+        Args:
+            old_x, old_y, new_x, new_y: ``(n,)`` coordinates of the
+                moves' starts and ends.
+        """
+        allowed = np.ones(len(new_x), dtype=bool)
+        corridors, regions, walls = self.corridors, self.regions, self.walls
+        if regions is None and walls is None:
+            return allowed
+        xs = np.concatenate((old_x, new_x))
+        ys = np.concatenate((old_y, new_y))
+        x_hi, y_hi = float(xs.max()), float(ys.max())
+        x_lo, y_lo = float(xs.min()), float(ys.min())
+        # The sum is finite only if all four are (min/max propagate NaN);
+        # a finite box that overflows it just keeps every primitive.
+        if math.isfinite(x_hi - x_lo + (y_hi - y_lo)):
+            near = (self.boxes <= np.array((x_hi, y_hi, -x_lo, -y_lo))).all(axis=1)
+            n_c = self._n_corridors
+            n_cr = n_c + self._n_regions
+            if corridors is not None and regions is not None:
+                corridors = corridors[:, near[:n_c]]
+                regions = regions[:, near[n_c:n_cr]]
+            if walls is not None:
+                walls = walls[:, near[n_cr:]]
+        if corridors is not None and regions is not None and regions.shape[1]:
+            allowed = _in_corridor(corridors, new_x, new_y)
+            allowed |= ~_in_region(regions, new_x, new_y)
+        if walls is not None and walls.shape[1]:
+            allowed &= ~_crosses_wall(walls, old_x, old_y, new_x, new_y)
+        return allowed
+
+
+def _in_corridor(corridors: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Return a mask of positions inside some of the ``(6, c)`` corridors."""
+    starts_x, starts_y, d_x, d_y, seg_len2, half_widths = corridors[:, :, None]
+    # t[j, i]: projection parameter of particle i on corridor j.
+    qx = x - starts_x  # (c, n)
+    qy = y - starts_y
+    t = np.multiply(qx, d_x, out=qx)
+    t += np.multiply(qy, d_y, out=qy)
+    t /= seg_len2
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = t * d_x
+    ex += starts_x
+    np.subtract(x, ex, out=ex)
+    ey = np.multiply(t, d_y, out=t)
+    ey += starts_y
+    np.subtract(y, ey, out=ey)
+    ex *= ex
+    ey *= ey
+    ex += ey
+    dist = np.sqrt(ex, out=ex)
+    return (dist <= half_widths).any(axis=0)
+
+
+def _in_region(regions: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Return a mask of positions inside some of the ``(4, r, K)`` regions."""
+    n_regions = regions.shape[1]
+    verts_x, verts_y, normals_x, normals_y = regions.reshape(4, -1, 1)
+    side = x - verts_x  # (r * K, n)
+    side *= normals_x
+    other = y - verts_y
+    other *= normals_y
+    side += other
+    inside = side.reshape(n_regions, -1, len(x)).min(axis=1) >= -1e-9  # (r, n)
+    return inside.any(axis=0)
+
+
+def _crosses_wall(
+    walls: np.ndarray,
+    old_x: np.ndarray,
+    old_y: np.ndarray,
+    new_x: np.ndarray,
+    new_y: np.ndarray,
 ) -> np.ndarray:
-    """Return a boolean mask of positions inside some of the given corridors."""
-    d = ends - starts  # (m, 2)
-    seg_len2 = np.maximum((d * d).sum(axis=1), 1e-12)  # (m,)
-    # t[i, j]: projection parameter of particle i on corridor j.
-    # Componentized per coordinate: the same multiplies and two-term
-    # additions, in the same order, as the stacked (n, m, 2) form,
-    # but with only (n, m) temporaries.  Every corridor is tested on
-    # its own, so a subset gives each particle the same distances.
-    dx = positions[:, None, 0] - starts[None, :, 0]  # (n, m)
-    dy = positions[:, None, 1] - starts[None, :, 1]
-    t = np.clip(
-        (dx * d[None, :, 0] + dy * d[None, :, 1]) / seg_len2, 0.0, 1.0
-    )
-    ex = positions[:, None, 0] - (starts[None, :, 0] + t * d[None, :, 0])
-    ey = positions[:, None, 1] - (starts[None, :, 1] + t * d[None, :, 1])
-    dist = np.sqrt(ex * ex + ey * ey)  # (n, m)
-    return (dist <= half_widths[None, :]).any(axis=1)
+    """Return a mask of moves whose path crosses one of the ``(4, w)`` walls.
+
+    The standard orientation predicates, moves ``r`` against walls ``s``.
+    """
+    starts_x, starts_y, s_x, s_y = walls[:, :, None]
+    r_x = new_x - old_x  # (n,)
+    r_y = new_y - old_y
+    q_x = starts_x - old_x  # (w, n)
+    q_y = starts_y - old_y
+    r_cross_s = r_x * s_y
+    r_cross_s -= r_y * s_x
+    qp_cross_r = q_x * r_y
+    qp_cross_r -= q_y * r_x
+    qp_cross_s = np.multiply(q_x, s_y, out=q_x)
+    qp_cross_s -= np.multiply(q_y, s_x, out=q_y)
+    # Parallel pairs divide by ~0, but ``nonparallel`` masks them below.
+    nonparallel = np.abs(r_cross_s) > 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.divide(qp_cross_s, r_cross_s, out=qp_cross_s)
+        u = np.divide(qp_cross_r, r_cross_s, out=qp_cross_r)
+    # min/max propagate NaN, so a NaN t or u is no hit, as with four tests.
+    hits = np.minimum(t, u) >= 0.0
+    hits &= np.maximum(t, u, out=t) <= 1.0
+    hits &= nonparallel
+    return hits.any(axis=0)
+
+
+def compile_map_constraint(place: Place) -> MapConstraint:
+    """Return the compiled map constraint of ``place`` (cached on it).
+
+    Compilation snapshots the floor plan and regions; places are treated
+    as immutable once a filter runs on them, as every caller in the repo
+    uses them.
+
+    Raises:
+        ValueError: if an indoor region is degenerate or not convex.
+    """
+    cached = place.__dict__.get("_map_constraint")
+    if cached is None:
+        cached = place.__dict__["_map_constraint"] = MapConstraint(place)
+    constraint: MapConstraint = cached
+    return constraint
 
 
 @dataclass
@@ -167,36 +384,7 @@ class ParticleFilter:
     def __post_init__(self) -> None:
         if self.n_particles <= 0:
             raise ValueError("n_particles must be positive")
-        self._corridors = _corridor_arrays(self.place)
-        self._indoor_regions = _indoor_region_arrays(self.place)
-        walls = self.place.floorplan.walls
-        if walls:
-            self._wall_starts = np.array([[w.start.x, w.start.y] for w in walls])
-            self._wall_ends = np.array([[w.end.x, w.end.y] for w in walls])
-            self._wall_boxes = _padded_boxes(
-                np.minimum(self._wall_starts, self._wall_ends),
-                np.maximum(self._wall_starts, self._wall_ends),
-            )
-        else:
-            self._wall_starts = None
-            self._wall_ends = None
-        # Broad-phase boxes for the cull in walkable_mask.
-        if self._corridors is not None:
-            starts, ends, half_widths = self._corridors
-            reach = half_widths[:, None]
-            self._corridor_boxes = _padded_boxes(
-                np.minimum(starts, ends) - reach, np.maximum(starts, ends) + reach
-            )
-        if self._indoor_regions is not None:
-            verts, _, offsets = self._indoor_regions
-            self._region_edge_counts = np.diff(offsets, append=len(verts))
-            self._edge_region = np.repeat(
-                np.arange(len(offsets)), self._region_edge_counts
-            )
-            self._region_boxes = _padded_boxes(
-                np.minimum.reduceat(verts, offsets, axis=0),
-                np.maximum.reduceat(verts, offsets, axis=0),
-            )
+        self._constraint = compile_map_constraint(self.place)
         self.positions = np.zeros((self.n_particles, 2))
         self.scales = np.ones(self.n_particles)
         self.weights = np.full(self.n_particles, 1.0 / self.n_particles)
@@ -216,136 +404,35 @@ class ParticleFilter:
         self.scales = rng.normal(1.0, 0.05, self.n_particles)
         self.weights = np.full(self.n_particles, 1.0 / self.n_particles)
 
-    def walkable_mask(self, positions: np.ndarray) -> np.ndarray:
-        """Return a boolean mask of positions allowed by the map.
-
-        A position is blocked only when it lies inside an *indoor* region
-        but outside every corridor — i.e. inside a wall or a room it
-        cannot reach.  Outdoor positions are always walkable, so in open
-        spaces the map imposes no constraint (and PDR drifts, as in the
-        paper).
-
-        Only the corridors and indoor regions whose padded boxes meet
-        the bounding box of ``positions`` are tested, with the same
-        arithmetic as a test against all of them, so the mask is the
-        same.  A primitive is skipped only when every position is more
-        than :data:`BOX_PAD_M` outside its box.  For a corridor, that
-        puts the position more than the half-width plus the pad from the
-        centerline, so the computed distance exceeds ``half_width``.
-        For a convex region, the position then lies beyond some edge's
-        line, and that edge's side value falls far below ``-1e-9``; the
-        opposite sign test fails for any point, since a region's side
-        values sum to twice its signed area, far above ``E * 1e-9``.
-        When no indoor region is near, every position is walkable.  A
-        cloud with a NaN or infinite coordinate is tested against every
-        primitive.
-        """
-        n = len(positions)
-        if self._corridors is None or self._indoor_regions is None:
-            return np.ones(n, dtype=bool)
-        corridors = self._corridors
-        verts, normals, offsets = self._indoor_regions
-        box = _cloud_box(positions)
-        if box is not None:
-            near_regions = _overlaps(self._region_boxes, box)
-            if not near_regions.any():
-                return np.ones(n, dtype=bool)
-            near_corridors = _overlaps(self._corridor_boxes, box)
-            starts, ends, half_widths = corridors
-            corridors = (
-                starts[near_corridors],
-                ends[near_corridors],
-                half_widths[near_corridors],
-            )
-            near_edges = near_regions[self._edge_region]
-            verts, normals = verts[near_edges], normals[near_edges]
-            counts = self._region_edge_counts[near_regions]
-            offsets = np.cumsum(counts) - counts
-        in_corridor = _in_corridor_mask(positions, *corridors)
-        # Componentized (p - v) . normal against every region's edges at
-        # once: the same additions in the same order as a stacked
-        # (n, E, 2) product-and-reduce, without the 3-D temporaries.
-        side = (positions[:, None, 0] - verts[None, :, 0]) * normals[None, :, 0] + (
-            positions[:, None, 1] - verts[None, :, 1]
-        ) * normals[None, :, 1]  # (n, E)
-        # A position is inside a region when its sides against all of
-        # that region's edges agree; reduceat folds each region's columns.
-        inside = np.logical_and.reduceat(
-            side >= -1e-9, offsets, axis=1
-        ) | np.logical_and.reduceat(side <= 1e-9, offsets, axis=1)  # (n, R)
-        return in_corridor | ~inside.any(axis=1)
-
     def predict(self, step_length: float, heading: float) -> None:
         """Advance every particle by one step.
 
-        Particles that would step off the walkable area keep their old
-        position but get their weight suppressed, which is how map edges
-        constrain the cloud without instantly emptying it.
+        Particles whose move the map forbids (:meth:`MapConstraint.allows`)
+        keep their old position but get their weight suppressed, which is
+        how map edges constrain the cloud without instantly emptying it.
         """
-        headings = heading + self._rng.normal(
-            0.0, self.heading_noise_std, self.n_particles
-        )
+        rng, n = self._rng, self.n_particles
+        headings = rng.normal(0.0, self.heading_noise_std, n)
+        headings += heading
+        noise = rng.normal(0.0, self.position_noise_std, (n, 2))
         lengths = step_length * self.scales
-        proposed = self.positions + np.column_stack(
-            [lengths * np.cos(headings), lengths * np.sin(headings)]
-        )
-        proposed += self._rng.normal(
-            0.0, self.position_noise_std, proposed.shape
-        )
-        mask = self.walkable_mask(proposed) & ~self._crosses_wall(
-            self.positions, proposed
-        )
-        self.positions = np.where(mask[:, None], proposed, self.positions)
+        old = self.positions
+        old_x, old_y = old[:, 0], old[:, 1]
+        # (old + step) + noise per coordinate; IEEE addition commutes.
+        x = np.cos(headings)
+        x *= lengths
+        x += old_x
+        x += noise[:, 0]
+        y = np.sin(headings, out=headings)
+        y *= lengths
+        y += old_y
+        y += noise[:, 1]
+        mask = self._constraint.allows(old_x, old_y, x, y)
+        self.positions = np.where(mask[:, None], np.column_stack((x, y)), old)
         self.weights = np.where(mask, self.weights, self.weights * 0.05)
-        self.scales += self._rng.normal(0.0, self.scale_noise_std, self.n_particles)
+        self.scales += rng.normal(0.0, self.scale_noise_std, n)
         self.scales = np.clip(self.scales, 0.6, 1.4)
         self._renormalize()
-
-    def _crosses_wall(self, old: np.ndarray, new: np.ndarray) -> np.ndarray:
-        """Return a mask of particle moves whose path crosses a wall.
-
-        Endpoint containment alone lets a long step leap a thin wall zone;
-        checking the movement segment against the wall list (standard
-        orientation predicates, vectorized particles x walls) makes the
-        map constraint robust to step length.
-
-        As in :meth:`walkable_mask`, only walls whose padded boxes meet
-        the bounding box of ``old`` and ``new`` together are tested.  A
-        skipped wall is more than :data:`BOX_PAD_M` from every move along
-        some axis, so no move truly intersects it.  The one case where
-        the full test could still report a hit is ill-conditioned: a move
-        nearly collinear with a far wall, with ``|r x s|`` just above
-        ``1e-12``, where that answer is rounding noise; the cull returns
-        the geometrically correct "no crossing" there.  Moves with a NaN
-        or infinite coordinate are tested against every wall.
-        """
-        if self._wall_starts is None:
-            return np.zeros(len(old), dtype=bool)
-        starts, ends = self._wall_starts, self._wall_ends
-        box = _cloud_box(np.concatenate((old, new)))
-        if box is not None:
-            near = _overlaps(self._wall_boxes, box)
-            if not near.any():
-                return np.zeros(len(old), dtype=bool)
-            starts, ends = starts[near], ends[near]
-        r = new - old  # (n, 2)
-        s = ends - starts  # (m, 2)
-        rx, ry = r[:, None, 0], r[:, None, 1]
-        sx, sy = s[None, :, 0], s[None, :, 1]
-        # Componentized as in walkable_mask: the same products and
-        # differences as a stacked (n, m, 2) form, with (n, m) temporaries.
-        qx = starts[None, :, 0] - old[:, None, 0]  # (n, m)
-        qy = starts[None, :, 1] - old[:, None, 1]
-        r_cross_s = rx * sy - ry * sx
-        qp_cross_r = qx * ry - qy * rx
-        qp_cross_s = qx * sy - qy * sx
-        nonparallel = np.abs(r_cross_s) > 1e-12
-        # Parallel pairs divide by ~0, but ``nonparallel`` masks them below.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = qp_cross_s / r_cross_s
-            u = qp_cross_r / r_cross_s
-        hits = nonparallel & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-        return hits.any(axis=1)
 
     def reweight(self, factors: np.ndarray) -> None:
         """Multiply particle weights by external likelihood factors.

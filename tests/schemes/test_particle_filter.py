@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.bench import baselines
 from repro.geometry import Point, Polygon, Segment
 from repro.schemes import ParticleFilter
-from repro.schemes.particle_filter import BOX_PAD_M
+from repro.schemes.particle_filter import BOX_PAD_M, compile_map_constraint
 from repro.world import (
     Corridor,
     EnvironmentRegion,
@@ -38,6 +38,19 @@ INDOOR_BUILDERS = {
 @pytest.fixture(scope="module")
 def place():
     return build_daily_path_place()
+
+
+def allows(place, old, new):
+    """The compiled map constraint's mask for the moves ``old -> new``."""
+    old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
+    return compile_map_constraint(place).allows(
+        old[:, 0], old[:, 1], new[:, 0], new[:, 1]
+    )
+
+
+def walkable_mask(place, positions):
+    """A zero move is parallel to every wall: the walkable mask alone."""
+    return allows(place, positions, positions)
 
 
 def make_pf(place, n=200, seed=0):
@@ -68,25 +81,21 @@ def test_predict_advances_cloud(place):
 
 class TestWalkability:
     def test_corridor_interior_walkable(self, place):
-        pf = make_pf(place)
         # Office corridor runs along y=0 with width 2.
-        mask = pf.walkable_mask(np.array([[5.0, 0.0], [5.0, 0.8]]))
+        mask = walkable_mask(place, [[5.0, 0.0], [5.0, 0.8]])
         assert mask.tolist() == [True, True]
 
     def test_wall_zone_blocked(self, place):
-        pf = make_pf(place)
         # 2 m off the corridor centerline: inside the office region but
         # outside the 2 m corridor.
-        mask = pf.walkable_mask(np.array([[5.0, 2.0]]))
+        mask = walkable_mask(place, [[5.0, 2.0]])
         assert not mask[0]
 
     def test_outdoor_unconstrained(self, place):
-        pf = make_pf(place)
         # Far from all indoor regions: open space, always walkable.
         path = place.paths["path1"]
         p = path.polyline.point_at_distance(280.0)
-        off = np.array([[p.x + 15.0, p.y + 15.0]])
-        assert pf.walkable_mask(off)[0]
+        assert walkable_mask(place, [[p.x + 15.0, p.y + 15.0]])[0]
 
     def test_blocked_particles_lose_weight(self, place):
         pf = make_pf(place)
@@ -155,27 +164,33 @@ def test_scales_stay_clipped(place):
 
 
 @functools.cache
-def indoor_filter(name: str) -> ParticleFilter:
-    """One filter per indoor builder place, shared across examples."""
-    return ParticleFilter(INDOOR_BUILDERS[name]())
+def indoor_map(name: str) -> tuple[Place, baselines.MapArrays]:
+    """One indoor builder place and its reference arrays, shared across
+    examples."""
+    place = INDOOR_BUILDERS[name]()
+    return place, baselines.map_arrays(place)
 
 
 def xy(point: Point) -> np.ndarray:
     return np.array([point.x, point.y])
 
 
-def assert_matches_reference(pf, old, new):
-    """The culled masks equal the pre-cull reference for every particle."""
+def assert_matches_reference(place, arrays, old, new):
+    """The compiled constraint equals the pre-cull reference for every
+    particle, both for the moves and, at zero moves, for the walkable mask.
+
+    Returns the reference ``(walkable, crosses)`` masks.
+    """
     old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
     # Non-finite particles make NaN intermediates in both versions.
     with np.errstate(invalid="ignore"):
-        walkable = pf.walkable_mask(new)
-        crosses = pf._crosses_wall(old, new)
-        expected_walkable = baselines.walkable_mask_reference(pf, new)
-        expected_crosses = baselines.crosses_wall_reference(pf, old, new)
-    assert np.array_equal(walkable, expected_walkable)
-    assert np.array_equal(crosses, expected_crosses)
-    return walkable, crosses
+        allowed = allows(place, old, new)
+        at_rest = walkable_mask(place, new)
+        expected_walkable = baselines.walkable_mask_reference(arrays, new)
+        expected_crosses = baselines.crosses_wall_reference(arrays, old, new)
+    assert np.array_equal(allowed, expected_walkable & ~expected_crosses)
+    assert np.array_equal(at_rest, expected_walkable)
+    return expected_walkable, expected_crosses
 
 
 def box_probes(lo, hi, rng):
@@ -263,7 +278,8 @@ def wall_moves(place, rng):
 
 
 class TestCullEquivalence:
-    """The bounding-box cull returns the same masks as the full test."""
+    """The compiled, culled constraint returns the same masks as the full
+    test."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -274,15 +290,15 @@ class TestCullEquivalence:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_clouds(self, name, along, spread, step, seed):
-        pf = indoor_filter(name)
+        place, arrays = indoor_map(name)
         rng = np.random.default_rng(seed)
-        paths = list(pf.place.paths.values())
+        paths = list(place.paths.values())
         path = paths[rng.integers(len(paths))]
         center = path.polyline.point_at_distance(along * path.length())
         old = rng.normal(xy(center), spread, size=(300, 2))
         heading = rng.uniform(0.0, 2.0 * np.pi, 300)
         new = old + step * np.column_stack([np.cos(heading), np.sin(heading)])
-        assert_matches_reference(pf, old, new)
+        assert_matches_reference(place, arrays, old, new)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -290,18 +306,19 @@ class TestCullEquivalence:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_primitive_boundaries(self, name, seed):
-        pf = indoor_filter(name)
+        place, arrays = indoor_map(name)
         rng = np.random.default_rng(seed)
-        probes = boundary_probes(pf.place, rng)
+        probes = boundary_probes(place, rng)
         angle = rng.uniform(0.0, 2.0 * np.pi, len(probes))
         moved = probes + rng.uniform(0.0, 0.5, (len(probes), 1)) * np.column_stack(
             [np.cos(angle), np.sin(angle)]
         )
-        assert_matches_reference(pf, probes, moved)
+        assert_matches_reference(place, arrays, probes, moved)
         # A one-particle cloud's box is the probe itself: the tightest cull.
         for i in range(len(probes)):
-            assert_matches_reference(pf, probes[i : i + 1], moved[i : i + 1])
-            assert_matches_reference(pf, moved[i : i + 1], probes[i : i + 1])
+            one_probe, one_moved = probes[i : i + 1], moved[i : i + 1]
+            assert_matches_reference(place, arrays, one_probe, one_moved)
+            assert_matches_reference(place, arrays, one_moved, one_probe)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -309,15 +326,15 @@ class TestCullEquivalence:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_wall_moves(self, name, seed):
-        pf = indoor_filter(name)
-        old, new = wall_moves(pf.place, np.random.default_rng(seed))
-        _, crosses = assert_matches_reference(pf, old, new)
+        place, arrays = indoor_map(name)
+        old, new = wall_moves(place, np.random.default_rng(seed))
+        _, crosses = assert_matches_reference(place, arrays, old, new)
         assert crosses.any()  # the leaps do cross their walls
         for i in range(len(old)):
-            assert_matches_reference(pf, old[i : i + 1], new[i : i + 1])
+            assert_matches_reference(place, arrays, old[i : i + 1], new[i : i + 1])
 
     def test_non_finite_particles_keep_every_primitive(self):
-        pf = indoor_filter("office")
+        place, arrays = indoor_map("office")
         nan, inf = np.nan, np.inf
         # (25, 2) is in the y=2 corridor; (25, 4) and (25, 0) are inside
         # the office region but 2 m off the corridor, beyond its walls.
@@ -331,18 +348,19 @@ class TestCullEquivalence:
             (25.0, nan),
             (3.0, inf),
         ]
-        walkable, _ = assert_matches_reference(pf, positions, positions)
+        walkable, _ = assert_matches_reference(place, arrays, positions, positions)
         assert walkable[:4].tolist() == [True, False, False, True]
         old = [(25.0, 2.0), (25.0, 2.0), (nan, nan), (25.0, 2.0), (25.0, 2.0)]
         new = [(25.0, 4.0), (25.0, 2.5), (25.0, 4.0), (inf, 2.0), (25.0, -inf)]
-        _, crosses = assert_matches_reference(pf, old, new)
+        _, crosses = assert_matches_reference(place, arrays, old, new)
         assert crosses[:2].tolist() == [True, False]  # the wall at y=3
 
 
 class TestConvexityGuard:
     @pytest.mark.parametrize("name", sorted(INDOOR_BUILDERS))
     def test_builder_places_are_accepted(self, name):
-        assert indoor_filter(name)._indoor_regions is not None
+        place, _ = indoor_map(name)
+        assert compile_map_constraint(place).regions is not None
 
     def test_l_shaped_region_rejected(self):
         l_shape = Polygon.from_coords(
@@ -367,3 +385,126 @@ class TestConvexityGuard:
             ValueError, match=r"indoor region 0 \(office\) of place 'l-office'"
         ):
             ParticleFilter(place)
+
+    def test_pentagram_rejected(self):
+        # A star's turns all have one sign, but its edge lines cut it.
+        star = Polygon.from_coords(
+            [
+                (
+                    50.0 + 10.0 * np.cos(np.pi / 2 + 4 * np.pi * k / 5),
+                    50.0 + 10.0 * np.sin(np.pi / 2 + 4 * np.pi * k / 5),
+                )
+                for k in range(5)
+            ]
+        )
+        corridor = Corridor(Segment(Point(0.0, 0.0), Point(10.0, 0.0)), 2.0)
+        place = hand_built_place("star", [star], [corridor], [])
+        with pytest.raises(ValueError, match=r"indoor region 0 .* is not convex"):
+            ParticleFilter(place)
+
+    def test_zero_area_region_rejected(self):
+        flat = Polygon.from_coords([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)])
+        corridor = Corridor(Segment(Point(0.0, 0.0), Point(20.0, 0.0)), 2.0)
+        place = hand_built_place("flat", [flat], [corridor], [])
+        with pytest.raises(ValueError, match=r"indoor region 0 .* near-zero area"):
+            ParticleFilter(place)
+
+
+def hand_built_place(name, polygons, corridors, walls):
+    """A place whose indoor (office) regions are ``polygons``."""
+    return Place(
+        name=name,
+        boundary=Polygon.rectangle(-20.0, -20.0, 80.0, 80.0),
+        regions=[EnvironmentRegion(p, EnvironmentType.OFFICE) for p in polygons],
+        default_env=EnvironmentType.OPEN_SPACE,
+        floorplan=FloorPlan(corridors=corridors, walls=walls, landmarks=[]),
+    )
+
+
+def corridor(x0, y0, x1, y1, width=2.0):
+    return Corridor(Segment(Point(x0, y0), Point(x1, y1)), width)
+
+
+def wall(x0, y0, x1, y1):
+    return Segment(Point(x0, y0), Point(x1, y1))
+
+
+#: Places the builders never make: every builder region is a
+#: counter-clockwise quad.
+HAND_BUILT_PLACES = {
+    # Clockwise rectangle and a rotated clockwise square.
+    "clockwise": lambda: hand_built_place(
+        "clockwise",
+        [
+            Polygon.from_coords([(0.0, 0.0), (0.0, 6.0), (20.0, 6.0), (20.0, 0.0)]),
+            Polygon.from_coords([(30.0, 0.0), (25.0, 5.0), (30.0, 10.0), (35.0, 5.0)]),
+        ],
+        [corridor(1.0, 3.0, 19.0, 3.0), corridor(30.0, 1.0, 30.0, 9.0, 1.5)],
+        [wall(0.0, 4.0, 20.0, 4.0), wall(27.0, 2.0, 33.0, 8.0)],
+    ),
+    # A triangle and a pentagon in one place: regions padded to 5 edges.
+    "triangle-pentagon": lambda: hand_built_place(
+        "triangle-pentagon",
+        [
+            Polygon.from_coords([(0.0, 0.0), (12.0, 0.0), (6.0, 10.0)]),
+            Polygon.from_coords(
+                [
+                    (
+                        40.0 + 8.0 * np.cos(2 * np.pi * k / 5),
+                        40.0 + 8.0 * np.sin(2 * np.pi * k / 5),
+                    )
+                    for k in range(5)
+                ]
+            ),
+        ],
+        [corridor(2.0, 1.0, 10.0, 1.0), corridor(34.0, 40.0, 46.0, 40.0)],
+        [wall(6.0, 0.0, 6.0, 5.0), wall(40.0, 35.0, 40.0, 45.0)],
+    ),
+    "walls-only": lambda: hand_built_place(
+        "walls-only", [], [corridor(0.0, 0.0, 20.0, 0.0)], [wall(10.0, -5.0, 10.0, 5.0)]
+    ),
+    "bare": lambda: hand_built_place("bare", [], [], []),
+}
+
+
+class TestHandBuiltPlaces:
+    """The compiled constraint equals the reference off the builders' path."""
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT_PLACES))
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), step=st.floats(0.0, 6.0))
+    def test_random_clouds(self, name, seed, step):
+        place = HAND_BUILT_PLACES[name]()
+        arrays = baselines.map_arrays(place)
+        rng = np.random.default_rng(seed)
+        old = rng.uniform(-5.0, 55.0, size=(300, 2))
+        heading = rng.uniform(0.0, 2.0 * np.pi, 300)
+        new = old + step * np.column_stack([np.cos(heading), np.sin(heading)])
+        assert_matches_reference(place, arrays, old, new)
+        for i in range(0, 300, 37):
+            assert_matches_reference(place, arrays, old[i : i + 1], new[i : i + 1])
+
+    def test_clockwise_regions_block_off_corridor(self):
+        place = HAND_BUILT_PLACES["clockwise"]()
+        probes = [[10.0, 3.0], [10.0, 5.5], [30.0, 5.0], [33.0, 5.0]]
+        mask = walkable_mask(place, probes)
+        assert mask.tolist() == [True, False, True, False]
+
+    def test_places_without_regions_only_test_walls(self):
+        place = HAND_BUILT_PLACES["walls-only"]()
+        assert compile_map_constraint(place).regions is None
+        mask = allows(place, [[5.0, 3.0], [5.0, 3.0]], [[15.0, 3.0], [5.0, 30.0]])
+        assert mask.tolist() == [False, True]
+        assert allows(HAND_BUILT_PLACES["bare"](), [[0.0, 0.0]], [[1e6, 1e6]]).all()
+
+
+class TestSharedConstraint:
+    def test_filters_of_one_place_share_one_constraint(self):
+        place = build_office_place()
+        first, second = ParticleFilter(place), ParticleFilter(place, n_particles=50)
+        assert first._constraint is second._constraint
+        assert first._constraint is compile_map_constraint(place)
+
+    def test_each_place_object_gets_its_own(self):
+        first, second = build_office_place(), build_office_place()
+        assert compile_map_constraint(first) is not compile_map_constraint(second)
