@@ -42,7 +42,7 @@ def test_table5_response_time(benchmark):
     fw = build_framework(setup, shared_models(0), walk.moments[0].position)
     fw.step(snaps[0])
     snap = snaps[1]
-    outputs, _, _, _, _ = fw._run_schemes(snap, indoor=True)
+    outputs, _, _, _ = fw._run_schemes(snap, indoor=True)
     loc = fw._predicted_location(outputs)
 
     def uniloc_additions():

@@ -134,7 +134,6 @@ _WALL_CLOCK = frozenset(
 DET002_ALLOWED_MODULES = (
     "repro/obs/clock.py",
     "repro/obs/metrics.py",
-    "repro/obs/tracing.py",
 )
 
 

@@ -24,9 +24,10 @@ recorded event streams record-for-record:
    that seeds differently between runs diverges at the exact
    construction, not at some downstream metric.
 4. **Normalization.**  Fields that are honestly nondeterministic and
-   allowlisted as such — ``run_id``, span ``duration_ms``, and
-   ``_ms``/``_s``-suffixed metric values measured by the raw
-   ``perf_counter``-based obs timers — are scrubbed before comparison.
+   allowlisted as such — ``run_id``, span ``duration_ms``, the step
+   events' ``stage_ms`` timings, and ``_ms``/``_s``-suffixed metric
+   values measured by the raw ``perf_counter``-based obs timers — are
+   scrubbed before comparison.
 5. **Bisection.**  :func:`first_divergence` binary-searches cumulative
    prefix hashes of the two streams for the first index where they
    disagree, and the report localizes that record to its job, worker,
@@ -60,8 +61,8 @@ WALL_BASE_S = 1_600_000_000.0
 CLOCK_TICK_S = 1e-3
 
 #: Keys scrubbed from every event before hashing (allowlisted
-#: nondeterminism: ids and raw-perf_counter durations).
-_SCRUBBED_KEYS = frozenset({"run_id", "duration_ms"})
+#: nondeterminism: ids and measured durations).
+_SCRUBBED_KEYS = frozenset({"run_id", "duration_ms", "stage_ms"})
 
 #: Metric-name suffixes whose values come from the un-instrumented
 #: obs timers and are therefore scrubbed, not compared.

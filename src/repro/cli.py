@@ -227,13 +227,14 @@ def _walk_path(args: argparse.Namespace, session=None):
     """Walk ``run PLACE PATH``'s path; returns a ``WalkResult`` or an exit code.
 
     With a telemetry ``session`` the walk is framed as its one job, like
-    a serial engine job: per-scheme latencies are traced, and the step
-    events land between ``job/started`` and ``job/finished`` plus the
-    job's metric deltas (artifact I/O included).
+    a serial engine job: the step events, each carrying the step's
+    ``stage_ms`` timings, land between ``job/started`` and
+    ``job/finished`` plus the job's metric deltas (artifact I/O and the
+    stage histograms included).
     """
     from repro.eval import run_walk
     from repro.fleet.executor import emit_job_finished, emit_job_started
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import MetricsRegistry
 
     if session is None:
         prepared = _prepare_run(args)
@@ -248,7 +249,6 @@ def _walk_path(args: argparse.Namespace, session=None):
     if isinstance(prepared, int):
         return prepared
     setup, framework, walk, snaps = prepared
-    framework.tracer = Tracer()
     framework.metrics = metrics
     result = run_walk(
         framework, setup.place, args.path, walk, snaps, telemetry=emitter

@@ -37,7 +37,14 @@ diversity claim must survive:
   dominate the ensemble.
 
 Every failure, quarantine entry, and skipped step is counted in the
-attached metrics registry and annotated on the tracing spans.
+attached metrics registry.
+
+Every step is also timed, stage by stage, with plain
+:func:`repro.obs.clock.monotonic_s` reads into
+:attr:`UniLocFramework.stage_ms` (see :data:`STAGES`).  The timings
+leave the framework only through the telemetry ``step`` event and the
+metrics histograms; they never enter a :class:`StepDecision`, so
+decisions stay a pure function of the seeds.
 """
 
 from __future__ import annotations
@@ -55,10 +62,17 @@ from repro.geometry import Grid, Point
 from repro.obs.clock import monotonic_s
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import NOOP_EMITTER, EventSinkLike
-from repro.obs.tracing import NOOP_TRACER
+from repro.radio.fingerprint import FingerprintDatabase
+from repro.radio.kernels import CompiledFingerprintDatabase, compile_fingerprints
 from repro.schemes.base import Scheme, SchemeOutput
 from repro.sensors import SensorSnapshot
 from repro.world import Place
+
+#: The stages the stage clock times on every step, besides one
+#: ``scheme.<name>`` entry per scheme whose ``estimate()`` ran (GPS
+#: included when powered).  ``hmm`` covers the trajectory predictor's
+#: ``predict`` and ``observe``; ``step`` is the whole step.
+STAGES = ("iodetect", "error_prediction", "confidence", "bma", "hmm", "step")
 
 
 @dataclass
@@ -142,9 +156,6 @@ class StepDecision:
     uniloc1_position: Point | None
     uniloc2_position: Point | None
     gps_enabled: bool
-    #: Per-scheme ``estimate()`` wall time; populated only when the
-    #: framework runs with a recording tracer (empty on the no-op path).
-    scheme_latency_ms: dict[str, float] = field(default_factory=dict)
     #: Schemes that *failed* this step (exception / timeout / non-finite
     #: output), mapped to the failure kind.  Distinct from plain
     #: unavailability, which is a ``None`` output with no entry here.
@@ -170,19 +181,15 @@ class UniLocFramework:
             disables the energy policy).
         gps_duty_cycling: only power GPS when it is predicted to be the
             most accurate scheme.
-        tracer: span recorder for the step hot path.  The default no-op
-            tracer keeps the instrumentation cost at one attribute
-            lookup per span site; swap in :class:`repro.obs.Tracer` to
-            record per-step wall-time trees and per-scheme latency.
         metrics: optional registry accumulating step counters (scheme
             selections, GPS powering, indoor steps, per-scheme failures
-            and quarantines) and — when a recording tracer is attached —
-            latency histograms.
+            and quarantines) and the stage clock's histograms
+            (``uniloc.step_ms``, ``uniloc.stage.<stage>_ms``).
         telemetry: event sink receiving the degradation lifecycle
             (``fault/contain``, ``quarantine``/``probe``/``release``
             events with scheme and step IDs) for the cross-process
             telemetry stream.  The default no-op sink keeps the clean
-            hot path at one attribute lookup, mirroring ``tracer``.
+            hot path at one attribute lookup.
         scheme_timeout_ms: per-step wall-time budget for one scheme's
             ``estimate()``; outputs that arrive later are discarded and
             counted as a ``timeout`` failure (None disables the budget).
@@ -208,7 +215,6 @@ class UniLocFramework:
     gps_duty_cycling: bool = True
     iodetector: IODetector = field(default_factory=IODetector)
     location_predictor: object | None = None
-    tracer: object = NOOP_TRACER
     metrics: MetricsRegistry | None = None
     telemetry: EventSinkLike = NOOP_EMITTER
     scheme_timeout_ms: float | None = None
@@ -236,8 +242,10 @@ class UniLocFramework:
             name: SchemeHealth() for name in self.bundles
         }
         self._bounds = self.place.boundary.bounding_box()
-        # Lazily-built population of one backing :meth:`step`.
-        self._population = None
+        #: Wall time (ms) of each stage of the last step, keyed by
+        #: :data:`STAGES` and ``scheme.<name>``; replaced every step.
+        self.stage_ms: dict[str, float] = {}
+        prepare_lane(self.place, self.bundles)
 
     @property
     def grid(self) -> Grid:
@@ -264,10 +272,12 @@ class UniLocFramework:
         """Integrate a new localization scheme at runtime.
 
         Raises:
-            ValueError: if the name is already registered.
+            ValueError: if the name is already registered, or the
+                bundle's scheme instance already is under another name.
         """
         if name in self.bundles:
             raise ValueError(f"scheme {name!r} already registered")
+        prepare_lane(self.place, {**self.bundles, name: bundle})
         self.bundles[name] = bundle
         self._health[name] = SchemeHealth()
 
@@ -276,29 +286,24 @@ class UniLocFramework:
     def step(self, snapshot: SensorSnapshot) -> StepDecision:
         """Run one full UniLoc location estimation.
 
-        The step runs as a population of one
-        (:class:`~repro.core.population.PopulationFramework`), the same
-        code path a fleet of walkers takes.
+        This is the one way to step a walker: a population
+        (:meth:`~repro.core.population.PopulationFramework.step_batch`)
+        calls it once per lane.
         """
-        if self._population is None:
-            from repro.core.population import PopulationFramework
-
-            self._population = PopulationFramework([self])
-        return self._population.step_batch([snapshot])[0]
-
-    def _step_lane(self, snapshot: SensorSnapshot) -> StepDecision:
-        """Run one step of this framework as a population lane."""
-        with self.tracer.span("uniloc.step") as step_span:
-            decision = self._step(snapshot)
-        self._record_step_metrics(decision, step_span)
+        self.stage_ms = stage_ms = {}
+        start = monotonic_s()
+        indoor = self.iodetector.is_indoor(snapshot)
+        stage_ms["iodetect"] = (monotonic_s() - start) * 1e3
+        decision = self._step(snapshot, indoor)
+        stage_ms["step"] = (monotonic_s() - start) * 1e3
+        self._record_step_metrics(decision)
         self._step_index += 1
         return decision
 
-    def _step(self, snapshot: SensorSnapshot) -> StepDecision:
-        with self.tracer.span("uniloc.iodetect"):
-            indoor = self.iodetector.is_indoor(snapshot)
-        outputs, predicted_errors, latencies, failures, quarantined = (
-            self._run_schemes(snapshot, indoor)
+    def _step(self, snapshot: SensorSnapshot, indoor: bool) -> StepDecision:
+        stage_ms = self.stage_ms
+        outputs, predicted_errors, failures, quarantined = self._run_schemes(
+            snapshot, indoor
         )
 
         available = {
@@ -307,6 +312,7 @@ class UniLocFramework:
             if outputs.get(name) is not None
         }
         if not available:
+            stage_ms["confidence"] = stage_ms["bma"] = 0.0
             return StepDecision(
                 outputs=outputs,
                 predicted_errors=predicted_errors,
@@ -318,11 +324,11 @@ class UniLocFramework:
                 uniloc1_position=None,
                 uniloc2_position=None,
                 gps_enabled=self._gps_ran(outputs),
-                scheme_latency_ms=latencies,
                 failures=failures,
                 quarantined=quarantined,
             )
 
+        mark = monotonic_s()
         tau = adaptive_threshold(list(available.values()))
         confidences = {
             name: confidence(
@@ -337,10 +343,13 @@ class UniLocFramework:
 
         selected = max(confidences, key=confidences.get)
         uniloc1_position = outputs[selected].position
-        with self.tracer.span("uniloc.bma"):
-            uniloc2_position = self._bma_estimate(outputs, weights, confidences)
-        with self.tracer.span("uniloc.hmm_observe"):
-            self._hmm.observe(uniloc2_position)
+        confidence_end = monotonic_s()
+        uniloc2_position = self._bma_estimate(outputs, weights, confidences)
+        bma_end = monotonic_s()
+        self._hmm.observe(uniloc2_position)
+        stage_ms["confidence"] = (confidence_end - mark) * 1e3
+        stage_ms["bma"] = (bma_end - confidence_end) * 1e3
+        stage_ms["hmm"] += (monotonic_s() - bma_end) * 1e3
         return StepDecision(
             outputs=outputs,
             predicted_errors=predicted_errors,
@@ -352,7 +361,6 @@ class UniLocFramework:
             uniloc1_position=uniloc1_position,
             uniloc2_position=uniloc2_position,
             gps_enabled=self._gps_ran(outputs),
-            scheme_latency_ms=latencies,
             failures=failures,
             quarantined=quarantined,
         )
@@ -372,7 +380,7 @@ class UniLocFramework:
             decayed[name] = value if factor == 1.0 else value * factor
         return decayed
 
-    def _record_step_metrics(self, decision: StepDecision, step_span: object) -> None:
+    def _record_step_metrics(self, decision: StepDecision) -> None:
         if self.metrics is None:
             return
         m = self.metrics
@@ -387,10 +395,9 @@ class UniLocFramework:
             m.counter("uniloc.indoor_steps").inc()
         if decision.failures:
             m.counter("uniloc.steps_with_failures").inc()
-        if self.tracer.enabled:
-            m.histogram("uniloc.step_ms").observe(step_span.duration_ms)
-            for name, latency in decision.scheme_latency_ms.items():
-                m.histogram(f"scheme.{name}.estimate_ms").observe(latency)
+        for stage, ms in self.stage_ms.items():
+            name = "uniloc.step_ms" if stage == "step" else f"uniloc.stage.{stage}_ms"
+            m.histogram(name).observe(ms)
 
     # ------------------------------------------------------------------
 
@@ -399,50 +406,44 @@ class UniLocFramework:
     ) -> tuple[
         dict[str, SchemeOutput | None],
         dict[str, float],
-        dict[str, float],
         dict[str, str],
         tuple[str, ...],
     ]:
         """Run all schemes and predict every scheme's error exactly once.
 
-        Returns ``(outputs, predicted_errors, latencies_ms, failures,
-        quarantined)``.  The GPS energy policy (§IV-C) reuses the shared
-        error predictions instead of recomputing them, so error
-        prediction runs once per step.
+        Returns ``(outputs, predicted_errors, failures, quarantined)``.
+        The GPS energy policy (§IV-C) reuses the shared error predictions
+        instead of recomputing them, so error prediction runs once per
+        step.
         """
         outputs: dict[str, SchemeOutput | None] = {}
-        latencies: dict[str, float] = {}
         failures: dict[str, str] = {}
         skipped: list[str] = []
         for name, bundle in self.bundles.items():
             if name == self.gps_scheme and self.gps_duty_cycling:
                 continue  # decided after the other schemes' errors are known
             outputs[name] = self._run_scheme(
-                name, bundle.scheme, snapshot, latencies, failures, skipped
+                name, bundle.scheme, snapshot, failures, skipped
             )
+        mark = monotonic_s()
         predicted_location = self._predicted_location(outputs)
-        with self.tracer.span("uniloc.predict_errors"):
-            predicted_errors = self._predict_errors(
-                snapshot, outputs, predicted_location, indoor
-            )
+        predicted = monotonic_s()
+        predicted_errors = self._predict_errors(
+            snapshot, outputs, predicted_location, indoor
+        )
+        self.stage_ms["hmm"] = (predicted - mark) * 1e3
+        self.stage_ms["error_prediction"] = (monotonic_s() - predicted) * 1e3
         if self.gps_scheme in self.bundles and self.gps_duty_cycling:
             outputs[self.gps_scheme] = self._gps_policy_output(
-                snapshot,
-                outputs,
-                predicted_errors,
-                indoor,
-                latencies,
-                failures,
-                skipped,
+                snapshot, outputs, predicted_errors, indoor, failures, skipped
             )
-        return outputs, predicted_errors, latencies, failures, tuple(skipped)
+        return outputs, predicted_errors, failures, tuple(skipped)
 
     def _run_scheme(
         self,
         name: str,
         scheme: Scheme,
         snapshot: SensorSnapshot,
-        latencies: dict[str, float],
         failures: dict[str, str],
         skipped: list[str],
     ) -> SchemeOutput | None:
@@ -463,7 +464,7 @@ class UniLocFramework:
             self.telemetry.emit(
                 "quarantine", "probe", scheme=name, step=self._step_index
             )
-        output, failure = self._guarded_estimate(name, scheme, snapshot, latencies)
+        output, failure = self._guarded_estimate(name, scheme, snapshot)
         if failure is not None:
             failures[name] = failure
             self._note_failure(name, health, failure)
@@ -477,42 +478,27 @@ class UniLocFramework:
         return output
 
     def _guarded_estimate(
-        self,
-        name: str,
-        scheme: Scheme,
-        snapshot: SensorSnapshot,
-        latencies: dict[str, float],
+        self, name: str, scheme: Scheme, snapshot: SensorSnapshot
     ) -> tuple[SchemeOutput | None, str | None]:
         """Run one scheme defensively; returns ``(output, failure_kind)``.
 
         Catches any exception (schemes are black boxes — §III-A says the
         framework must not trust them), enforces the optional per-step
-        timeout budget, and rejects non-finite and implausible outputs.
-        Latency is recorded when tracing is on.  Every scheme of every
-        population lane runs through here, so a raising scheme is charged
-        to its own lane and never escapes a population step.
+        timeout budget against the stage clock's ``scheme.<name>``
+        reading, and rejects non-finite and implausible outputs.  Every
+        scheme of every population lane runs through here, so a raising
+        scheme is charged to its own lane and never escapes a population
+        step.
         """
+        start = monotonic_s()
+        try:
+            output = scheme.estimate(snapshot)
+        except Exception:  # noqa: BLE001 — black-box scheme
+            self.stage_ms[f"scheme.{name}"] = (monotonic_s() - start) * 1e3
+            return None, "exception"
+        elapsed_ms = (monotonic_s() - start) * 1e3
+        self.stage_ms[f"scheme.{name}"] = elapsed_ms
         budget = self.scheme_timeout_ms
-        if self.tracer.enabled:
-            with self.tracer.span("scheme.estimate", scheme=name) as span:
-                try:
-                    output = scheme.estimate(snapshot)
-                except Exception as exc:  # noqa: BLE001 — black-box scheme
-                    span.annotate(failed="exception", error=type(exc).__name__)
-                    latencies[name] = span.duration_ms
-                    return None, "exception"
-            latencies[name] = span.duration_ms
-            elapsed_ms = span.duration_ms
-            span.annotate(available=output is not None)
-        else:
-            start = monotonic_s() if budget is not None else 0.0
-            try:
-                output = scheme.estimate(snapshot)
-            except Exception:  # noqa: BLE001 — black-box scheme
-                return None, "exception"
-            elapsed_ms = (
-                (monotonic_s() - start) * 1e3 if budget is not None else 0.0
-            )
         if budget is not None and elapsed_ms > budget:
             return None, "timeout"
         if output is not None and not output.is_finite():
@@ -569,7 +555,6 @@ class UniLocFramework:
         outputs: dict[str, SchemeOutput | None],
         predicted_errors: dict[str, float],
         indoor: bool,
-        latencies: dict[str, float],
         failures: dict[str, str],
         skipped: list[str],
     ) -> SchemeOutput | None:
@@ -598,7 +583,6 @@ class UniLocFramework:
             self.gps_scheme,
             self.bundles[self.gps_scheme].scheme,
             snapshot,
-            latencies,
             failures,
             skipped,
         )
@@ -696,3 +680,29 @@ def bma_mixture(
         else:
             mixture += posterior
     return mixture
+
+
+def prepare_lane(place: Place, bundles: dict[str, SchemeBundle]) -> None:
+    """Check a walker's schemes are distinct and turn on the shared memos.
+
+    Each scheme advances once per step, so one instance registered under
+    two names would be estimated twice per step.  Corridor widths and
+    fingerprint spatial densities are pure functions queried at
+    grid-snapped points; memoizing them on the shared place/survey
+    dedupes identical queries across walkers and steps while returning
+    the scalar functions' exact floats.
+
+    Raises:
+        ValueError: if two names share one scheme instance.
+    """
+    if len({id(bundle.scheme) for bundle in bundles.values()}) != len(bundles):
+        raise ValueError("a scheme instance is registered under two names")
+    place.enable_feature_memo()
+    for bundle in bundles.values():
+        for attr in ("_index", "_fp_index"):
+            index = getattr(bundle.scheme, attr, None)
+            if isinstance(index, CompiledFingerprintDatabase):
+                index.enable_density_memo()
+        database = getattr(bundle.extractor, "database", None)
+        if isinstance(database, FingerprintDatabase):
+            compile_fingerprints(database).enable_density_memo()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.core import StepDecision, UniLocFramework, select_best
 from repro.core.oracle import OracleSelection
 from repro.motion import Moment, Walk
-from repro.obs.telemetry import EventSinkLike, decision_to_dict
+from repro.obs.telemetry import decision_to_dict
 from repro.sensors import SensorSnapshot
 from repro.world import EnvironmentType, Place
 
@@ -153,17 +153,20 @@ def score_step(place: Place, moment: Moment, decision: StepDecision) -> StepReco
     )
 
 
-def emit_step(telemetry: EventSinkLike, record: StepRecord) -> None:
-    """Stream one scored step as a ``step``/``decision`` telemetry event.
+def emit_step(framework: UniLocFramework, record: StepRecord) -> None:
+    """Stream one scored step to the framework's telemetry sink.
 
-    The event's ``data`` is the decision record that explains the step
-    (:func:`~repro.obs.telemetry.decision_to_dict`) plus its ground
-    truth: ``index``, ``time_s``, ``environment``, ``scheme_errors``,
-    ``uniloc1_error``/``uniloc2_error`` and the ``oracle`` choice.
-    Shared by :func:`run_walk` and
-    :func:`~repro.fleet.executor.run_population`, beside
-    :func:`score_step`; a disabled sink costs one attribute lookup.
+    The ``step``/``decision`` event's ``data`` is the decision record
+    that explains the step (:func:`~repro.obs.telemetry.decision_to_dict`),
+    its ground truth (``index``, ``time_s``, ``environment``,
+    ``scheme_errors``, ``uniloc1_error``/``uniloc2_error`` and the
+    ``oracle`` choice), and the framework's stage clock for that step
+    (``stage_ms``, :attr:`UniLocFramework.stage_ms`).  Shared by
+    :func:`run_walk` and :func:`~repro.fleet.executor.run_population`,
+    beside :func:`score_step`; a disabled sink costs one attribute
+    lookup.
     """
+    telemetry = framework.telemetry
     if not telemetry.enabled:
         return
     oracle = record.oracle
@@ -182,6 +185,7 @@ def emit_step(telemetry: EventSinkLike, record: StepRecord) -> None:
             if oracle is None
             else {"scheme": oracle.scheme, "error": oracle.error}
         ),
+        stage_ms=framework.stage_ms,
     )
 
 
@@ -255,7 +259,7 @@ def run_walk(
     for moment, snapshot in zip(walk.moments, snapshots):
         record = score_step(place, moment, framework.step(snapshot))
         result.records.append(record)
-        emit_step(framework.telemetry, record)
+        emit_step(framework, record)
     return result
 
 

@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.clock import now_s
-from repro.obs.tracing import NOOP_TRACER, TracerLike
 
 if TYPE_CHECKING:
     from repro.core import ErrorModelSet
@@ -150,11 +149,8 @@ class ArtifactCache:
     Args:
         root: directory for the persistent layer; ``None`` keeps the
             cache memory-only (still deduplicates within one process).
-        tracer: optional :class:`repro.obs.Tracer`; the cache emits
-            ``fleet.cache.hit`` / ``fleet.cache.miss`` spans plus one
-            span per expensive rebuild (``fleet.train_error_models``,
-            ``fleet.survey_place``) so a trace proves what was skipped.
-        metrics: optional registry counting hits/misses plus the disk
+        metrics: optional registry counting hits/misses
+            (``fleet.cache.hit`` / ``fleet.cache.miss``) plus the disk
             layer's I/O (``fleet.cache.io.read_bytes`` /
             ``io.write_bytes`` / ``io.reads`` / ``io.writes`` counters
             and ``io.read_ms`` / ``io.write_ms`` latency histograms).
@@ -163,21 +159,17 @@ class ArtifactCache:
     def __init__(
         self,
         root: str | Path | None = None,
-        tracer: TracerLike = NOOP_TRACER,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.root = Path(root) if root is not None else None
-        self.tracer = tracer
         self.metrics = metrics
         self._memo: dict[tuple[str, str], Any] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _record(self, outcome: str, artifact: str, key: str) -> None:
+    def _record(self, outcome: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(f"fleet.cache.{outcome}").inc()
-        with self.tracer.span(f"fleet.cache.{outcome}", artifact=artifact, key=key):
-            pass
 
     def _timed_read(self, path: Path, loader: Callable[[Path], Any]) -> Any:
         """Run one disk load, counting bytes and latency when metered."""
@@ -227,21 +219,18 @@ class ArtifactCache:
         key = self._models_key(seed, n_walks_per_place)
         memo_key = ("error_models", key)
         if memo_key in self._memo:
-            self._record("hit", "error_models", key)
+            self._record("hit")
             return self._memo[memo_key]
         path = self._path_for("error_models", key)
         if path is not None and path.exists():
             models = self._timed_read(path, load_error_models)
             self._memo[memo_key] = models
-            self._record("hit", "error_models", key)
+            self._record("hit")
             return models
-        self._record("miss", "error_models", key)
+        self._record("miss")
         from repro.eval.setup import train_error_models
 
-        with self.tracer.span("fleet.train_error_models", seed=seed):
-            models = train_error_models(
-                seed=seed, n_walks_per_place=n_walks_per_place
-            )
+        models = train_error_models(seed=seed, n_walks_per_place=n_walks_per_place)
         self.put_error_models(models, seed, n_walks_per_place)
         return models
 
@@ -283,19 +272,18 @@ class ArtifactCache:
         key = self._setup_key(place_name, seed)
         memo_key = ("place_setup", key)
         if memo_key in self._memo:
-            self._record("hit", "place_setup", key)
+            self._record("hit")
             return self._memo[memo_key]
         path = self._path_for("place_setup", key)
         if path is not None and path.exists():
             setup = self._load_setup(path, place_name, seed)
             self._memo[memo_key] = setup
-            self._record("hit", "place_setup", key)
+            self._record("hit")
             return setup
-        self._record("miss", "place_setup", key)
+        self._record("miss")
         from repro.eval.setup import PlaceSetup
 
-        with self.tracer.span("fleet.survey_place", place=place_name, seed=seed):
-            setup = PlaceSetup.create(builders[place_name](), seed=seed)
+        setup = PlaceSetup.create(builders[place_name](), seed=seed)
         self.put_place_setup(place_name, setup)
         return setup
 

@@ -72,7 +72,6 @@ from repro.obs.telemetry import (
     WorkerTelemetry,
     current_session,
 )
-from repro.obs.tracing import NOOP_TRACER, TracerLike
 from repro.sensors import NEXUS_5X, DeviceProfile
 
 if TYPE_CHECKING:
@@ -411,7 +410,7 @@ def run_population(
                 lane = lanes[k]
                 record = score_step(lane.place, lane.walk.moments[step], decision)
                 results[k].records.append(record)
-                emit_step(lane.framework.telemetry, record)
+                emit_step(lane.framework, record)
         for lane, result in zip(lanes, results):
             if lane.metrics is None:
                 continue
@@ -518,7 +517,6 @@ def iter_walks(
     workers: int = 1,
     cache: ArtifactCache | None = None,
     metrics: MetricsRegistry | None = None,
-    tracer: TracerLike = NOOP_TRACER,
     telemetry: TelemetrySession | None = None,
 ) -> Iterator[tuple[int, Any]]:
     """Execute jobs and yield ``(job_index, result)`` as walks finish.
@@ -540,7 +538,6 @@ def iter_walks(
         workers: worker processes (capped at ``len(jobs)``).
         cache: artifact cache; defaults to the process-wide cache.
         metrics: registry that absorbs every worker's metric snapshot.
-        tracer: span recorder for the dispatch path.
         telemetry: session to stream job/span/fault/metric events
             through; defaults to the process-wide session installed by
             :func:`~repro.obs.telemetry.telemetry_session` (None = no
@@ -561,18 +558,17 @@ def iter_walks(
                 # Per-job registry even inline, so the stream carries the
                 # same per-name deltas a pool worker would spool.
                 job_metrics = MetricsRegistry()
-            with tracer.span("fleet.walk", index=index, path=job.path_name):
-                previous = cache.metrics
-                if job_metrics is not None:
-                    cache.metrics = job_metrics
-                try:
-                    result = execute_job(job, cache, telemetry=emitter)
-                except BaseException:
-                    if emitter is not None:
-                        emitter.emit("job", "error")
-                    raise
-                finally:
-                    cache.metrics = previous
+            previous = cache.metrics
+            if job_metrics is not None:
+                cache.metrics = job_metrics
+            try:
+                result = execute_job(job, cache, telemetry=emitter)
+            except BaseException:
+                if emitter is not None:
+                    emitter.emit("job", "error")
+                raise
+            finally:
+                cache.metrics = previous
             if job_metrics is not None:
                 job_metrics.counter("fleet.walks").inc()
                 job_metrics.counter("fleet.steps").inc(len(result.records))
@@ -599,17 +595,16 @@ def iter_walks(
                 initializer=_init_worker,
                 initargs=(cache_root,),
             ) as pool:
-                with tracer.span("fleet.dispatch", jobs=len(queue), workers=workers):
-                    pending = {
-                        pool.submit(
-                            _execute_in_worker,
-                            jobs[index],
-                            None
-                            if session is None
-                            else session.worker_spec(index, jobs[index].walk_seed),
-                        ): index
-                        for index in queue
-                    }
+                pending = {
+                    pool.submit(
+                        _execute_in_worker,
+                        jobs[index],
+                        None
+                        if session is None
+                        else session.worker_spec(index, jobs[index].walk_seed),
+                    ): index
+                    for index in queue
+                }
                 broken = False
                 while pending:
                     if not broken:
@@ -681,7 +676,6 @@ def run_walks(
     workers: int = 1,
     cache: ArtifactCache | None = None,
     metrics: MetricsRegistry | None = None,
-    tracer: TracerLike = NOOP_TRACER,
     on_failure: str = "raise",
     telemetry: TelemetrySession | None = None,
 ) -> list[Any]:
@@ -695,7 +689,6 @@ def run_walks(
         workers: worker processes (capped at ``len(jobs)``).
         cache: artifact cache; defaults to the process-wide cache.
         metrics: registry that absorbs every worker's metric snapshot.
-        tracer: span recorder for the dispatch path.
         telemetry: session to stream events through; defaults to the
             process-wide session (see :func:`iter_walks`).
         on_failure: ``"raise"`` (default) raises :class:`FleetError`
@@ -717,7 +710,6 @@ def run_walks(
         workers=workers,
         cache=cache,
         metrics=metrics,
-        tracer=tracer,
         telemetry=telemetry,
     ):
         results[index] = result

@@ -1,13 +1,14 @@
-"""Observability: metrics, tracing, one telemetry event stream, reporting.
+"""Observability: metrics, one telemetry event stream, reporting.
 
 The layer is dependency-free (standard library only) and designed so
 instrumentation can stay permanently wired into the hot paths:
-:data:`NOOP_TRACER` and :data:`NOOP_EMITTER` are the defaults
-everywhere and their disabled calls cost one attribute lookup.  Every
+:data:`NOOP_EMITTER` is the default sink everywhere and its disabled
+calls cost one attribute lookup, and the framework's per-stage timings
+are plain :mod:`repro.obs.clock` reads taken on every step.  Every
 recorded event — metric deltas, spans, faults, job lifecycle, and each
-scored step decision — goes into one ``uniloc_telemetry`` JSONL stream
-(:mod:`repro.obs.telemetry`); :mod:`repro.obs.report` aggregates its
-``step`` events.  See README's "Observability" section for the event
+scored step decision with its stage timings — goes into one
+``uniloc_telemetry`` JSONL stream (:mod:`repro.obs.telemetry`);
+:mod:`repro.obs.report` aggregates its ``step`` events.  See README's "Observability" section for the event
 schema and CLI workflow.
 """
 
@@ -66,12 +67,10 @@ from repro.obs.telemetry import (
     summarize_telemetry,
     telemetry_session,
 )
-from repro.obs.tracing import NOOP_TRACER, NoopTracer, Span, Tracer, TracerLike
 
 __all__ = [
     "EXPORTERS",
     "NOOP_EMITTER",
-    "NOOP_TRACER",
     "TELEMETRY_FORMAT",
     "TELEMETRY_VERSION",
     "Counter",
@@ -85,18 +84,14 @@ __all__ = [
     "JsonlExporter",
     "MetricsRegistry",
     "NoopEmitter",
-    "NoopTracer",
     "PrometheusExporter",
     "SamplingProfiler",
     "SchemeSummary",
-    "Span",
     "TelemetrySession",
     "TelemetrySpool",
     "TelemetryWriter",
     "Timer",
     "TraceSummary",
-    "Tracer",
-    "TracerLike",
     "WorkerTelemetry",
     "apply_metric_event",
     "clock",

@@ -5,9 +5,14 @@ log (:mod:`repro.obs.telemetry`): given the step payloads of one walk
 it computes, per scheme, the availability rate, the UniLoc1 usage
 share, the estimate-latency percentiles, and the mean ground-truth
 error, plus walk-level stats — GPS duty cycle, indoor fraction, mean
-tau, ensemble errors.  ``repro report`` prints :func:`render_report`'s
-table once per job; tests and notebooks consume the
-:class:`TraceSummary` dataclass directly.
+tau, ensemble errors — and the framework's per-stage cost beside the
+paper's Table V (:mod:`repro.energy.response_time`).  ``repro report``
+prints :func:`render_report`'s table once per job; tests and notebooks
+consume the :class:`TraceSummary` dataclass directly.
+
+Latencies come from each step event's ``stage_ms`` map.  Logs written
+before step events carried it still summarize; their latency cells
+read ``-``.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ class TraceSummary:
     tau: Histogram
     uniloc1_errors: Histogram
     uniloc2_errors: Histogram
+    #: Stage name (``iodetect``, ``scheme.<name>``, ..., ``step``) ->
+    #: its per-step wall time in ms, in first-seen order.
+    stages: dict[str, Histogram] = field(default_factory=dict)
 
     @property
     def gps_duty_cycle(self) -> float:
@@ -88,8 +96,12 @@ def summarize_trace(
     gps_powered = 0
     indoor_steps = 0
     no_estimate_steps = 0
+    stages: dict[str, Histogram] = {}
 
     for event in steps:
+        stage_ms = event.get("stage_ms") or {}
+        for stage, ms in stage_ms.items():
+            stages.setdefault(stage, Histogram()).observe(ms)
         decision = event["decision"]
         if decision["gps_enabled"]:
             gps_powered += 1
@@ -111,7 +123,7 @@ def summarize_trace(
                 summary.available += 1
             if decision["selected"] == name:
                 summary.selected += 1
-            latency = decision["scheme_latency_ms"].get(name)
+            latency = stage_ms.get(f"scheme.{name}")
             if latency is not None:
                 summary.latency.observe(latency)
             if truth.get(name) is not None:
@@ -128,6 +140,7 @@ def summarize_trace(
         tau=tau,
         uniloc1_errors=uniloc1_errors,
         uniloc2_errors=uniloc2_errors,
+        stages=stages,
     )
 
 
@@ -194,4 +207,37 @@ def render_report(summary: TraceSummary) -> str:
                 f"p50 {hist.percentile(50):.2f} m   "
                 f"p90 {hist.percentile(90):.2f} m"
             )
+    lines.append("")
+    lines.extend(_render_stages(summary.stages))
     return "\n".join(lines)
+
+
+def _render_stages(stages: dict[str, Histogram]) -> list[str]:
+    """Render each stage's p50 and share of the step beside Table V."""
+    # Imported here: repro.energy pulls in the eval layer, which imports
+    # repro.obs.
+    from repro.energy.response_time import (
+        BMA_MS,
+        ERROR_PREDICTION_MS,
+        SCHEME_COMPUTE_MS,
+    )
+
+    paper = {"error_prediction": ERROR_PREDICTION_MS, "bma": BMA_MS}
+    paper.update((f"scheme.{name}", ms) for name, ms in SCHEME_COMPUTE_MS.items())
+    lines = [
+        f"{'stage':18s} {'p50 ms':>8s} {'share':>7s} {'Table V ms':>11s}"
+    ]
+    step = stages.get("step")
+    if step is None:  # a log written before step events carried stage_ms
+        lines.append(f"{'step':18s} {'-':>8s} {'-':>7s} {'-':>11s}")
+        return lines
+    # Costliest stage first; the whole step closes the block.
+    order = sorted(stages, key=lambda name: (name == "step", -stages[name].total))
+    for name in order:
+        hist = stages[name]
+        share = hist.total / step.total if step.total > 0 else 0.0
+        cited = f"{paper[name]:11.1f}" if name in paper else f"{'-':>11s}"
+        lines.append(
+            f"{name:18s} {hist.percentile(50):8.3f} {share:7.1%} {cited}"
+        )
+    return lines

@@ -181,7 +181,6 @@ def decision_to_dict(decision: Any) -> dict[str, Any]:
         "uniloc1": _xy(decision.uniloc1_position),
         "uniloc2": _xy(decision.uniloc2_position),
         "gps_enabled": decision.gps_enabled,
-        "scheme_latency_ms": _finite_map(decision.scheme_latency_ms),
         "failures": dict(decision.failures),
         "quarantined": list(decision.quarantined),
     }
@@ -190,9 +189,9 @@ def decision_to_dict(decision: Any) -> dict[str, Any]:
 class EventSinkLike(Protocol):
     """Structural type of anything accepted as a ``telemetry=`` sink.
 
-    Mirrors :class:`repro.obs.tracing.TracerLike`: instrumented code
-    guards on ``enabled`` so the disabled hot path costs one attribute
-    lookup, and tests can substitute any object with an ``emit``.
+    Instrumented code guards on ``enabled`` so the disabled hot path
+    costs one attribute lookup, and tests can substitute any object with
+    an ``emit``.
     """
 
     enabled: bool

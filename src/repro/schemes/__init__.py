@@ -1,6 +1,6 @@
 """The individual localization schemes UniLoc aggregates."""
 
-from repro.schemes.base import LocalizationScheme, Scheme, SchemeOutput, TimedScheme
+from repro.schemes.base import LocalizationScheme, Scheme, SchemeOutput
 from repro.schemes.bootstrap import StartEstimate, ZeeBootstrap, bootstrap_start
 from repro.schemes.cell_id import CellIdScheme
 from repro.schemes.fingerprinting import (
@@ -34,6 +34,5 @@ __all__ = [
     "RadarScheme",
     "Scheme",
     "SchemeOutput",
-    "TimedScheme",
     "compensate_steps",
 ]

@@ -19,8 +19,6 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.geometry import Grid, Point
-from repro.obs.clock import monotonic_s
-from repro.obs.metrics import Histogram
 from repro.sensors import SensorSnapshot
 
 
@@ -138,9 +136,9 @@ class Scheme(Protocol):
 
     UniLoc treats schemes as black boxes (§III-A): anything exposing a
     ``name``, an ``estimate`` over sensor snapshots, and a per-walk
-    ``reset`` can be aggregated, timed (:class:`TimedScheme`), or fault-
-    wrapped (:class:`repro.faults.injectors.FaultyScheme`) — no
-    inheritance from :class:`LocalizationScheme` required.
+    ``reset`` can be aggregated or fault-wrapped
+    (:class:`repro.faults.injectors.FaultyScheme`) — no inheritance from
+    :class:`LocalizationScheme` required.
     """
 
     @property
@@ -175,41 +173,3 @@ class LocalizationScheme(abc.ABC):
 
     def reset(self) -> None:
         """Clear any internal state before a new walk (default: none)."""
-
-
-class TimedScheme(LocalizationScheme):
-    """Wrap any scheme, recording ``estimate()`` wall time per call.
-
-    UniLoc treats schemes as black boxes, and this wrapper keeps that
-    contract: it changes nothing about the inner scheme's behavior while
-    feeding every call's latency (and the availability count) into a
-    :class:`~repro.obs.metrics.Histogram` — the per-scheme share of the
-    paper's Table V response-time breakdown.  Unlike the framework's own
-    span timing, the wrapper measures even when tracing is disabled,
-    which makes it the right tool for standalone scheme benchmarking::
-
-        timed = TimedScheme(WifiFingerprinting(db))
-        ...
-        print(timed.latency_ms.summary())
-    """
-
-    def __init__(
-        self, inner: Scheme, histogram: Histogram | None = None
-    ) -> None:
-        self.inner = inner
-        self.name = inner.name
-        #: Latency of every ``estimate()`` call, in milliseconds.
-        self.latency_ms = histogram if histogram is not None else Histogram()
-        #: How many calls returned an output (vs. unavailable).
-        self.n_available = 0
-
-    def estimate(self, snapshot: SensorSnapshot) -> SchemeOutput | None:
-        start = monotonic_s()
-        output = self.inner.estimate(snapshot)
-        self.latency_ms.observe((monotonic_s() - start) * 1e3)
-        if output is not None:
-            self.n_available += 1
-        return output
-
-    def reset(self) -> None:
-        self.inner.reset()

@@ -19,4 +19,4 @@ class ImpureFields:
 def bad_dispatch(jobs):
     from repro.fleet import run_walks
 
-    return run_walks(jobs, tracer=lambda name: None)
+    return run_walks(jobs, callback=lambda name: None)

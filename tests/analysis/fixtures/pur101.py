@@ -4,8 +4,8 @@
 def lambda_through_local(jobs):
     from repro.fleet import run_walks
 
-    tracer = lambda name: None  # noqa: E731 - the smuggled closure
-    return run_walks(jobs, tracer=tracer)
+    callback = lambda name: None  # noqa: E731 - the smuggled closure
+    return run_walks(jobs, callback=callback)
 
 
 def local_function_escape(jobs):

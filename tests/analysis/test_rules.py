@@ -154,7 +154,7 @@ class TestPUR101:
         text = (
             "def go(jobs):\n"
             "    from repro.fleet import run_walks\n"
-            "    return run_walks(jobs, tracer=lambda name: None)\n"
+            "    return run_walks(jobs, callback=lambda name: None)\n"
         )
         engine = LintEngine(cache_path=None)
         findings = engine.lint_text(text, display="src/repro/fixture.py")

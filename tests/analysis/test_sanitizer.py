@@ -55,6 +55,15 @@ class TestNormalization:
         assert "duration_ms" not in out["data"]
         assert out["data"]["place"] == "daily"
 
+    def test_step_stage_timings_are_scrubbed(self):
+        event = {
+            "type": "event",
+            "kind": "step",
+            "name": "decision",
+            "data": {"index": 3, "stage_ms": {"bma": 0.2, "step": 1.4}},
+        }
+        assert normalize_event(event)["data"] == {"index": 3}
+
     def test_timing_metric_values_are_scrubbed_but_present(self):
         event = {
             "type": "event",

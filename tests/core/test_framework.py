@@ -71,6 +71,26 @@ def test_add_scheme_rejects_duplicates(framework):
         framework.add_scheme("wifi", bundle)
 
 
+@pytest.mark.parametrize("steps_first", [0, 1])
+def test_add_scheme_rejects_a_scheme_instance_under_a_new_name(
+    framework, office_system, steps_first
+):
+    """One instance under two names would be estimated twice per step;
+    it is refused whether or not the walker has stepped yet."""
+    for snap in office_system["snaps"][:steps_first]:
+        framework.step(snap)
+    wifi = framework.bundles["wifi"]
+    with pytest.raises(ValueError, match="two names"):
+        framework.add_scheme("wifi-again", SchemeBundle(
+            scheme=wifi.scheme,
+            error_models=wifi.error_models,
+            extractor=wifi.extractor,
+        ))
+    assert "wifi-again" not in framework.bundles
+    decision = framework.step(office_system["snaps"][steps_first])
+    assert "wifi-again" not in decision.outputs
+
+
 def test_add_scheme_integrates_new_scheme(framework, office_system):
     """The paper's 'General' claim: a new scheme joins the ensemble."""
     from repro.core import ErrorModelSet, LinearErrorModel
@@ -134,36 +154,58 @@ def test_bma_fallback_prefers_highest_confidence(framework):
     assert position == high.position
 
 
-def test_tracer_records_step_tree_and_latencies(framework, office_system):
-    from repro.obs import Tracer
-
-    framework.tracer = Tracer()
-    decision = framework.step(office_system["snaps"][1])
-    root = framework.tracer.last_root()
-    assert root.name == "uniloc.step"
-    names = {span.name for span in root.walk()}
-    assert {"uniloc.iodetect", "uniloc.predict_errors", "uniloc.bma"} <= names
-    estimates = [s for s in root.walk() if s.name == "scheme.estimate"]
-    assert {s.attrs["scheme"] for s in estimates} == set(decision.scheme_latency_ms)
-    assert all(ms >= 0.0 for ms in decision.scheme_latency_ms.values())
+def _timed_schemes(stage_ms):
+    """The schemes the stage clock timed: those whose estimate() ran."""
+    return {k.removeprefix("scheme.") for k in stage_ms if k.startswith("scheme.")}
 
 
-def test_noop_tracer_records_nothing(framework, office_system):
-    decision = framework.step(office_system["snaps"][1])
-    assert decision.scheme_latency_ms == {}
-    assert framework.tracer.last_root() is None
+def _check_timed_schemes(decision, timed):
+    """Timed schemes: every one that answered or failed, never a skipped one."""
+    answered = {
+        name
+        for name, out in decision.outputs.items()
+        if out is not None or name in decision.failures
+    }
+    assert answered <= timed <= set(decision.outputs) - set(decision.quarantined)
+
+
+def test_stage_clock_times_every_stage(framework, office_system):
+    """Every step, with nothing switched on, times each stage once."""
+    from repro.core.framework import STAGES
+
+    for snap in office_system["snaps"][:5]:
+        decision = framework.step(snap)
+        stages = framework.stage_ms
+        timed = _timed_schemes(stages)
+        assert set(stages) == set(STAGES) | {f"scheme.{n}" for n in timed}
+        _check_timed_schemes(decision, timed)
+        assert all(ms >= 0.0 for ms in stages.values())
+        parts = sum(ms for name, ms in stages.items() if name != "step")
+        assert parts <= stages["step"]
+
+
+def test_stage_clock_stays_out_of_the_decision(framework, office_system):
+    """Timings never reach the decision (its pickle is a golden)."""
+    first = framework.step(office_system["snaps"][1])
+    first_stages = framework.stage_ms
+    framework.step(office_system["snaps"][2])
+    assert framework.stage_ms is not first_stages  # replaced, not mutated
+    assert not any(name.endswith("_ms") for name in vars(first))
+    assert "stage_ms" not in vars(first)
 
 
 def test_metrics_registry_counts_steps(framework, office_system):
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import MetricsRegistry
 
-    framework.tracer = Tracer()
     framework.metrics = MetricsRegistry()
     for snap in office_system["snaps"][:10]:
         framework.step(snap)
     flat = framework.metrics.as_dict()
     assert flat["uniloc.steps"] == 10
     assert flat["uniloc.step_ms"]["count"] == 10
+    for stage in ("iodetect", "error_prediction", "confidence", "bma", "hmm"):
+        assert flat[f"uniloc.stage.{stage}_ms"]["count"] == 10
+    assert flat["uniloc.stage.scheme.wifi_ms"]["count"] == 10
     selected = sum(
         count for name, count in flat.items() if name.startswith("uniloc.selected.")
     )
@@ -176,7 +218,7 @@ def test_run_walk_emits_aggregatable_trace(framework, office_system, tmp_path):
     WalkResult reports."""
     import pytest as _pytest
 
-    from repro.obs import Tracer, read_telemetry, summarize_steps
+    from repro.obs import read_telemetry, summarize_steps
     from repro.obs.telemetry import TelemetrySession
 
     setup, walk, snaps = (
@@ -184,7 +226,6 @@ def test_run_walk_emits_aggregatable_trace(framework, office_system, tmp_path):
         office_system["walk"],
         office_system["snaps"],
     )
-    framework.tracer = Tracer()
     path = tmp_path / "steps.jsonl"
     with TelemetrySession(path, run_id="run-walk") as session:
         emitter = session.emitter(job_id=session.job_id(0))
@@ -211,31 +252,67 @@ def test_run_walk_emits_aggregatable_trace(framework, office_system, tmp_path):
     wifi_latency = summary.schemes["wifi"].latency
     assert wifi_latency.count > 0
     assert wifi_latency.percentile(99) >= wifi_latency.percentile(50) > 0.0
+    assert summary.stages["step"].count == len(result.records)
 
 
-def test_noop_tracer_overhead_under_5_percent(framework, office_system):
-    """Benchmark-style bound: the disabled instrumentation path (no-op
-    spans) must cost well under 5% of a 200-step walk's wall time."""
-    import time
+def _counting_ramp(tick_s):
+    """A scripted monotonic clock that counts its reads."""
+    state = {"reads": 0}
 
-    from repro.obs import NOOP_TRACER
+    def read():
+        state["reads"] += 1
+        return state["reads"] * tick_s
 
-    snaps = office_system["snaps"][:200]
-    framework.reset()
-    start = time.perf_counter()
-    for snap in snaps:
-        framework.step(snap)
-    walk_s = time.perf_counter() - start
+    return read, state
 
-    # The disabled path opens 5 no-op spans per step (step, iodetect,
-    # predict_errors, bma, hmm_observe); measure their unit cost.
-    iterations = 20_000
-    start = time.perf_counter()
-    for _ in range(iterations):
-        with NOOP_TRACER.span("uniloc.step"):
-            pass
-    per_span_s = (time.perf_counter() - start) / iterations
-    assert 5 * len(snaps) * per_span_s < 0.05 * walk_s
+
+def test_stage_clock_reads_a_fixed_number_of_times(framework, office_system):
+    """The stage clock's whole cost is a fixed count of clock reads: one
+    pair per scheme run, ten more for a step with an estimate (six when
+    no scheme is available), and nothing else on the step."""
+    from repro.core.framework import STAGES
+    from repro.obs import clock
+
+    read, state = _counting_ramp(1e-6)
+    with clock.override(monotonic=read):
+        for snap in office_system["snaps"][:20]:
+            before = state["reads"]
+            decision = framework.step(snap)
+            timed = _timed_schemes(framework.stage_ms)
+            _check_timed_schemes(decision, timed)
+            fixed = 10 if decision.selected is not None else 6
+            assert state["reads"] - before == fixed + 2 * len(timed)
+            assert set(framework.stage_ms) == set(STAGES) | {
+                f"scheme.{name}" for name in timed
+            }
+            # One tick per scheme: the read pair brackets estimate() only.
+            for name in timed:
+                assert framework.stage_ms[f"scheme.{name}"] == pytest.approx(1e-3)
+
+
+def test_ramp_tick_over_the_budget_times_out_every_scheme(office_system):
+    """The timeout budget reads the same stage clock: a tick longer than
+    ``scheme_timeout_ms`` charges every scheme that ran as a timeout."""
+    from repro.obs import MetricsRegistry, clock
+
+    framework = build_framework(
+        office_system["setup"],
+        office_system["models"],
+        office_system["walk"].moments[0].position,
+        scheme_seed=9,
+        gps_duty_cycling=False,
+    )
+    framework.scheme_timeout_ms = 5.0
+    framework.metrics = MetricsRegistry()
+    read, _ = _counting_ramp(0.01)  # 10 ms per read
+    with clock.override(monotonic=read):
+        decision = framework.step(office_system["snaps"][1])
+    assert set(decision.failures) == set(framework.bundles)
+    assert set(decision.failures.values()) == {"timeout"}
+    assert decision.selected is None
+    for name in framework.bundles:
+        assert framework.stage_ms[f"scheme.{name}"] == pytest.approx(10.0)
+        assert framework.metrics.counter(f"uniloc.faults.{name}.timeout").value == 1
 
 
 def test_run_walk_integration(framework, office_system):

@@ -3,10 +3,10 @@
 The api-redesign contract for ``repro.core.population`` is *behavioural
 identity* at the byte level:
 
-* the scalar :class:`~repro.core.UniLocFramework` — now a thin front
-  over a population of size 1 — still produces the exact
-  :class:`WalkResult` pickles pinned before the redesign (the golden
-  hashes in ``tests/data/walk_goldens.json``, regenerated only via
+* a walker stepped on its own (:meth:`~repro.core.UniLocFramework.step`,
+  the one step path every population lane also takes) still produces
+  the exact :class:`WalkResult` pickles pinned in
+  ``tests/data/walk_goldens.json`` (regenerated only via
   ``tools/make_walk_goldens.py``);
 * :func:`~repro.fleet.executor.run_population` (many lanes advanced
   together, one step index at a time) matches ``run_walks``

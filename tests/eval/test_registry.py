@@ -12,7 +12,7 @@ from repro.eval.registry import (
     run_experiment,
 )
 from repro.fleet import ArtifactCache, set_default_cache
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry
 
 
 def test_every_paper_artifact_is_registered():
@@ -92,7 +92,7 @@ def registry_cache(tmp_path):
         experiments._impl_fig8_environment.cache_clear()
         return previous
 
-    first = ArtifactCache(tmp_path, tracer=Tracer())
+    first = ArtifactCache(tmp_path, metrics=MetricsRegistry())
     previous = use(first)
     first.put_error_models(models, 0)
     yield tmp_path, first, use
@@ -101,22 +101,24 @@ def registry_cache(tmp_path):
 
 def test_second_registry_run_hits_cache_and_skips_offline_work(registry_cache):
     """Acceptance: rerunning an experiment with an unchanged config must
-    resolve every offline artifact from the cache — no training spans,
-    no survey spans."""
+    resolve every offline artifact from the cache — no training, no
+    survey: not one cache miss."""
     tmp_path, first, use = registry_cache
 
     run_experiment("fig8c", workers=1)
-    first_names = [root.name for root in first.tracer.roots]
-    assert "fleet.survey_place" in first_names  # cold: surveyed once
-    assert "fleet.train_error_models" not in first_names
+    # Cold: every miss surveyed a place; the put models were never trained.
+    misses = first.metrics.counter("fleet.cache.miss").value
+    assert misses >= 1
+    artifacts = [entry.artifact for entry in first.entries()]
+    assert artifacts.count("error_models") == 1
+    assert artifacts.count("place_setup") == misses
 
     # Fresh process simulation: new cache instance, same directory, with
     # all in-memory memoization dropped.
-    second = ArtifactCache(tmp_path, tracer=Tracer())
+    second = ArtifactCache(tmp_path, metrics=MetricsRegistry())
     use(second)
     result = run_experiment("fig8c", workers=1)
-    second_names = [root.name for root in second.tracer.roots]
-    assert "fleet.train_error_models" not in second_names
-    assert "fleet.survey_place" not in second_names
-    assert "fleet.cache.hit" in second_names
+    assert second.metrics.counter("fleet.cache.miss").value == 0
+    assert second.metrics.counter("fleet.cache.hit").value > 0
+    assert [entry.artifact for entry in second.entries()] == artifacts
     assert result.errors("uniloc2")

@@ -149,5 +149,6 @@ def test_empty_result_is_fully_inert():
 
 
 def test_decision_default_has_no_latencies():
+    """Stage timings live on the framework, never in a decision."""
     record = make_record()
-    assert record.decision.scheme_latency_ms == {}
+    assert not any(name.endswith("_ms") for name in vars(record.decision))

@@ -11,11 +11,15 @@ from repro.fleet import (
     place_names,
     set_default_cache,
 )
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry
 
 
-def _span_names(tracer):
-    return [root.name for root in tracer.roots]
+def _lookups(metrics):
+    """``(hits, misses)`` the cache counted; a miss is a rebuild."""
+    return (
+        metrics.counter("fleet.cache.hit").value,
+        metrics.counter("fleet.cache.miss").value,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +56,12 @@ def test_unknown_place_raises():
 
 
 def test_memory_cache_hits_on_second_access():
-    tracer = Tracer()
-    cache = ArtifactCache(tracer=tracer)
+    metrics = MetricsRegistry()
+    cache = ArtifactCache(metrics=metrics)
     first = cache.place_setup("office", 3)
     second = cache.place_setup("office", 3)
     assert first is second
-    names = _span_names(tracer)
-    assert names.count("fleet.survey_place") == 1
-    assert names[-1] == "fleet.cache.hit"
+    assert _lookups(metrics) == (1, 1)  # surveyed once, then a hit
 
 
 def test_persistent_cache_survives_a_fresh_instance(tmp_path):
@@ -67,11 +69,11 @@ def test_persistent_cache_survives_a_fresh_instance(tmp_path):
     built = writer.place_setup("office", 3)
     assert [e.artifact for e in writer.entries()] == ["place_setup"]
 
-    tracer = Tracer()
-    reader = ArtifactCache(tmp_path, tracer=tracer)
+    metrics = MetricsRegistry()
+    reader = ArtifactCache(tmp_path, metrics=metrics)
     loaded = reader.place_setup("office", 3)
-    assert "fleet.survey_place" not in _span_names(tracer)
-    assert "fleet.cache.hit" in _span_names(tracer)
+    assert _lookups(metrics) == (1, 0)  # read back, never surveyed
+    assert metrics.counter("fleet.cache.io.reads").value == 1
     # A hit rebuilds the identical setup: same survey, same radio draws.
     assert len(loaded.wifi_db) == len(built.wifi_db)
     walk_a, snaps_a = built.record_walk("survey", walk_seed=5, trace_seed=6)
@@ -81,12 +83,12 @@ def test_persistent_cache_survives_a_fresh_instance(tmp_path):
 
 
 def test_put_error_models_makes_training_a_hit(tmp_path, models):
-    tracer = Tracer()
-    cache = ArtifactCache(tmp_path, tracer=tracer)
+    metrics = MetricsRegistry()
+    cache = ArtifactCache(tmp_path, metrics=metrics)
     cache.put_error_models(models, 0)
     got = cache.error_models(0)
     assert got is models
-    assert "fleet.train_error_models" not in _span_names(tracer)
+    assert _lookups(metrics) == (1, 0)  # never trained
 
     reloaded = ArtifactCache(tmp_path).error_models(0)
     assert set(reloaded) == set(models)

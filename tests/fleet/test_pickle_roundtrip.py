@@ -60,7 +60,6 @@ def _decision() -> StepDecision:
         uniloc1_position=Point(1.0, 2.0),
         uniloc2_position=Point(1.1, 2.1),
         gps_enabled=False,
-        scheme_latency_ms={"wifi": 0.3},
     )
 
 

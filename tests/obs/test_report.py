@@ -12,7 +12,7 @@ def step_event(
     *,
     selected,
     outputs,
-    latencies=None,
+    stage_ms=None,
     errors=None,
     gps_enabled=False,
     indoor=False,
@@ -42,12 +42,12 @@ def step_event(
                 "uniloc1": None,
                 "uniloc2": None,
                 "gps_enabled": gps_enabled,
-                "scheme_latency_ms": latencies or {},
             },
             "scheme_errors": errors or {},
             "uniloc1_error": uniloc1_error,
             "uniloc2_error": uniloc2_error,
             "oracle": None,
+            "stage_ms": stage_ms or {},
         },
     )
 
@@ -61,7 +61,14 @@ def events():
             step_event(
                 selected="wifi",
                 outputs={"wifi": True, "gps": True},
-                latencies={"wifi": 1.0 + i, "gps": 10.0},
+                stage_ms={
+                    "iodetect": 0.1,
+                    "scheme.wifi": 1.0 + i,
+                    "scheme.gps": 10.0,
+                    "error_prediction": 2.0,
+                    "bma": 0.5,
+                    "step": 20.0,
+                },
                 errors={"wifi": 2.0, "gps": 8.0},
                 gps_enabled=i < 2,
                 indoor=True,
@@ -139,3 +146,60 @@ def test_empty_trace_renders():
     assert summary.estimate_rate == 0.0
     text = render_report(summary)
     assert "0 steps" in text
+
+
+def test_stage_block_sits_beside_table_v(events):
+    """Each stage's p50 and share of the step, next to the paper's figure."""
+    from repro.energy.response_time import BMA_MS, ERROR_PREDICTION_MS, SCHEME_COMPUTE_MS
+
+    [summary] = summarize_steps(events)
+    assert summary.stages["step"].count == 8
+    rows = {
+        line.split()[0]: line.split()[1:]
+        for line in render_report(summary).splitlines()
+        if line.split() and line.split()[0] in summary.stages
+    }
+    assert rows["error_prediction"] == ["2.000", "10.0%", f"{ERROR_PREDICTION_MS:.1f}"]
+    assert rows["bma"] == ["0.500", "2.5%", f"{BMA_MS:.1f}"]
+    assert rows["scheme.gps"] == ["10.000", "50.0%", f"{SCHEME_COMPUTE_MS['gps']:.1f}"]
+    assert rows["iodetect"] == ["0.100", "0.5%", "-"]
+    assert rows["step"] == ["20.000", "100.0%", "-"]
+
+
+def test_old_step_events_without_stage_ms_report_dashes():
+    """A log written before step events carried ``stage_ms`` (the latency
+    was ``decision.scheme_latency_ms`` then) still reports, with ``-``."""
+    old = make_event(
+        "step",
+        "decision",
+        JOB,
+        data={
+            "index": 0,
+            "decision": {
+                "outputs": {"wifi": {"x": 0.0, "y": 0.0, "spread": 1.0}},
+                "predicted_errors": {"wifi": 2.0},
+                "confidences": {"wifi": 1.0},
+                "weights": {"wifi": 1.0},
+                "tau": 2.0,
+                "indoor": True,
+                "selected": "wifi",
+                "uniloc1": {"x": 0.0, "y": 0.0},
+                "uniloc2": {"x": 0.0, "y": 0.0},
+                "gps_enabled": False,
+                "scheme_latency_ms": {},
+                "failures": {},
+                "quarantined": [],
+            },
+            "scheme_errors": {"wifi": 1.5},
+            "uniloc1_error": 1.5,
+            "uniloc2_error": 1.5,
+            "oracle": {"scheme": "wifi", "error": 1.5},
+        },
+    )
+    [summary] = summarize_steps([old])
+    assert summary.schemes["wifi"].latency.count == 0
+    assert summary.stages == {}
+    lines = render_report(summary).splitlines()
+    [wifi] = [line for line in lines if line.startswith("wifi")]
+    assert wifi.split()[3:6] == ["-", "-", "-"]
+    assert lines[-1].split() == ["step", "-", "-", "-"]

@@ -82,11 +82,9 @@ def test_decision_to_dict_encodes_nan_as_null():
         uniloc1_position=Point(3.0, 4.0),
         uniloc2_position=None,
         gps_enabled=False,
-        scheme_latency_ms={"wifi": float("inf")},
     )
     encoded = decision_to_dict(decision)
     assert encoded["tau"] is None
-    assert encoded["scheme_latency_ms"] == {"wifi": None}
     assert encoded["outputs"] == {"wifi": {"x": 3.0, "y": 4.0, "spread": 2.5}, "gps": None}
     assert encoded["uniloc1"] == {"x": 3.0, "y": 4.0}
     assert encoded["uniloc2"] is None

@@ -69,7 +69,6 @@ def _write_synthetic_steps(path):
         uniloc1_position=Point(1.0, 2.0),
         uniloc2_position=Point(1.0, 2.0),
         gps_enabled=False,
-        scheme_latency_ms={"wifi": 0.3},
     )
     with TelemetrySession(path, run_id="run-cli") as session:
         emitter = session.emitter(job_id=session.job_id(0))
@@ -84,6 +83,7 @@ def _write_synthetic_steps(path):
                 uniloc1_error=None,
                 uniloc2_error=1.0,
                 oracle=None,
+                stage_ms={"iodetect": 0.01, "scheme.wifi": 0.3, "bma": 0.2, "step": 1.0},
             )
 
 
@@ -97,6 +97,7 @@ def test_report_summarizes_trace(tmp_path, capsys):
     assert "wifi" in out
     assert "p50" in out
     assert "GPS duty cycle" in out
+    assert "Table V ms" in out
 
 
 def test_report_rejects_non_trace(tmp_path, capsys):
@@ -138,14 +139,17 @@ def test_trace_command_emits_reportable_stream(tmp_path, capsys):
     assert {e["job_id"] for e in events} == {"job-0000"}
     steps = [e["data"] for e in events if e["kind"] == "step"]
     assert len(steps) > 50
-    assert steps[0]["decision"]["scheme_latency_ms"]
+    assert {"iodetect", "scheme.wifi", "error_prediction", "bma", "step"} <= set(
+        steps[0]["stage_ms"]
+    )
     metrics = {e["name"] for e in events if e["kind"] == "metric"}
-    assert "uniloc.step_ms" in metrics
+    assert {"uniloc.step_ms", "uniloc.stage.bma_ms"} <= metrics
     assert main(["report", str(log)]) == 0
     report = capsys.readouterr().out
     assert "office/survey" in report
     assert "wifi" in report
     assert "GPS duty cycle" in report
+    assert "error_prediction" in report and "Table V ms" in report
 
 
 def test_train_saves_models(tmp_path, capsys):

@@ -1,17 +1,18 @@
 """Pin seeded WalkResult pickles as SHA-256 golden hashes.
 
-The population core (``repro.core.population``) promises that the scalar
-``UniLocFramework`` keeps producing **byte-identical** ``WalkResult``
-pickles after it became a thin front over a population of size 1.  That
-promise is only checkable against a fixed point: this tool runs the
-golden job matrix (office + open-space, with and without a fault plan)
-and records each result's pickle hash in ``tests/data/walk_goldens.json``.
+A refactor of the step path promises **byte-identical** ``WalkResult``
+pickles; that promise is only checkable against a fixed point.  This
+tool runs the golden job matrix (office + open-space, with and without
+a fault plan) and records each result's pickle hash in
+``tests/data/walk_goldens.json``.
 
 ``tests/eval/test_population_equivalence.py`` replays the same jobs and
-compares hashes — any drift in the scalar pipeline (scheme math, RNG
+compares hashes — any drift in the step pipeline (scheme math, RNG
 draw order, framework control flow, result schema) fails the suite.
 
-Regenerate only when a change is *supposed* to alter walk results:
+Regenerate only when a change is *supposed* to alter walk results, and
+without ``REPRO_CACHE_DIR`` set (the test replays against in-memory
+artifacts; with a disk cache the hashes come out different):
 
     PYTHONPATH=src python tools/make_walk_goldens.py
 """
