@@ -132,49 +132,42 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prepare_run(args: argparse.Namespace, metrics=None):
-    """Setup for ``run PLACE PATH``.
+class UnknownTargetError(LookupError):
+    """``run PLACE PATH`` named a place or path that does not exist."""
 
-    Returns ``(setup, framework, walk, snaps)`` or an exit code on a
-    bad place/path.  When ``metrics`` is given it is attached to the
-    cache for the duration of the setup, so artifact I/O during model
-    loading and surveying is metered into it.
+
+def _prepare_run(args: argparse.Namespace, frame):
+    """Setup for ``run PLACE PATH`` inside its job ``frame``.
+
+    Returns ``(setup, framework, walk, snaps)``; artifact I/O during
+    model loading and surveying is metered into the frame's registry.
+
+    Raises:
+        UnknownTargetError: on a bad place or path.
     """
     from repro.eval import build_framework
 
-    cache = _cache(args)
-    previous_metrics = cache.metrics
-    if metrics is not None:
-        cache.metrics = metrics
-    try:
-        if args.place not in _builders():
-            print(
-                f"unknown place {args.place!r}; see `repro places`",
-                file=sys.stderr,
-            )
-            return 2
+    if args.place not in _builders():
+        raise UnknownTargetError(f"unknown place {args.place!r}; see `repro places`")
+    with frame.loading():
         if args.models:
             from repro.persistence import load_error_models
 
             models = load_error_models(args.models)
         else:
-            models = cache.error_models(args.seed)
-        setup = cache.place_setup(args.place, args.seed + 3)
-        if args.path not in setup.place.paths:
-            print(
-                f"unknown path {args.path!r}; this place has: "
-                + ", ".join(setup.place.paths),
-                file=sys.stderr,
-            )
-            return 2
-        walk, snaps = setup.record_walk(
-            args.path, walk_seed=args.seed, trace_seed=args.seed + 1
+            models = frame.cache.error_models(args.seed)
+        setup = frame.cache.place_setup(args.place, args.seed + 3)
+    if args.path not in setup.place.paths:
+        raise UnknownTargetError(
+            f"unknown path {args.path!r}; this place has: "
+            + ", ".join(setup.place.paths)
         )
-        framework = build_framework(setup, models, walk.moments[0].position)
-        return setup, framework, walk, snaps
-    finally:
-        if metrics is not None:
-            cache.metrics = previous_metrics
+    walk, snaps = setup.record_walk(
+        args.path, walk_seed=args.seed, trace_seed=args.seed + 1
+    )
+    framework = build_framework(setup, models, walk.moments[0].position)
+    framework.metrics = frame.metrics
+    return setup, framework, walk, snaps
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
@@ -226,34 +219,29 @@ def _list_experiments() -> int:
 def _walk_path(args: argparse.Namespace, session=None):
     """Walk ``run PLACE PATH``'s path; returns a ``WalkResult`` or an exit code.
 
-    With a telemetry ``session`` the walk is framed as its one job, like
-    a serial engine job: the step events, each carrying the step's
+    The walk is framed as one job, like a serial engine job.  With a
+    telemetry ``session`` its step events, each carrying the step's
     ``stage_ms`` timings, land between ``job/started`` and
     ``job/finished`` plus the job's metric deltas (artifact I/O and the
-    stage histograms included).
+    stage histograms included); a bad place or path closes the job
+    with ``job/error``.
     """
     from repro.eval import run_walk
-    from repro.fleet.executor import emit_job_finished, emit_job_started
-    from repro.obs import MetricsRegistry
+    from repro.fleet.executor import _JobFrame
 
-    if session is None:
-        prepared = _prepare_run(args)
-        if isinstance(prepared, int):
-            return prepared
-        setup, framework, walk, snaps = prepared
-        return run_walk(framework, setup.place, args.path, walk, snaps)
-    metrics = MetricsRegistry()
-    emitter = session.emitter(job_id=session.job_id(0), walk_seed=args.seed)
-    start_s = emit_job_started(emitter, args.place, args.path)
-    prepared = _prepare_run(args, metrics=metrics)
-    if isinstance(prepared, int):
-        return prepared
-    setup, framework, walk, snaps = prepared
-    framework.metrics = metrics
-    result = run_walk(
-        framework, setup.place, args.path, walk, snaps, telemetry=emitter
-    )
-    emit_job_finished(emitter, start_s, len(result.records), metrics)
+    emitter = None
+    if session is not None:
+        emitter = session.emitter(job_id=session.job_id(0), walk_seed=args.seed)
+    try:
+        with _JobFrame(args.place, args.path, _cache(args), emitter) as frame:
+            setup, framework, walk, snaps = _prepare_run(args, frame)
+            result = run_walk(
+                framework, setup.place, args.path, walk, snaps, telemetry=emitter
+            )
+            frame.steps = len(result.records)
+    except UnknownTargetError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     return result
 
 

@@ -25,18 +25,16 @@ the offline artifacts (place setups, error models) from the
 :class:`~repro.fleet.cache.ArtifactCache` — with a persistent cache
 directory a worker never trains or surveys anything.
 
-Observability survives the process fan-out two ways.  Without a
-telemetry session, per-worker :mod:`repro.obs` metrics are snapshotted
-in the worker, shipped back with each result, and folded into the
-single registry the caller passed (the historical path).  With a
-:class:`~repro.obs.telemetry.TelemetrySession` active — passed
-explicitly or installed process-wide via
-:func:`~repro.obs.telemetry.telemetry_session` — workers instead
-*stream* job lifecycle, span, fault/quarantine, and metric-delta events
-to per-worker spool files which the parent tails and merges into one
-run log **live**, folding the metric deltas into the caller's registry
-through the same ``merge_snapshot`` semantics, so both paths produce
-byte-identical registries.
+Every engine frames each job the same way (:class:`_JobFrame`): the
+job meters into its own fresh registry, which is folded into the
+caller's registry when the job closes.  A pool worker ships that
+registry back as a snapshot with its result, and the parent folds only
+that.  With a :class:`~repro.obs.telemetry.TelemetrySession` active —
+passed explicitly or installed process-wide via
+:func:`~repro.obs.telemetry.telemetry_session` — the frame also streams
+the job's lifecycle, span and metric-delta events (workers through
+per-worker spool files the parent tails and merges into one run log
+live), so the log and the caller's registry tell the same story.
 
 Worker death is survivable: when a worker process dies hard (OOM kill,
 segfault, an injected :class:`~repro.faults.plan.FaultPlan` kill), the
@@ -55,6 +53,7 @@ import os
 import traceback as _traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
@@ -253,37 +252,101 @@ def _prepare_job(job: WalkJob, cache: ArtifactCache) -> tuple[Any, Any, Any, lis
         gps_duty_cycling=job.gps_duty_cycling,
         grid_cell_m=job.grid_cell_m,
     )
-    # Degradation/fault telemetry flows into whatever registry the
-    # caller (or the per-worker snapshot machinery) attached to the cache.
+    # Degradation/fault telemetry flows into the registry the job's frame
+    # attached to the cache while it loads.
     framework.metrics = cache.metrics
     return framework, setup, walk, snaps
 
 
-def emit_job_started(emitter: EventEmitter, place: str, path: str) -> float:
-    """Open one walk's event frame; returns the start time to close it with.
+class _JobFrame:
+    """One walk job's frame: how every engine opens, meters and closes a job.
 
-    Every engine that streams a walk — the serial and pool paths of
-    :func:`iter_walks`, each lane of :func:`run_population`, and
-    ``repro run PLACE PATH --telemetry`` — frames it with this and
-    :func:`emit_job_finished`.
+    Used by the inline and pool paths of :func:`iter_walks`, each lane of
+    :func:`run_population`, and ``repro run PLACE PATH``.  Entering emits
+    ``job/started`` (when streaming to ``emitter``) and gives the job a
+    fresh :attr:`metrics` registry; :meth:`loading` meters the cache into
+    it while the job's artifacts load.  A clean exit counts
+    ``fleet.walks`` and ``fleet.steps`` (the caller sets :attr:`steps`),
+    emits the ``fleet.walk`` span, ``job/finished`` and the registry as
+    metric deltas, then folds the registry into ``into``.  An exception
+    emits ``job/error`` with ``error="<Type>: <msg>"`` and propagates
+    unchanged.
     """
-    emitter.emit("job", "started", place=place, path=path)
-    return monotonic_s()
+
+    def __init__(
+        self,
+        place: str,
+        path: str,
+        cache: ArtifactCache,
+        emitter: EventEmitter | None = None,
+        into: MetricsRegistry | None = None,
+    ) -> None:
+        self.place = place
+        self.path = path
+        self.cache = cache
+        self.emitter = emitter
+        self.into = into
+        self.metrics = MetricsRegistry()
+        self.steps = 0
+        self._start_s = 0.0
+
+    def __enter__(self) -> _JobFrame:
+        if self.emitter is not None:
+            self.emitter.emit("job", "started", place=self.place, path=self.path)
+        self._start_s = monotonic_s()
+        return self
+
+    @contextmanager
+    def loading(self) -> Iterator[None]:
+        """Meter the cache into this job's registry for the block."""
+        previous = self.cache.metrics
+        self.cache.metrics = self.metrics
+        try:
+            yield
+        finally:
+            self.cache.metrics = previous
+
+    def walk(self, job: WalkJob) -> Any:
+        """Run ``job`` with :func:`execute_job` and record its steps."""
+        with self.loading():
+            result = execute_job(job, self.cache, telemetry=self.emitter)
+        self.steps = len(result.records)
+        return result
+
+    def __exit__(self, exc_type: Any, exc: BaseException | None, tb: Any) -> None:
+        if exc is not None:
+            if self.emitter is not None:
+                self.emitter.emit(
+                    "job", "error", error=f"{type(exc).__name__}: {exc}"
+                )
+            return
+        self.metrics.counter("fleet.walks").inc()
+        self.metrics.counter("fleet.steps").inc(self.steps)
+        if self.emitter is not None:
+            self.emitter.emit(
+                "span", "fleet.walk",
+                duration_ms=(monotonic_s() - self._start_s) * 1e3,
+            )
+            self.emitter.emit("job", "finished", steps=self.steps)
+            self.emitter.emit_snapshot(self.metrics.snapshot())
+        if self.into is not None:
+            self.into.merge_snapshot(self.metrics.snapshot())
 
 
-def emit_job_finished(
-    emitter: EventEmitter, start_s: float, steps: int, metrics: MetricsRegistry
-) -> None:
-    """Close a walk's event frame opened by :func:`emit_job_started`.
-
-    Emits the ``fleet.walk`` span, ``job/finished``, and the job's
-    registry as per-name metric deltas.
-    """
-    emitter.emit(
-        "span", "fleet.walk", duration_ms=(monotonic_s() - start_s) * 1e3
-    )
-    emitter.emit("job", "finished", steps=steps)
-    emitter.emit_snapshot(metrics.snapshot())
+def _local_frame(
+    session: TelemetrySession | None,
+    index: int,
+    job: WalkJob,
+    cache: ArtifactCache,
+    into: MetricsRegistry | None,
+) -> _JobFrame:
+    """Frame an in-process job, streaming to the session's run log if any."""
+    emitter = None
+    if session is not None:
+        emitter = session.emitter(
+            job_id=session.job_id(index), walk_seed=job.walk_seed
+        )
+    return _JobFrame(job.place_name, job.path_name, cache, emitter, into)
 
 
 def execute_job(
@@ -318,13 +381,11 @@ class _Lane:
     """One job's state while its walk runs as a population lane."""
 
     job: WalkJob
+    frame: _JobFrame
     framework: Any
     place: Any
     walk: Any
     snaps: tuple[Any, ...]
-    metrics: MetricsRegistry | None
-    emitter: EventEmitter | None = None
-    start_s: float = 0.0
 
 
 def run_population(
@@ -345,11 +406,13 @@ def run_population(
     serial step and the scoring helper is shared), so this is a pure
     throughput choice for single-machine fleets.
 
-    ``telemetry`` follows :func:`run_walks`' contract: a session
-    (default: the process-wide one) gives each lane its own emitter and
-    registry, so every job streams the same job/step/fault/metric
-    events the serial engine emits for it; lanes' events interleave in
-    the log, one step index at a time.
+    ``metrics`` and ``telemetry`` follow :func:`iter_walks`' contract:
+    each lane is framed like a serial job, so every job streams the same
+    job/step/fault/metric events the serial engine emits for it (lanes'
+    events interleave in the log, one step index at a time) and the
+    caller's registry ends up with the same counts.  All lanes' frames
+    stay open until the population finishes; an exception closes every
+    open frame with ``job/error``.
 
     Unsupported here: worker-crash containment (everything runs in this
     process, so job exceptions propagate raw, like ``workers=1``).
@@ -362,38 +425,19 @@ def run_population(
 
     cache = cache if cache is not None else default_cache()
     session = telemetry if telemetry is not None else current_session()
-    previous = cache.metrics
     lanes: list[_Lane] = []
-    try:
+    with ExitStack() as frames:
         for index, job in enumerate(jobs):
-            # Like the serial engine: a per-job registry under a session,
-            # so each job's metric deltas stream on their own.
-            lane_metrics = metrics if session is None else MetricsRegistry()
-            emitter: EventEmitter | None = None
-            start_s = 0.0
-            if session is not None:
-                emitter = session.emitter(
-                    job_id=session.job_id(index), walk_seed=job.walk_seed
-                )
-                start_s = emit_job_started(emitter, job.place_name, job.path_name)
-            if lane_metrics is not None:
-                cache.metrics = lane_metrics
-            framework, setup, walk, snaps = _prepare_job(job, cache)
-            cache.metrics = previous
+            frame = _local_frame(session, index, job, cache, metrics)
+            frames.enter_context(frame)
+            with frame.loading():
+                framework, setup, walk, snaps = _prepare_job(job, cache)
             snaps = prepare_walk(
-                framework, walk, snaps, telemetry=emitter, fault_plan=job.fault_plan
+                framework, walk, snaps,
+                telemetry=frame.emitter, fault_plan=job.fault_plan,
             )
             lanes.append(
-                _Lane(
-                    job=job,
-                    framework=framework,
-                    place=setup.place,
-                    walk=walk,
-                    snaps=tuple(snaps),
-                    metrics=lane_metrics,
-                    emitter=emitter,
-                    start_s=start_s,
-                )
+                _Lane(job, frame, framework, setup.place, walk, tuple(snaps))
             )
         population = PopulationFramework([lane.framework for lane in lanes])
         results = [
@@ -412,18 +456,7 @@ def run_population(
                 results[k].records.append(record)
                 emit_step(lane.framework, record)
         for lane, result in zip(lanes, results):
-            if lane.metrics is None:
-                continue
-            lane.metrics.counter("fleet.walks").inc()
-            lane.metrics.counter("fleet.steps").inc(len(result.records))
-            if lane.emitter is not None:
-                emit_job_finished(
-                    lane.emitter, lane.start_s, len(result.records), lane.metrics
-                )
-                if metrics is not None:
-                    metrics.merge_snapshot(lane.metrics.snapshot())
-    finally:
-        cache.metrics = previous
+            lane.frame.steps = len(result.records)
     return [
         _compact_result(result) if lane.job.compact else result
         for lane, result in zip(lanes, results)
@@ -449,45 +482,30 @@ def _die_once(marker: str) -> None:
 def _execute_in_worker(
     job: WalkJob, spec: WorkerTelemetry | None = None
 ) -> tuple[Any, dict[str, Any]]:
-    """Pool entry point: run a job and report this worker's metrics.
+    """Pool entry point: run one framed job and return its metric snapshot.
 
-    Without a telemetry ``spec`` the metric snapshot rides back on the
-    return value (the historical path).  With one, everything — job
-    lifecycle edges, a ``fleet.walk`` span, fault/quarantine events from
-    the framework, and the metric snapshot as per-name deltas — is
-    spooled for the parent to tail, and the returned snapshot is empty
-    so nothing is counted twice.
+    The parent folds the returned snapshot into the caller's registry.
+    With a telemetry ``spec`` the frame's events — job lifecycle edges,
+    a ``fleet.walk`` span, fault/quarantine events from the framework,
+    and the metric snapshot as per-name deltas — are also spooled for
+    the parent to tail into the run log.
     """
     if job.fault_plan is not None and job.fault_plan.worker_death_marker:
         _die_once(job.fault_plan.worker_death_marker)
     cache = _WORKER_CACHE if _WORKER_CACHE is not None else default_cache()
-    metrics = MetricsRegistry()
     spool: TelemetrySpool | None = None
     emitter: EventEmitter | None = None
-    start_s = 0.0
     if spec is not None:
         spool = TelemetrySpool(spec.spool_root)
         emitter = spool.emitter(spec)
-        start_s = emit_job_started(emitter, job.place_name, job.path_name)
-    previous = cache.metrics
-    cache.metrics = metrics
     try:
-        result = execute_job(job, cache, telemetry=emitter)
-    except BaseException as exc:
-        if emitter is not None and spool is not None:
-            emitter.emit("job", "error", error=f"{type(exc).__name__}: {exc}")
-            spool.close()
-        raise
+        with _JobFrame(job.place_name, job.path_name, cache, emitter) as frame:
+            result = frame.walk(job)
+            frame.metrics.gauge("fleet.worker_pid").set(os.getpid())
     finally:
-        cache.metrics = previous
-    metrics.counter("fleet.walks").inc()
-    metrics.counter("fleet.steps").inc(len(result.records))
-    metrics.gauge("fleet.worker_pid").set(os.getpid())
-    if emitter is not None and spool is not None:
-        emit_job_finished(emitter, start_s, len(result.records), metrics)
-        spool.close()
-        return result, {}
-    return result, metrics.snapshot()
+        if spool is not None:
+            spool.close()
+    return result, frame.metrics.snapshot()
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -537,47 +555,19 @@ def iter_walks(
         jobs: walk jobs; the yielded index refers into this list.
         workers: worker processes (capped at ``len(jobs)``).
         cache: artifact cache; defaults to the process-wide cache.
-        metrics: registry that absorbs every worker's metric snapshot.
+        metrics: registry every job's own registry is folded into when
+            the job closes (in the parent, for pool jobs).
         telemetry: session to stream job/span/fault/metric events
             through; defaults to the process-wide session installed by
             :func:`~repro.obs.telemetry.telemetry_session` (None = no
-            streaming, historical snapshot path).
+            streaming).
     """
     cache = cache if cache is not None else default_cache()
     session = telemetry if telemetry is not None else current_session()
     if workers <= 1 or len(jobs) <= 1:
         for index, job in enumerate(jobs):
-            emitter: EventEmitter | None = None
-            job_metrics = metrics
-            start_s = 0.0
-            if session is not None:
-                emitter = session.emitter(
-                    job_id=session.job_id(index), walk_seed=job.walk_seed
-                )
-                start_s = emit_job_started(emitter, job.place_name, job.path_name)
-                # Per-job registry even inline, so the stream carries the
-                # same per-name deltas a pool worker would spool.
-                job_metrics = MetricsRegistry()
-            previous = cache.metrics
-            if job_metrics is not None:
-                cache.metrics = job_metrics
-            try:
-                result = execute_job(job, cache, telemetry=emitter)
-            except BaseException:
-                if emitter is not None:
-                    emitter.emit("job", "error")
-                raise
-            finally:
-                cache.metrics = previous
-            if job_metrics is not None:
-                job_metrics.counter("fleet.walks").inc()
-                job_metrics.counter("fleet.steps").inc(len(result.records))
-            if emitter is not None and job_metrics is not None:
-                emit_job_finished(
-                    emitter, start_s, len(result.records), job_metrics
-                )
-                if metrics is not None and metrics is not job_metrics:
-                    metrics.merge_snapshot(job_metrics.snapshot())
+            with _local_frame(session, index, job, cache, metrics) as frame:
+                result = frame.walk(job)
             yield index, result
         return
 
@@ -642,7 +632,7 @@ def iter_walks(
                     if session is not None:
                         # Live merge: tail the worker spools while other
                         # futures are still in flight.
-                        session.drain(metrics)
+                        session.drain()
             queue = []
             for index in sorted(crashed):
                 if metrics is not None:
@@ -665,7 +655,7 @@ def iter_walks(
         if session is not None:
             # Workers have exited; pick up whatever flushed after the
             # last in-loop drain.
-            session.drain(metrics)
+            session.drain()
     finally:
         _WORKER_CACHE = None
 
@@ -688,7 +678,8 @@ def run_walks(
         jobs: walk jobs to execute.
         workers: worker processes (capped at ``len(jobs)``).
         cache: artifact cache; defaults to the process-wide cache.
-        metrics: registry that absorbs every worker's metric snapshot.
+        metrics: registry every job's metrics are folded into (see
+            :func:`iter_walks`).
         telemetry: session to stream events through; defaults to the
             process-wide session (see :func:`iter_walks`).
         on_failure: ``"raise"`` (default) raises :class:`FleetError`

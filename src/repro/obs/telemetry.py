@@ -28,11 +28,11 @@ worker pid, next to the run log in ``<log>.spool/``).  The parent's
 :class:`TelemetrySession` *tails* those spools between future
 completions — :meth:`TelemetrySession.drain` reads only complete new
 lines (byte offsets per spool, partial lines wait for the next drain) —
-and merges them into the single run log while folding metric-delta
-events into the caller's registry via
-:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`, so the
-merged registry is *exactly* what the old end-of-run snapshot path
-produced.  Timestamps come from the injectable
+and merges them into the single run log.  Draining only moves events:
+the caller's registry is fed by the snapshot each worker returns with
+its result, and the spooled metric deltas carry that same snapshot, so
+:func:`registry_from_events` over the log rebuilds the caller's
+registry.  Timestamps come from the injectable
 :mod:`repro.obs.clock`, and nothing here touches a seed or a cache
 key, keeping the DET002 determinism contract intact.
 
@@ -411,14 +411,14 @@ class TelemetrySpool:
 
 
 class TelemetrySession:
-    """Parent-side pipeline: run log + spool tailing + live metric merge.
+    """Parent-side pipeline: run log + live spool tailing.
 
     One session per engine invocation.  The serial path emits straight
     into the run log via :meth:`emitter`; the pool path hands each
     worker a :class:`WorkerTelemetry` spec (:meth:`worker_spec`) and the
     parent calls :meth:`drain` between future completions to tail the
-    spools, merge complete lines into the log, and fold metric events
-    into the caller's registry — live, not at end of run.
+    spools and merge complete lines into the log — live, not at end of
+    run.
     """
 
     def __init__(
@@ -469,13 +469,12 @@ class TelemetrySession:
             walk_seed=walk_seed,
         )
 
-    def drain(self, metrics: MetricsRegistry | None = None) -> int:
-        """Tail every spool file and merge complete new lines.
+    def drain(self) -> int:
+        """Tail every spool file and merge complete new lines into the log.
 
         Reads from each spool's remembered byte offset; a partially
-        written trailing line is left for the next drain.  Metric events
-        are folded into ``metrics`` (when given) through
-        :func:`apply_metric_event`.  Returns the number of events merged.
+        written trailing line is left for the next drain.  Returns the
+        number of events merged.
         """
         merged = 0
         if not self.spool_root.is_dir():
@@ -501,8 +500,6 @@ class TelemetrySession:
                     continue
                 event = json.loads(line.decode("utf-8"))
                 self.writer.write_event(event)
-                if metrics is not None and event.get("kind") == "metric":
-                    apply_metric_event(metrics, event)
                 merged += 1
         return merged
 

@@ -1,10 +1,11 @@
 """End-to-end telemetry streaming through the fleet executor.
 
-These tests exercise the tentpole path: workers spool events to
-per-worker files, the parent tails and merges them into a single
-``uniloc_telemetry`` log, and the metric events rebuild the same
-registry the historical snapshot-return path produced — with walk
-results staying byte-identical throughout.
+Workers spool events to per-worker files and the parent tails and
+merges them into a single ``uniloc_telemetry`` log.  Every engine —
+inline, pool and population — frames each job the same way, so the
+log's metric events rebuild the caller's registry, the caller's
+registry is the same with or without a session, every started job is
+closed, and walk results stay byte-identical throughout.
 """
 
 import pytest
@@ -104,6 +105,18 @@ def test_metric_events_rebuild_the_merged_registry(warm_cache, tmp_path):
         )
     # The walk itself is untouched by how metrics travel.
     assert streamed.counter("fleet.walks").value == 3
+    # With a session, the caller's registry is exactly what the log says.
+    counters = {
+        name for name, spec in streamed.snapshot().items()
+        if spec["kind"] == "counter"
+    }
+    assert counters
+    assert counters == {
+        name for name, spec in rebuilt.snapshot().items()
+        if spec["kind"] == "counter"
+    }
+    for name in counters:
+        assert rebuilt.counter(name).value == streamed.counter(name).value, name
 
 
 def test_walk_results_identical_with_and_without_telemetry(warm_cache, tmp_path):
@@ -208,3 +221,75 @@ def test_fault_plan_events_stream_through_workers(warm_cache, tmp_path):
     # Replayable: every record names its job, scheme, and step.
     assert all(r["job_id"] and r["scheme"] == "wifi" for r in timeline)
     assert all(isinstance(r["step"], int) for r in timeline)
+
+
+def _run_engine(engine, jobs, cache, metrics=None, telemetry=None):
+    if engine == "population":
+        return run_population(
+            jobs, cache=cache, metrics=metrics, telemetry=telemetry
+        )
+    workers = 1 if engine == "inline" else 2
+    return run_walks(
+        jobs,
+        workers=workers,
+        cache=cache,
+        metrics=metrics,
+        telemetry=telemetry,
+        on_failure="return",
+    )
+
+
+@pytest.mark.parametrize("engine", ["inline", "pool", "population"])
+def test_a_raising_job_closes_its_frame(engine, warm_cache, tmp_path):
+    jobs = [_office_jobs(1)[0], WalkJob(place_name="office", path_name="nope")]
+    log = tmp_path / f"{engine}.jsonl"
+    with TelemetrySession(log, run_id=f"run-{engine}") as session:
+        if engine == "pool":
+            results = _run_engine(engine, jobs, warm_cache, telemetry=session)
+            assert results[1].error == "KeyError: 'nope'"
+        else:
+            with pytest.raises(KeyError, match="nope"):
+                _run_engine(engine, jobs, warm_cache, telemetry=session)
+    _, events = read_telemetry(log)
+    edges = {}
+    for event in events:
+        if event["kind"] == "job":
+            edges.setdefault(event["job_id"], []).append(event)
+    assert sorted(edges) == ["job-0000", "job-0001"]
+    for job_events in edges.values():
+        names = [e["name"] for e in job_events]
+        assert names[0] == "started"
+        assert names[1:] in (["finished"], ["error"])
+    [error] = edges["job-0001"][1:]
+    assert error["data"]["error"].startswith("KeyError: ")
+
+
+def _registry_shape(registry):
+    """Counter values and histogram observation counts, by name."""
+    shape = {}
+    for name, spec in registry.snapshot().items():
+        if spec["kind"] == "counter":
+            shape[name] = spec["value"]
+        elif spec["kind"] == "histogram":
+            shape[name] = ("observations", len(spec["values"]))
+    return shape
+
+
+def test_every_engine_fills_the_callers_registry_alike(warm_cache, tmp_path):
+    jobs = _office_jobs(3)
+    shapes = {}
+    for engine in ("inline", "pool", "population"):
+        bare = MetricsRegistry()
+        _run_engine(engine, jobs, warm_cache, metrics=bare)
+        streamed = MetricsRegistry()
+        with TelemetrySession(tmp_path / f"{engine}.jsonl") as session:
+            _run_engine(engine, jobs, warm_cache, metrics=streamed, telemetry=session)
+        shapes[engine, "bare"] = _registry_shape(bare)
+        shapes[engine, "session"] = _registry_shape(streamed)
+    reference = shapes["inline", "bare"]
+    assert reference["fleet.walks"] == 3
+    assert reference["fleet.cache.hit"] == 6
+    assert reference["uniloc.steps"] == reference["fleet.steps"]
+    assert any(name.startswith("uniloc.selected.") for name in reference)
+    for key, shape in shapes.items():
+        assert shape == reference, key
