@@ -322,15 +322,16 @@ class _JobFrame:
             return
         self.metrics.counter("fleet.walks").inc()
         self.metrics.counter("fleet.steps").inc(self.steps)
+        snapshot = self.metrics.snapshot()
         if self.emitter is not None:
             self.emitter.emit(
                 "span", "fleet.walk",
                 duration_ms=(monotonic_s() - self._start_s) * 1e3,
             )
             self.emitter.emit("job", "finished", steps=self.steps)
-            self.emitter.emit_snapshot(self.metrics.snapshot())
+            self.emitter.emit_snapshot(snapshot)
         if self.into is not None:
-            self.into.merge_snapshot(self.metrics.snapshot())
+            self.into.merge_snapshot(snapshot)
 
 
 def _local_frame(
