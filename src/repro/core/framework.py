@@ -286,9 +286,9 @@ class UniLocFramework:
     def step(self, snapshot: SensorSnapshot) -> StepDecision:
         """Run one full UniLoc location estimation.
 
-        This is the one way to step a walker: a population
-        (:meth:`~repro.core.population.PopulationFramework.step_batch`)
-        calls it once per lane.
+        This is the one way to step a walker:
+        :func:`~repro.eval.runner.run_walk` calls it once per step of
+        every walk the fleet engine runs.
         """
         self.stage_ms = stage_ms = {}
         start = monotonic_s()
@@ -486,9 +486,8 @@ class UniLocFramework:
         framework must not trust them), enforces the optional per-step
         timeout budget against the stage clock's ``scheme.<name>``
         reading, and rejects non-finite and implausible outputs.  Every
-        scheme of every population lane runs through here, so a raising
-        scheme is charged to its own lane and never escapes a population
-        step.
+        scheme of every walker runs through here, so a raising scheme is
+        charged to its own walker and never escapes :meth:`step`.
         """
         start = monotonic_s()
         try:

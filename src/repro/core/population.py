@@ -1,20 +1,16 @@
-"""Population stepping: N UniLoc walkers advanced one step at a time.
+"""The e2e fleet workloads' tick helper: N UniLoc walkers, one step each.
 
 :class:`PopulationFramework` advances many :class:`UniLocFramework`
-*lanes* through one location-estimation step at a time by calling each
-lane's :meth:`UniLocFramework.step`, so results are **byte-identical**
-to stepping every lane on its own.
+*lanes* by one location-estimation step by calling each lane's
+:meth:`UniLocFramework.step`, so results are **byte-identical** to
+stepping every lane on its own.  It checks at construction that no two
+lanes share a scheme instance.
 
 Every lane runs every scheme through its own containment guard
 (``UniLocFramework._guarded_estimate``): finite/plausible gates, failure
 charging, quarantine, telemetry and metrics are one path, and a scheme
 that raises in one lane is charged to that lane and scheme only — it
 never escapes :meth:`PopulationFramework.step_batch`.
-
-What lanes share is memoized geometry: corridor widths and fingerprint
-spatial densities queried at grid-snapped points are computed once per
-place/survey (:func:`~repro.core.framework.prepare_lane`), not once per
-lane and step.
 """
 
 from __future__ import annotations
@@ -49,16 +45,6 @@ class PopulationFramework:
                         "population lanes must not share scheme instances"
                     )
                 seen.add(id(bundle.scheme))
-
-    @property
-    def n_lanes(self) -> int:
-        """Return the population size N."""
-        return len(self.lanes)
-
-    def reset(self) -> None:
-        """Reset every lane (schemes, health, trajectory predictors)."""
-        for lane in self.lanes:
-            lane.reset()
 
     def step_batch(
         self,

@@ -396,35 +396,3 @@ def _impl_table4_energy(seed: int = DEFAULT_SEED) -> list[EnergyReport]:
 
 def _impl_table5_response_time() -> ResponseTimeBreakdown:
     return response_time()
-
-
-# ---------------------------------------------------------------------------
-# Population engine — lanes stepped together, byte-identical to serial runs.
-# ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=2)
-def _impl_population(seed: int = DEFAULT_SEED, n_walks: int = 4) -> WalkResult:
-    """Pool office walks executed through :func:`run_population`.
-
-    Not a paper artifact — a determinism canary for the population core:
-    the same jobs through ``run_walks`` would produce byte-identical
-    records, so the nightly sanitizer double-running this experiment
-    certifies the population engine draws RNGs and emits telemetry in a
-    reproducible order.
-    """
-    from repro.fleet import run_population
-
-    jobs = [
-        _job(
-            "office",
-            "survey",
-            seed,
-            walk_seed=seed + 100 + idx,
-            trace_seed=seed + 200 + idx,
-            max_length=25.0,
-        )
-        for idx in range(n_walks)
-    ]
-    results = run_population(jobs, cache=default_cache())
-    return merge_results(results)

@@ -196,13 +196,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             run=lambda cfg: _exp._impl_table5_response_time(),
         ),
         Experiment(
-            name="population",
-            title="Population engine: batched office lanes (determinism canary)",
-            kind="walk",
-            run=lambda cfg: _exp._impl_population(cfg.seed, n_walks=cfg.n_walks),
-            config=ExperimentConfig(n_walks=4),
-        ),
-        Experiment(
             name="chaos",
             title="Resilience matrix: UniLoc2 under single-scheme outages",
             kind="table",

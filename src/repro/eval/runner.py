@@ -125,9 +125,8 @@ class WalkResult:
 def score_step(place: Place, moment: Moment, decision: StepDecision) -> StepRecord:
     """Score one framework decision against the ground-truth moment.
 
-    Shared by :func:`run_walk` and the fleet's population runner
-    (:func:`repro.fleet.executor.run_population`), so a record is scored
-    identically no matter which entry point produced the decision.
+    Used by :func:`run_walk`, and public so a harness that steps
+    frameworks itself scores its decisions the same way.
     """
     scheme_errors = {
         name: output.position.distance_to(moment.position)
@@ -153,57 +152,36 @@ def score_step(place: Place, moment: Moment, decision: StepDecision) -> StepReco
     )
 
 
-def emit_step(framework: UniLocFramework, record: StepRecord) -> None:
-    """Stream one scored step to the framework's telemetry sink.
-
-    The ``step``/``decision`` event's ``data`` is the decision record
-    that explains the step (:func:`~repro.obs.telemetry.decision_to_dict`),
-    its ground truth (``index``, ``time_s``, ``environment``,
-    ``scheme_errors``, ``uniloc1_error``/``uniloc2_error`` and the
-    ``oracle`` choice), and the framework's stage clock for that step
-    (``stage_ms``, :attr:`UniLocFramework.stage_ms`).  Shared by
-    :func:`run_walk` and :func:`~repro.fleet.executor.run_population`,
-    beside :func:`score_step`; a disabled sink costs one attribute
-    lookup.
-    """
-    telemetry = framework.telemetry
-    if not telemetry.enabled:
-        return
-    oracle = record.oracle
-    telemetry.emit(
-        "step",
-        "decision",
-        index=record.moment.index,
-        time_s=record.moment.time_s,
-        environment=record.environment.value,
-        decision=decision_to_dict(record.decision),
-        scheme_errors=record.scheme_errors,
-        uniloc1_error=record.uniloc1_error,
-        uniloc2_error=record.uniloc2_error,
-        oracle=(
-            None
-            if oracle is None
-            else {"scheme": oracle.scheme, "error": oracle.error}
-        ),
-        stage_ms=framework.stage_ms,
-    )
-
-
-def prepare_walk(
+def run_walk(
     framework: UniLocFramework,
+    place: Place,
+    path_name: str,
     walk: Walk,
     snapshots: list[SensorSnapshot],
     *,
     telemetry: object | None = None,
     fault_plan: object | None = None,
-) -> list[SensorSnapshot]:
-    """Ready a framework to walk a recorded trace; return the trace to feed it.
+) -> WalkResult:
+    """Drive one recorded walk through UniLoc and score every step.
 
-    Attaches the ``telemetry`` sink before the fault plan is applied, so
-    injector events stream too; applies the plan's scheme wrappers and
-    sensor corruption; checks the walk and trace lengths; and resets the
-    framework.  Shared by :func:`run_walk` and
-    :func:`~repro.fleet.executor.run_population`.
+    Configuration is keyword-only — the same surface as
+    :func:`~repro.fleet.executor.run_walks`:
+
+    * ``telemetry=``: an event sink attached to the framework before any
+      fault plan is applied, so degradation and injector events stream.
+    * ``fault_plan=``: a :class:`~repro.faults.plan.FaultPlan` applied to
+      the framework (scheme wrappers) and the snapshot trace (sensor
+      corruption) before the walk starts.
+
+    Every scored step is streamed to the framework's sink as it runs, so
+    a crash mid-walk still leaves a replayable prefix on disk.  The
+    ``step``/``decision`` event's ``data`` is the decision record that
+    explains the step (:func:`~repro.obs.telemetry.decision_to_dict`),
+    its ground truth (``index``, ``time_s``, ``environment``,
+    ``scheme_errors``, ``uniloc1_error``/``uniloc2_error`` and the
+    ``oracle`` choice), and the framework's stage clock for that step
+    (``stage_ms``, :attr:`UniLocFramework.stage_ms`).  A disabled sink
+    costs one ``enabled`` check per step.
 
     Raises:
         ValueError: if the walk and trace lengths differ.
@@ -216,50 +194,30 @@ def prepare_walk(
     if len(walk.moments) != len(snapshots):
         raise ValueError("walk and snapshot trace must be the same length")
     framework.reset()
-    return snapshots
-
-
-def run_walk(
-    framework: UniLocFramework,
-    place: Place,
-    path_name: str,
-    walk: Walk,
-    snapshots: list[SensorSnapshot],
-    *,
-    telemetry: object | None = None,
-    fault_plan: object | None = None,
-    gps_duty_cycling: bool | None = None,
-) -> WalkResult:
-    """Drive one recorded walk through UniLoc and score every step.
-
-    Configuration is keyword-only — the same surface as
-    :func:`~repro.fleet.executor.run_walks` and
-    :func:`~repro.fleet.executor.run_population`:
-
-    * ``telemetry=``: an event sink attached to the framework before any
-      fault plan is applied, so degradation and injector events stream;
-      every scored step is streamed to the framework's sink as a
-      ``step`` event (:func:`emit_step`) as the walk runs, so a crash
-      mid-walk still leaves a replayable prefix on disk.
-    * ``fault_plan=``: a :class:`~repro.faults.plan.FaultPlan` applied to
-      the framework (scheme wrappers) and the snapshot trace (sensor
-      corruption) before the walk starts.
-    * ``gps_duty_cycling=``: override the framework's §IV-C GPS power
-      policy flag for this walk (None leaves it as built).
-
-    Raises:
-        ValueError: if the walk and trace lengths differ.
-    """
-    if gps_duty_cycling is not None:
-        framework.gps_duty_cycling = gps_duty_cycling
-    snapshots = prepare_walk(
-        framework, walk, snapshots, telemetry=telemetry, fault_plan=fault_plan
-    )
+    sink = framework.telemetry
     result = WalkResult(place_name=place.name, path_name=path_name)
     for moment, snapshot in zip(walk.moments, snapshots):
         record = score_step(place, moment, framework.step(snapshot))
         result.records.append(record)
-        emit_step(framework, record)
+        if sink.enabled:
+            oracle = record.oracle
+            sink.emit(
+                "step",
+                "decision",
+                index=moment.index,
+                time_s=moment.time_s,
+                environment=record.environment.value,
+                decision=decision_to_dict(record.decision),
+                scheme_errors=record.scheme_errors,
+                uniloc1_error=record.uniloc1_error,
+                uniloc2_error=record.uniloc2_error,
+                oracle=(
+                    None
+                    if oracle is None
+                    else {"scheme": oracle.scheme, "error": oracle.error}
+                ),
+                stage_ms=framework.stage_ms,
+            )
     return result
 
 

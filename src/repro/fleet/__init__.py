@@ -26,7 +26,6 @@ from repro.fleet.executor import (
     WalkJob,
     execute_job,
     iter_walks,
-    run_population,
     run_walks,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "iter_walks",
     "place_builders",
     "place_names",
-    "run_population",
     "run_walks",
     "set_default_cache",
 ]

@@ -10,12 +10,7 @@ that engine:
 * :func:`iter_walks` — fan jobs out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` and stream scored
   :class:`~repro.eval.runner.WalkResult`\\ s back as they finish;
-* :func:`run_walks` — the same, collected in job order;
-* :func:`run_population` — the single-process population twin: every
-  job becomes a lane of one
-  :class:`~repro.core.population.PopulationFramework` and all walks
-  advance together, one step index at a time, with results
-  byte-identical to the serial engine.
+* :func:`run_walks` — the same, collected in job order.
 
 Determinism is a hard guarantee: every job carries its own explicit
 seeds (no shared random stream crosses a process boundary), so
@@ -25,12 +20,13 @@ the offline artifacts (place setups, error models) from the
 :class:`~repro.fleet.cache.ArtifactCache` — with a persistent cache
 directory a worker never trains or surveys anything.
 
-Every engine frames each job the same way (:class:`_JobFrame`): the
-job meters into its own fresh registry, which is folded into the
-caller's registry when the job closes.  A pool worker ships that
-registry back as a snapshot with its result, and the parent folds only
-that.  With a :class:`~repro.obs.telemetry.TelemetrySession` active —
-passed explicitly or installed process-wide via
+The inline and pool paths frame each job the same way
+(:class:`_JobFrame`): the job meters into its own fresh registry, which
+is folded into the caller's registry when the job closes.  A pool
+worker ships that registry back as a snapshot with its result, and the
+parent folds only that.  With a
+:class:`~repro.obs.telemetry.TelemetrySession` active — passed
+explicitly or installed process-wide via
 :func:`~repro.obs.telemetry.telemetry_session` — the frame also streams
 the job's lifecycle, span and metric-delta events (workers through
 per-worker spool files the parent tails and merges into one run log
@@ -53,7 +49,7 @@ import os
 import traceback as _traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
@@ -216,60 +212,18 @@ def _compact_result(result: Any) -> Any:
     return result
 
 
-def _prepare_job(job: WalkJob, cache: ArtifactCache) -> tuple[Any, Any, Any, list]:
-    """Materialize one job's ``(framework, setup, walk, snapshots)``.
-
-    Shared by :func:`execute_job` (one framework per process/step loop)
-    and :func:`run_population` (all frameworks stepped together); the
-    construction — artifacts, seeds, start noise, framework wiring — is
-    identical, so both paths produce byte-identical walks.
-    """
-    from repro.eval.setup import build_framework
-    from repro.geometry import Point
-
-    setup = cache.place_setup(job.place_name, job.setup_seed)
-    models = cache.error_models(job.models_seed)
-    walk, snaps = setup.record_walk(
-        job.path_name,
-        device=job.device,
-        walk_seed=job.walk_seed,
-        trace_seed=job.trace_seed,
-        start_arc=job.start_arc,
-        max_length=job.max_length,
-    )
-    start = walk.moments[0].position
-    if job.start_noise_m > 0.0:
-        rng = np.random.default_rng(job.walk_seed + 777)
-        start = Point(
-            start.x + float(rng.normal(0.0, job.start_noise_m)),
-            start.y + float(rng.normal(0.0, job.start_noise_m)),
-        )
-    framework = build_framework(
-        setup,
-        models,
-        start,
-        scheme_seed=job.walk_seed + 11,
-        gps_duty_cycling=job.gps_duty_cycling,
-        grid_cell_m=job.grid_cell_m,
-    )
-    # Degradation/fault telemetry flows into the registry the job's frame
-    # attached to the cache while it loads.
-    framework.metrics = cache.metrics
-    return framework, setup, walk, snaps
-
-
 class _JobFrame:
-    """One walk job's frame: how every engine opens, meters and closes a job.
+    """One walk job's frame: how a job is opened, metered and closed.
 
-    Used by the inline and pool paths of :func:`iter_walks`, each lane of
-    :func:`run_population`, and ``repro run PLACE PATH``.  Entering emits
-    ``job/started`` (when streaming to ``emitter``) and gives the job a
-    fresh :attr:`metrics` registry; :meth:`loading` meters the cache into
-    it while the job's artifacts load.  A clean exit counts
-    ``fleet.walks`` and ``fleet.steps`` (the caller sets :attr:`steps`),
-    emits the ``fleet.walk`` span, ``job/finished`` and the registry as
-    metric deltas, then folds the registry into ``into``.  An exception
-    emits ``job/error`` with ``error="<Type>: <msg>"`` and propagates
+    Used by the inline and pool paths of :func:`iter_walks` and by
+    ``repro run PLACE PATH``.  Entering emits ``job/started`` (when
+    streaming to ``emitter``) and gives the job a fresh :attr:`metrics`
+    registry; :meth:`loading` meters the cache into it while the job's
+    artifacts load.  A clean exit counts ``fleet.walks`` and
+    ``fleet.steps`` (the caller sets :attr:`steps`), emits the
+    ``fleet.walk`` span, ``job/finished`` and the registry as metric
+    deltas, then folds the registry into ``into``.  An exception emits
+    ``job/error`` with ``error="<Type>: <msg>"`` and propagates
     unchanged.
     """
 
@@ -363,8 +317,37 @@ def execute_job(
     ``fault/inject`` events land in the stream.
     """
     from repro.eval.runner import run_walk
+    from repro.eval.setup import build_framework
+    from repro.geometry import Point
 
-    framework, setup, walk, snaps = _prepare_job(job, cache)
+    setup = cache.place_setup(job.place_name, job.setup_seed)
+    models = cache.error_models(job.models_seed)
+    walk, snaps = setup.record_walk(
+        job.path_name,
+        device=job.device,
+        walk_seed=job.walk_seed,
+        trace_seed=job.trace_seed,
+        start_arc=job.start_arc,
+        max_length=job.max_length,
+    )
+    start = walk.moments[0].position
+    if job.start_noise_m > 0.0:
+        rng = np.random.default_rng(job.walk_seed + 777)
+        start = Point(
+            start.x + float(rng.normal(0.0, job.start_noise_m)),
+            start.y + float(rng.normal(0.0, job.start_noise_m)),
+        )
+    framework = build_framework(
+        setup,
+        models,
+        start,
+        scheme_seed=job.walk_seed + 11,
+        gps_duty_cycling=job.gps_duty_cycling,
+        grid_cell_m=job.grid_cell_m,
+    )
+    # Degradation/fault telemetry flows into the registry the job's frame
+    # attached to the cache while it loads.
+    framework.metrics = cache.metrics
     result = run_walk(
         framework,
         setup.place,
@@ -375,93 +358,6 @@ def execute_job(
         fault_plan=job.fault_plan,
     )
     return _compact_result(result) if job.compact else result
-
-
-@dataclass(frozen=True)
-class _Lane:
-    """One job's state while its walk runs as a population lane."""
-
-    job: WalkJob
-    frame: _JobFrame
-    framework: Any
-    place: Any
-    walk: Any
-    snaps: tuple[Any, ...]
-
-
-def run_population(
-    jobs: list[WalkJob],
-    *,
-    cache: ArtifactCache | None = None,
-    metrics: MetricsRegistry | None = None,
-    telemetry: TelemetrySession | None = None,
-) -> list[Any]:
-    """Run every job in-process as one walker population.
-
-    The population twin of ``run_walks(jobs, workers=1)``: all lane
-    frameworks are built up-front, then advanced together one step index
-    at a time through
-    :meth:`repro.core.population.PopulationFramework.step_batch` — lanes
-    whose walks have already ended simply drop out of later batches.
-    Results are byte-identical to the serial engine (each lane runs the
-    serial step and the scoring helper is shared), so this is a pure
-    throughput choice for single-machine fleets.
-
-    ``metrics`` and ``telemetry`` follow :func:`iter_walks`' contract:
-    each lane is framed like a serial job, so every job streams the same
-    job/step/fault/metric events the serial engine emits for it (lanes'
-    events interleave in the log, one step index at a time) and the
-    caller's registry ends up with the same counts.  All lanes' frames
-    stay open until the population finishes; an exception closes every
-    open frame with ``job/error``.
-
-    Unsupported here: worker-crash containment (everything runs in this
-    process, so job exceptions propagate raw, like ``workers=1``).
-
-    Raises:
-        ValueError: if ``jobs`` is empty (a population needs a lane).
-    """
-    from repro.core.population import PopulationFramework
-    from repro.eval.runner import WalkResult, emit_step, prepare_walk, score_step
-
-    cache = cache if cache is not None else default_cache()
-    session = telemetry if telemetry is not None else current_session()
-    lanes: list[_Lane] = []
-    with ExitStack() as frames:
-        for index, job in enumerate(jobs):
-            frame = _local_frame(session, index, job, cache, metrics)
-            frames.enter_context(frame)
-            with frame.loading():
-                framework, setup, walk, snaps = _prepare_job(job, cache)
-            snaps = prepare_walk(
-                framework, walk, snaps,
-                telemetry=frame.emitter, fault_plan=job.fault_plan,
-            )
-            lanes.append(
-                _Lane(job, frame, framework, setup.place, walk, tuple(snaps))
-            )
-        population = PopulationFramework([lane.framework for lane in lanes])
-        results = [
-            WalkResult(place_name=lane.place.name, path_name=lane.job.path_name)
-            for lane in lanes
-        ]
-        for step in range(max(len(lane.snaps) for lane in lanes)):
-            active = [k for k, lane in enumerate(lanes) if step < len(lane.snaps)]
-            decisions = population.step_batch(
-                [lanes[k].snaps[step] for k in active],
-                lanes=[lanes[k].framework for k in active],
-            )
-            for k, decision in zip(active, decisions):
-                lane = lanes[k]
-                record = score_step(lane.place, lane.walk.moments[step], decision)
-                results[k].records.append(record)
-                emit_step(lane.framework, record)
-        for lane, result in zip(lanes, results):
-            lane.frame.steps = len(result.records)
-    return [
-        _compact_result(result) if lane.job.compact else result
-        for lane, result in zip(lanes, results)
-    ]
 
 
 def _die_once(marker: str) -> None:

@@ -38,7 +38,7 @@ key, keeping the DET002 determinism contract intact.
 
 ``kind="step"`` events are the per-step decision record: one
 ``step``/``decision`` event per scored step, emitted by the eval layer
-(:func:`repro.eval.runner.emit_step`) where ground truth is known, and
+(:func:`repro.eval.runner.run_walk`) where ground truth is known, and
 aggregated by ``repro report`` (:mod:`repro.obs.report`).
 
 ``kind="metric"`` events mirror the registry snapshot format

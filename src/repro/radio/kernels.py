@@ -479,13 +479,14 @@ class CompiledFingerprintDatabase:
     def enable_density_memo(self) -> None:
         """Memoize :meth:`spatial_density_around` by exact query point.
 
-        Enabled by the population core: densities are pure
-        functions of ``(point, radius)``, and a population of walkers on
-        shared paths queries the same HMM-predicted grid centers over and
-        over — one lane pays the scalar cost, every other lane reuses the
-        exact float (bit-identity is free because the memo stores the
-        scalar function's own output).  Off by default so standalone
-        callers keep the historical zero-state behavior.
+        Enabled for every framework by
+        :func:`~repro.core.framework.prepare_lane`: densities are pure
+        functions of ``(point, radius)``, and walkers on shared paths
+        query the same HMM-predicted grid centers over and over — one
+        query pays the scalar cost, every repeat reuses the exact float
+        (bit-identity is free because the memo stores the scalar
+        function's own output).  Off by default so standalone callers
+        keep the historical zero-state behavior.
         """
         if self._density_memo is None:
             self._density_memo = {}

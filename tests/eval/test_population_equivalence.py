@@ -1,19 +1,15 @@
-"""Acceptance: the population core changes nothing about walk results.
+"""Acceptance: stepping walkers together changes nothing about walk results.
 
-The api-redesign contract for ``repro.core.population`` is *behavioural
-identity* at the byte level:
+The contract for ``repro.core.population`` is *behavioural identity* at
+the byte level:
 
 * a walker stepped on its own (:meth:`~repro.core.UniLocFramework.step`,
   the one step path every population lane also takes) still produces
   the exact :class:`WalkResult` pickles pinned in
   ``tests/data/walk_goldens.json`` (regenerated only via
-  ``tools/make_walk_goldens.py``);
-* :func:`~repro.fleet.executor.run_population` (many lanes advanced
-  together, one step index at a time) matches ``run_walks``
-  byte-for-byte on the same jobs, clean and faulted alike;
+  ``tools/make_walk_goldens.py``), replayed through ``run_walks``;
 * a multi-lane :class:`~repro.core.population.PopulationFramework`
-  matches the same walkers stepped alone, decision-by-decision, so the
-  memoized geometry it shares across lanes changes no value —
+  matches the same walkers stepped alone, decision-by-decision —
   property-tested over random seeds;
 * an unwrapped scheme that raises inside a population is contained,
   charged, and quarantined like any other scheme failure.
@@ -31,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core.population import PopulationFramework
 from repro.eval import build_framework
 from repro.eval.experiments import shared_models
-from repro.fleet import ArtifactCache, WalkJob, run_population, run_walks
+from repro.fleet import ArtifactCache, run_walks
 from repro.sensors.imu import StepEvent
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "walk_goldens.json"
@@ -72,39 +68,6 @@ class TestGoldenScalarHashes:
         (result,) = run_walks([job], cache=warm_cache)
         assert len(result.records) == expected[name]["steps"]
         assert result_hash(result) == expected[name]["sha256"]
-
-
-@pytest.mark.slow
-def test_run_population_matches_run_walks_byte_for_byte(warm_cache):
-    """The batched engine is a pure throughput choice: identical pickles."""
-    golden_jobs, _ = _goldens()
-    jobs = list(golden_jobs().values())
-    serial = run_walks(jobs, cache=warm_cache)
-    batched = run_population(jobs, cache=warm_cache)
-    for job, a, b in zip(jobs, serial, batched):
-        assert pickle.dumps(a, protocol=5) == pickle.dumps(b, protocol=5), (
-            f"population result diverged on {job.place_name}/{job.walk_seed}"
-        )
-
-
-def test_run_population_short_mixed_places(warm_cache):
-    """Lanes over different places, lengths, and seeds stay byte-exact."""
-    jobs = [
-        WalkJob(
-            place_name=place,
-            path_name="survey",
-            walk_seed=40 + idx,
-            trace_seed=50 + idx,
-            max_length=8.0 + 4.0 * idx,
-        )
-        for idx, place in enumerate(
-            ["office", "open-space", "office", "open-space"]
-        )
-    ]
-    serial = run_walks(jobs, cache=warm_cache)
-    batched = run_population(jobs, cache=warm_cache)
-    for a, b in zip(serial, batched):
-        assert pickle.dumps(a, protocol=5) == pickle.dumps(b, protocol=5)
 
 
 def _lane(setup, models, walk_seed):

@@ -1,16 +1,16 @@
 """End-to-end telemetry streaming through the fleet executor.
 
 Workers spool events to per-worker files and the parent tails and
-merges them into a single ``uniloc_telemetry`` log.  Every engine —
-inline, pool and population — frames each job the same way, so the
-log's metric events rebuild the caller's registry, the caller's
-registry is the same with or without a session, every started job is
-closed, and walk results stay byte-identical throughout.
+merges them into a single ``uniloc_telemetry`` log.  Both engines —
+inline and pool — frame each job the same way, so the log's metric
+events rebuild the caller's registry, the caller's registry is the same
+with or without a session, every started job is closed, and walk
+results stay byte-identical throughout.
 """
 
 import pytest
 
-from repro.fleet import ArtifactCache, WalkJob, run_population, run_walks
+from repro.fleet import ArtifactCache, WalkJob, run_walks
 from repro.obs import MetricsRegistry
 from repro.obs.telemetry import (
     TelemetrySession,
@@ -18,7 +18,6 @@ from repro.obs.telemetry import (
     read_telemetry,
     registry_from_events,
     summarize_telemetry,
-    telemetry_session,
 )
 
 
@@ -128,62 +127,12 @@ def test_walk_results_identical_with_and_without_telemetry(warm_cache, tmp_path)
     parallel, _, _ = _run_with_telemetry(
         jobs, workers=4, cache=warm_cache, tmp_path=tmp_path, tag="par"
     )
-    with TelemetrySession(tmp_path / "pop.jsonl", run_id="run-pop") as session:
-        population = run_population(jobs, cache=warm_cache, telemetry=session)
-    for bare, *streamed in zip(bare_serial, serial, parallel, population):
+    for bare, *streamed in zip(bare_serial, serial, parallel):
         for estimator in ("wifi", "uniloc1", "uniloc2", "optsel"):
             for result in streamed:
                 assert result.errors(estimator) == bare.errors(estimator)
         for result in streamed:
             assert result.usage("uniloc1") == bare.usage("uniloc1")
-
-
-def _events_by_job(log, kind):
-    _, events = read_telemetry(log)
-    by_job = {}
-    for event in events:
-        if event["kind"] == kind:
-            by_job.setdefault(event["job_id"], []).append(event)
-    return by_job
-
-
-def _untimed(step_event):
-    """A step event's data with its measured ``stage_ms`` values reduced
-    to their keys: timings differ run to run, the stages timed do not."""
-    data = dict(step_event["data"])
-    return data, sorted(data.pop("stage_ms"))
-
-
-def test_population_streams_the_serial_engines_step_events(warm_cache, tmp_path):
-    jobs = _office_jobs(2)
-    _, _, serial_log = _run_with_telemetry(
-        jobs, workers=1, cache=warm_cache, tmp_path=tmp_path, tag="serial"
-    )
-    population_log = tmp_path / "population.jsonl"
-    with telemetry_session(population_log, run_id="run-population"):
-        results = run_population(jobs, cache=warm_cache)
-    serial_steps = _events_by_job(serial_log, "step")
-    population_steps = _events_by_job(population_log, "step")
-    assert sorted(population_steps) == ["job-0000", "job-0001"]
-    for index, result in enumerate(results):
-        job_id = f"job-{index:04d}"
-        steps = population_steps[job_id]
-        assert len(steps) == len(result.records)
-        assert [_untimed(e) for e in steps] == [
-            _untimed(e) for e in serial_steps[job_id]
-        ]
-        assert {e["walk_seed"] for e in steps} == {jobs[index].walk_seed}
-    # Each lane is framed like a serial job, metric deltas included.
-    for kind in ("job", "metric"):
-        serial = _events_by_job(serial_log, kind)
-        population = _events_by_job(population_log, kind)
-        assert {
-            job: [(e["name"], e["data"].get("steps")) for e in events]
-            for job, events in population.items()
-        } == {
-            job: [(e["name"], e["data"].get("steps")) for e in events]
-            for job, events in serial.items()
-        }
 
 
 def test_serial_and_parallel_streams_carry_same_rollups(warm_cache, tmp_path):
@@ -224,10 +173,6 @@ def test_fault_plan_events_stream_through_workers(warm_cache, tmp_path):
 
 
 def _run_engine(engine, jobs, cache, metrics=None, telemetry=None):
-    if engine == "population":
-        return run_population(
-            jobs, cache=cache, metrics=metrics, telemetry=telemetry
-        )
     workers = 1 if engine == "inline" else 2
     return run_walks(
         jobs,
@@ -239,7 +184,7 @@ def _run_engine(engine, jobs, cache, metrics=None, telemetry=None):
     )
 
 
-@pytest.mark.parametrize("engine", ["inline", "pool", "population"])
+@pytest.mark.parametrize("engine", ["inline", "pool"])
 def test_a_raising_job_closes_its_frame(engine, warm_cache, tmp_path):
     jobs = [_office_jobs(1)[0], WalkJob(place_name="office", path_name="nope")]
     log = tmp_path / f"{engine}.jsonl"
@@ -278,7 +223,7 @@ def _registry_shape(registry):
 def test_every_engine_fills_the_callers_registry_alike(warm_cache, tmp_path):
     jobs = _office_jobs(3)
     shapes = {}
-    for engine in ("inline", "pool", "population"):
+    for engine in ("inline", "pool"):
         bare = MetricsRegistry()
         _run_engine(engine, jobs, warm_cache, metrics=bare)
         streamed = MetricsRegistry()

@@ -21,7 +21,7 @@ def step_event(
     uniloc2_error=None,
     context=JOB,
 ):
-    """Build a minimal telemetry ``step`` event the way ``emit_step`` does."""
+    """Build a minimal telemetry ``step`` event the way ``run_walk`` does."""
     return make_event(
         "step",
         "decision",

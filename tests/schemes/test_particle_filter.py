@@ -460,6 +460,13 @@ HAND_BUILT_PLACES = {
         [corridor(2.0, 1.0, 10.0, 1.0), corridor(34.0, 40.0, 46.0, 40.0)],
         [wall(6.0, 0.0, 6.0, 5.0), wall(40.0, 35.0, 40.0, 45.0)],
     ),
+    # A 1 m corridor off the axes inside one office region.
+    "diagonal": lambda: hand_built_place(
+        "diagonal",
+        [Polygon.rectangle(-3.0, -3.0, 13.0, 10.0)],
+        [corridor(0.0, 0.0, 10.0, 7.0, width=1.0)],
+        [],
+    ),
     "walls-only": lambda: hand_built_place(
         "walls-only", [], [corridor(0.0, 0.0, 20.0, 0.0)], [wall(10.0, -5.0, 10.0, 5.0)]
     ),
@@ -489,6 +496,28 @@ class TestHandBuiltPlaces:
         probes = [[10.0, 3.0], [10.0, 5.5], [30.0, 5.0], [33.0, 5.0]]
         mask = walkable_mask(place, probes)
         assert mask.tolist() == [True, False, True, False]
+
+    def test_diagonal_corridor_edge(self):
+        # 0.5 m off the diagonal corridor's centreline, the rounded
+        # squared distance lands on both sides of 0.25, and on about
+        # 0.7% of the points ``sqrt(d2) <= 0.5`` and ``d2 <= 0.25``
+        # disagree (a wider jitter spreads d2 over more ulps and leaves
+        # fewer such points).
+        place = HAND_BUILT_PLACES["diagonal"]()
+        arrays = baselines.map_arrays(place)
+        rng = np.random.default_rng(7)
+        axis = np.array([10.0, 7.0])
+        normal = np.array([-7.0, 10.0]) / np.hypot(10.0, 7.0)
+        side = rng.choice([-0.5, 0.5], size=(4000, 1))
+        edge = rng.uniform(0.05, 0.95, size=(4000, 1)) * axis + side * normal
+        edge *= 1.0 + rng.uniform(-5e-16, 5e-16, size=edge.shape)
+        walkable, _ = assert_matches_reference(place, arrays, edge, edge)
+        assert walkable.any() and not walkable.all()
+        # The probes reach the points where the two comparisons differ.
+        x, y = edge[:, 0], edge[:, 1]
+        t = np.clip((x * 10.0 + y * 7.0) / 149.0, 0.0, 1.0)
+        d2 = (x - t * 10.0) ** 2 + (y - t * 7.0) ** 2
+        assert ((np.sqrt(d2) <= 0.5) != (d2 <= 0.25)).any()
 
     def test_places_without_regions_only_test_walls(self):
         place = HAND_BUILT_PLACES["walls-only"]()

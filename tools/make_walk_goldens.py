@@ -6,9 +6,10 @@ tool runs the golden job matrix (office + open-space, with and without
 a fault plan) and records each result's pickle hash in
 ``tests/data/walk_goldens.json``.
 
-``tests/eval/test_population_equivalence.py`` replays the same jobs and
-compares hashes — any drift in the step pipeline (scheme math, RNG
-draw order, framework control flow, result schema) fails the suite.
+``tests/eval/test_population_equivalence.py`` replays the same jobs
+through ``run_walks`` and compares hashes — any drift in the step
+pipeline (scheme math, RNG draw order, framework control flow, result
+schema) fails the suite.
 
 Regenerate only when a change is *supposed* to alter walk results, and
 without ``REPRO_CACHE_DIR`` set (the test replays against in-memory
