@@ -1,10 +1,11 @@
-"""Microbenchmarks: the kernel layer must actually be fast.
+"""Microbenchmarks: the rewritten hot paths must actually be fast.
 
 Unlike the paper-shape benchmarks one directory up, these assert the
-*speed* claims the kernel layer (:mod:`repro.radio.kernels`) was built
-on: batched shadowing evaluation at >= 10x the per-point reference and
-compiled fingerprint matching at >= 5x the per-entry union loop, on
-identical inputs (the pre-kernel baselines live in
+*speed* claims the radio stack was rewritten for: per-point shadowing
+on a cached wave bank at >= 2x the reference that redraws it on
+every call, and dense fingerprint matching
+(``FingerprintDatabase.nearest``) at >= 5x the per-entry union loop,
+on identical inputs (the pre-rewrite baselines live in
 :mod:`repro.bench.baselines`).  The compiled particle map constraint
 must keep >= 2x over the full per-primitive test on the clouds of
 office's first 60 survey steps, and the BMA readout (mixture plus
@@ -12,11 +13,12 @@ Eq. 4 mean) >= 1.2x over its ``(I, 2)`` reference on office's 448-cell
 grid.  ``repro bench run`` records the same numbers into a versioned
 ``BENCH_<date>.json`` for CI comparison.
 
-The floors are deliberately below the observed speedups (~7x, >100x,
-2.3-5.6x and ~1.5x on a 2-vCPU dev host) so they fail on a real
-regression — a kernel silently falling back to a Python loop, a cull
-that keeps every primitive, a readout back on ``(I, 2)`` temporaries —
-not on scheduler noise.
+The floors are deliberately below the observed speedups (~7x,
+2.9-4.7x over ten runs, 2.3-5.6x and ~1.5x on a 2-vCPU dev host) so
+they fail on a real regression — a database silently falling back to a
+Python loop, a wave bank redrawn per call, a cull that keeps every
+primitive, a readout back on ``(I, 2)`` temporaries — not on scheduler
+noise.
 """
 
 import pytest
@@ -25,7 +27,7 @@ from repro.bench import run_benches
 
 #: Acceptance floors, in multiples of the scalar baseline.
 MIN_NEAREST_SPEEDUP = 5.0
-MIN_SHADOWING_SPEEDUP = 10.0
+MIN_SHADOWING_POINT_SPEEDUP = 2.0
 MIN_MAP_CONSTRAINT_SPEEDUP = 2.0
 MIN_BMA_READOUT_SPEEDUP = 1.2
 
@@ -38,9 +40,8 @@ def bench_report():
 
 def test_all_benches_ran(bench_report):
     for bench in (
-        "shadowing",
+        "shadowing_point",
         "fingerprint_nearest",
-        "scan_generation",
         "map_constraint",
         "bma_readout",
     ):
@@ -58,15 +59,10 @@ def test_fingerprint_nearest_speedup(bench_report):
     assert speedup >= MIN_NEAREST_SPEEDUP
 
 
-def test_batched_shadowing_speedup(bench_report):
-    speedup = bench_report.speedups()["shadowing"]
-    print(f"batched shadowing: {speedup:.1f}x over the per-point reference")
-    assert speedup >= MIN_SHADOWING_SPEEDUP
-
-
-def test_scan_generation_is_faster_batched(bench_report):
-    """The batched mean-RSSI path must at least beat the scalar loop."""
-    assert bench_report.speedups()["scan_generation"] > 1.0
+def test_cached_bank_shadowing_speedup(bench_report):
+    speedup = bench_report.speedups()["shadowing_point"]
+    print(f"cached-bank shadowing: {speedup:.1f}x over the redrawing reference")
+    assert speedup >= MIN_SHADOWING_POINT_SPEEDUP
 
 
 def test_map_constraint_cull_speedup(bench_report):

@@ -367,9 +367,10 @@ def _clear_result_memos() -> None:
 
     Without this, the warmed-up recorded runs would both return the
     memoized result object and record zero events — a vacuously clean
-    report.  The pure scalar memos in :mod:`repro.radio.kernels` are
-    left warm: they construct no RNGs, read no clocks, and emit no
-    telemetry, so their temperature cannot alter the stream.
+    report.  The exact-float memos (wave banks, corridor widths,
+    fingerprint spatial densities) are left warm: they construct no
+    RNGs, read no clocks, and emit no telemetry, so their temperature
+    cannot alter the stream.
     """
     from repro.eval import experiments
 

@@ -1,10 +1,10 @@
 """Microbenchmarks: kernel hot paths timed against scalar baselines.
 
-The kernel layer (:mod:`repro.radio.kernels`) exists for speed, and
-speed claims rot silently.  This package keeps them honest:
+The radio, map-constraint and BMA hot paths were each rewritten for
+speed, and speed claims rot silently.  This package keeps them honest:
 
-* :mod:`repro.bench.baselines` — verbatim pre-kernel scalar
-  implementations of the radio hot paths (the golden references).
+* :mod:`repro.bench.baselines` — verbatim pre-rewrite scalar
+  implementations of those hot paths (the golden references).
 * :mod:`repro.bench.runner` — times kernels against those baselines on
   real place data and writes a schema-versioned ``BENCH_<date>.json``
   report; ``repro bench compare`` diffs two reports with a regression

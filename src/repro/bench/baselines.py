@@ -1,19 +1,21 @@
 """Reference implementations of the radio, map-constraint and BMA hot paths.
 
 These are verbatim copies of the scalar algorithms the radio stack used
-before :mod:`repro.radio.kernels` existed, of the particle map
-constraint before its bounding-box cull, and of the BMA readout's grid
-rasterizers, mixture and Eq. 4 mean before they dropped their ``(I, 2)``
-temporaries.  They serve two purposes:
+before its fingerprint databases went dense and its shadowing wave
+banks were cached, of the particle map constraint before its
+bounding-box cull, and of the BMA readout's grid rasterizers, mixture
+and Eq. 4 mean before they dropped their ``(I, 2)`` temporaries.  They
+serve two purposes:
 
-* **Golden equivalence** — the kernel layer must agree with them to
-  1e-9 (:mod:`tests.radio.test_kernel_equivalence` pins this), and the
-  shadowing kernel, the culled map constraint and the BMA readout must
-  agree bit-for-bit (:mod:`tests.schemes.test_particle_filter`,
+* **Golden equivalence** — the dense fingerprint databases must agree
+  with them to 1e-9 (:mod:`tests.radio.test_kernel_equivalence` pins
+  this), and shadowing, the culled map constraint and the BMA readout
+  must agree bit-for-bit (:mod:`tests.radio.test_kernel_equivalence`,
+  :mod:`tests.schemes.test_particle_filter`,
   :mod:`tests.geometry.test_grid_equivalence`).
 * **Honest speedups** — the microbench suite (``repro bench``) times the
-  kernels against these baselines on the same inputs, so the recorded
-  speedups measure the kernels, not a strawman.
+  code that runs against these baselines on the same inputs, so the
+  recorded speedups measure it, not a strawman.
 
 They are reference code: correct, slow, and deliberately never called
 from the production path.
@@ -41,9 +43,6 @@ from repro.schemes.particle_filter import (
 )
 from repro.world import Place
 
-#: Reference distance for the path-loss model, meters (pre-kernel copy).
-REFERENCE_DISTANCE_M = 1.0
-
 
 def shadowing_db_reference(
     shadowing_sigma_db: float,
@@ -64,22 +63,6 @@ def shadowing_db_reference(
         for a, ph in zip(angles, phases)
     )
     return shadowing_sigma_db * value / math.sqrt(n_waves / 2.0)
-
-
-def path_loss_db_reference(
-    pl0_db: float,
-    exponent: float,
-    wall_loss_db: float,
-    distance_m: float,
-    walls: int = 0,
-) -> float:
-    """Pre-kernel scalar log-distance path loss."""
-    d = max(distance_m, REFERENCE_DISTANCE_M)
-    return (
-        pl0_db
-        + 10.0 * exponent * math.log10(d / REFERENCE_DISTANCE_M)
-        + walls * wall_loss_db
-    )
 
 
 def rssi_distance_reference(a: dict[str, float], b: dict[str, float]) -> float:

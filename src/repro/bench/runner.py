@@ -2,9 +2,9 @@
 
 Each bench times one radio hot path, the particle map constraint, or
 the BMA readout, in two variants on identical inputs: ``scalar`` (the
-reference from :mod:`repro.bench.baselines`, or the scalar per-point
-API where that *is* the current implementation) and ``kernel`` (the
-batched :mod:`repro.radio.kernels` path, the compiled
+reference from :mod:`repro.bench.baselines`) and ``kernel`` (the code
+that runs: the cached-bank ``PropagationModel.shadowing_db``, the dense
+``FingerprintDatabase.nearest``, the compiled
 :class:`~repro.schemes.particle_filter.MapConstraint`, or the
 temporary-free :class:`~repro.geometry.Grid` readout).  The ``walk_step``
 bench has no scalar twin — it times the full ``UniLocFramework.step``
@@ -65,7 +65,7 @@ def time_callable(fn: Callable[[], object], repeats: int = 20) -> Timing:
     """Time ``fn`` ``repeats`` times and summarize as p50/p90 (ms).
 
     One untimed warmup call precedes the loop so lazy caches (wave
-    banks, compiled databases) are charged to setup, not to the first
+    banks, density buckets) are charged to setup, not to the first
     sample.
     """
     if repeats <= 0:
@@ -90,7 +90,7 @@ class BenchReport:
     place: str
     seed: int
     created_at: float
-    #: ``"<bench>.<variant>"`` -> timing, e.g. ``"shadowing.kernel"``.
+    #: ``"<bench>.<variant>"`` -> timing, e.g. ``"shadowing_point.kernel"``.
     results: dict[str, Timing] = field(default_factory=dict)
 
     def speedups(self) -> dict[str, float]:
@@ -237,20 +237,20 @@ def ungated_benches(
 
 
 def _shadowing_bench(setup: Any, seed: int, repeats: int) -> dict[str, Timing]:
-    """Batched shadowing field vs the pre-kernel per-point reference."""
+    """Per-point shadowing: the cached-bank model vs the redrawing reference."""
     from repro.bench import baselines
     from repro.geometry import Point
-    from repro.radio.kernels import ShadowingBank
 
     model = setup.radio.wifi_model
     tx_seeds = tuple(ap.seed for ap in setup.radio.access_points[:8])
     rng = np.random.default_rng(seed + 41)
-    points = rng.uniform(0.0, 120.0, size=(256, 2))
-    point_objs = [Point(float(x), float(y)) for x, y in points]
+    points = [
+        Point(float(x), float(y)) for x, y in rng.uniform(0.0, 120.0, size=(256, 2))
+    ]
 
     def scalar() -> None:
         for tx_seed in tx_seeds:
-            for p in point_objs:
+            for p in points:
                 baselines.shadowing_db_reference(
                     model.shadowing_sigma_db,
                     model.shadowing_scale_m,
@@ -258,26 +258,25 @@ def _shadowing_bench(setup: Any, seed: int, repeats: int) -> dict[str, Timing]:
                     tx_seed,
                 )
 
-    bank = ShadowingBank.stack(model, tx_seeds)
-
     def kernel() -> None:
-        bank.shadowing_db(points)
+        for tx_seed in tx_seeds:
+            for p in points:
+                model.shadowing_db(p, tx_seed)
 
     return {
-        "shadowing.scalar": time_callable(scalar, repeats),
-        "shadowing.kernel": time_callable(kernel, repeats),
+        "shadowing_point.scalar": time_callable(scalar, repeats),
+        "shadowing_point.kernel": time_callable(kernel, repeats),
     }
 
 
 def _fingerprint_bench(
     setup: Any, scans: list[dict[str, float]], repeats: int
 ) -> dict[str, Timing]:
-    """Compiled nearest-k vs the pre-kernel per-entry union loop."""
+    """Dense ``FingerprintDatabase.nearest`` vs the per-entry union loop."""
     from repro.bench import baselines
-    from repro.radio.kernels import compile_fingerprints
 
-    compiled = compile_fingerprints(setup.wifi_db)
-    entries = setup.wifi_db.entries
+    database = setup.wifi_db
+    entries = database.entries
 
     def scalar() -> None:
         for scan in scans:
@@ -285,42 +284,11 @@ def _fingerprint_bench(
 
     def kernel() -> None:
         for scan in scans:
-            compiled.nearest(scan, k=3)
+            database.nearest(scan, k=3)
 
     return {
         "fingerprint_nearest.scalar": time_callable(scalar, repeats),
         "fingerprint_nearest.kernel": time_callable(kernel, repeats),
-    }
-
-
-def _scan_bench(setup: Any, seed: int, repeats: int) -> dict[str, Timing]:
-    """Noise-free mean-RSSI generation: per-point API vs one batch."""
-    from repro.radio import kernels
-
-    model = setup.radio.wifi_model
-    aps = setup.radio.access_points
-    rng = np.random.default_rng(seed + 43)
-    rx_xy = rng.uniform(0.0, 120.0, size=(128, 2))
-    from repro.geometry import Point
-
-    rx_points = [Point(float(x), float(y)) for x, y in rx_xy]
-    tx_xy = np.array([[ap.position.x, ap.position.y] for ap in aps])
-    tx_seeds = tuple(ap.seed for ap in aps)
-    # Wall counts are a floorplan question, not a kernel one: give both
-    # variants the same precomputed matrix.
-    walls = np.zeros((len(rx_points), len(aps)))
-
-    def scalar() -> None:
-        for rx in rx_points:
-            for ap in aps:
-                model.mean_rssi_dbm(ap.position, rx, walls=0, tx_seed=ap.seed)
-
-    def kernel() -> None:
-        kernels.mean_rssi_dbm(model, tx_xy, tx_seeds, rx_xy, walls=walls)
-
-    return {
-        "scan_generation.scalar": time_callable(scalar, repeats),
-        "scan_generation.kernel": time_callable(kernel, repeats),
     }
 
 
@@ -456,7 +424,6 @@ def run_benches(
     results: dict[str, Timing] = {}
     results.update(_shadowing_bench(setup, seed, repeats))
     results.update(_fingerprint_bench(setup, scans, repeats))
-    results.update(_scan_bench(setup, seed, repeats))
     results.update(_map_constraint_bench(setup, walk, seed, repeats))
     results.update(_bma_readout_bench(setup, walk, snapshots, seed, repeats))
     if include_walk_step:

@@ -55,14 +55,14 @@ Commands mirror the paper's workflow:
     two telemetry streams for the first diverging event; exits 1 on
     divergence with the break localized to job/worker/walk seed.
 ``bench run|compare|trend``
-    ``bench run`` times the radio kernels against their scalar
-    baselines on one place and writes a versioned ``BENCH_<date>.json``
-    report; ``bench compare BASELINE CURRENT`` diffs two reports,
-    exits 1 when a speedup regressed past the threshold, and names the
-    benches the baseline lacks on an ``ungated:`` line; ``bench trend
-    FILES...`` computes per-benchmark speedup trajectories across a
-    whole report history and flags best-ever regressions (see README
-    "Performance").
+    ``bench run`` times the radio, map-constraint and BMA hot paths
+    against their scalar baselines on one place and writes a versioned
+    ``BENCH_<date>.json`` report; ``bench compare BASELINE CURRENT``
+    diffs two reports, exits 1 when a speedup regressed past the
+    threshold, and names the benches the baseline lacks on an
+    ``ungated:`` line; ``bench trend FILES...`` computes per-benchmark
+    speedup trajectories across a whole report history and flags
+    best-ever regressions (see README "Performance").
 
 Both forms of ``run`` accept ``--telemetry LOG``, which streams the
 live ``uniloc_telemetry`` event log (job/step/span/fault/metric events
@@ -175,9 +175,13 @@ def _run_experiment(args: argparse.Namespace) -> int:
     from repro.eval.registry import get_experiment, render_result, run_experiment
     from repro.fleet import set_default_cache
 
+    try:
+        experiment = get_experiment(args.place)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.cache_dir:
         set_default_cache(_cache(args))
-    experiment = get_experiment(args.place)
     telemetry_log = getattr(args, "telemetry", None)
     if telemetry_log:
         from repro.obs.telemetry import telemetry_session
@@ -247,22 +251,13 @@ def _walk_path(args: argparse.Namespace, session=None):
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a registered experiment, or UniLoc over one place/path."""
-    from repro.eval.registry import EXPERIMENTS
-
     if args.list:
         return _list_experiments()
     if args.place is None:
         print("run needs an experiment name or PLACE PATH", file=sys.stderr)
         return 2
     if args.path is None:
-        if args.place in EXPERIMENTS:
-            return _run_experiment(args)
-        print(
-            f"{args.place!r} is neither a registered experiment "
-            f"(see `repro run --list`) nor was a PATH given",
-            file=sys.stderr,
-        )
-        return 2
+        return _run_experiment(args)
 
     from repro.eval import SCHEME_NAMES
     from repro.eval.plots import render_bars, render_cdf
@@ -548,20 +543,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Run an experiment under the sampling profiler."""
     from pathlib import Path
 
-    from repro.eval.registry import EXPERIMENTS, get_experiment, run_experiment
+    from repro.eval.registry import get_experiment, run_experiment
     from repro.fleet import set_default_cache
     from repro.obs.profiler import SamplingProfiler
 
-    if args.experiment not in EXPERIMENTS:
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            f"see `repro run --list`",
-            file=sys.stderr,
-        )
+    try:
+        experiment = get_experiment(args.experiment)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     if args.cache_dir:
         set_default_cache(_cache(args))
-    experiment = get_experiment(args.experiment)
     profiler = SamplingProfiler(interval_s=args.interval_ms / 1e3)
     with profiler:
         run_experiment(
@@ -651,14 +643,12 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.sanitizer import sanitize_experiment
-    from repro.eval.registry import experiment_names
+    from repro.eval.registry import get_experiment
 
-    if args.experiment not in experiment_names():
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            f"known: {', '.join(experiment_names())}",
-            file=sys.stderr,
-        )
+    try:
+        get_experiment(args.experiment)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     report = sanitize_experiment(
         args.experiment,

@@ -62,8 +62,6 @@ from repro.geometry import Grid, Point
 from repro.obs.clock import monotonic_s
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import NOOP_EMITTER, EventSinkLike
-from repro.radio.fingerprint import FingerprintDatabase
-from repro.radio.kernels import CompiledFingerprintDatabase, compile_fingerprints
 from repro.schemes.base import Scheme, SchemeOutput
 from repro.sensors import SensorSnapshot
 from repro.world import Place
@@ -245,7 +243,7 @@ class UniLocFramework:
         #: Wall time (ms) of each stage of the last step, keyed by
         #: :data:`STAGES` and ``scheme.<name>``; replaced every step.
         self.stage_ms: dict[str, float] = {}
-        prepare_lane(self.place, self.bundles)
+        prepare_lane(self.bundles)
 
     @property
     def grid(self) -> Grid:
@@ -277,7 +275,7 @@ class UniLocFramework:
         """
         if name in self.bundles:
             raise ValueError(f"scheme {name!r} already registered")
-        prepare_lane(self.place, {**self.bundles, name: bundle})
+        prepare_lane({**self.bundles, name: bundle})
         self.bundles[name] = bundle
         self._health[name] = SchemeHealth()
 
@@ -681,27 +679,14 @@ def bma_mixture(
     return mixture
 
 
-def prepare_lane(place: Place, bundles: dict[str, SchemeBundle]) -> None:
-    """Check a walker's schemes are distinct and turn on the shared memos.
+def prepare_lane(bundles: dict[str, SchemeBundle]) -> None:
+    """Check a walker's schemes are distinct instances.
 
     Each scheme advances once per step, so one instance registered under
-    two names would be estimated twice per step.  Corridor widths and
-    fingerprint spatial densities are pure functions queried at
-    grid-snapped points; memoizing them on the shared place/survey
-    dedupes identical queries across walkers and steps while returning
-    the scalar functions' exact floats.
+    two names would be estimated twice per step.
 
     Raises:
         ValueError: if two names share one scheme instance.
     """
     if len({id(bundle.scheme) for bundle in bundles.values()}) != len(bundles):
         raise ValueError("a scheme instance is registered under two names")
-    place.enable_feature_memo()
-    for bundle in bundles.values():
-        for attr in ("_index", "_fp_index"):
-            index = getattr(bundle.scheme, attr, None)
-            if isinstance(index, CompiledFingerprintDatabase):
-                index.enable_density_memo()
-        database = getattr(bundle.extractor, "database", None)
-        if isinstance(database, FingerprintDatabase):
-            compile_fingerprints(database).enable_density_memo()

@@ -68,7 +68,7 @@ def fingerprints_to_entries(db: FingerprintDatabase) -> list[dict[str, Any]]:
 def fingerprints_from_entries(entries: list[dict[str, Any]]) -> FingerprintDatabase:
     """Rebuild a fingerprint database from :func:`fingerprints_to_entries`."""
     return FingerprintDatabase(
-        [Fingerprint(Point(e["x"], e["y"]), dict(e["rssi"])) for e in entries]
+        tuple(Fingerprint(Point(e["x"], e["y"]), dict(e["rssi"])) for e in entries)
     )
 
 

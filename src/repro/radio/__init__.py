@@ -1,10 +1,10 @@
 """Radio substrate: propagation, transmitters, satellites, fingerprints.
 
-The scalar APIs (``PropagationModel``, ``FingerprintDatabase``, ...) are
-thin fronts over the vectorized kernels in :mod:`repro.radio.kernels`;
-batch consumers can use the kernels directly, and every fingerprint
-database flavour answers queries through the
-:class:`~repro.radio.index.FingerprintIndex` protocol.
+Each fingerprint database flavour is one class that lowers its survey
+to dense numpy matrices at construction and answers queries through
+the :class:`~repro.radio.index.FingerprintIndex` protocol.
+``PropagationModel`` evaluates one transmitter at one point, reading
+each transmitter's shadowing wave bank from a per-seed cache.
 """
 
 from repro.radio.deployment import RadioEnvironment
@@ -15,14 +15,6 @@ from repro.radio.gaussian_fingerprint import (
     GaussianReading,
 )
 from repro.radio.index import FingerprintIndex, MatchCandidate
-from repro.radio.kernels import (
-    CompiledFingerprintDatabase,
-    CompiledGaussianFingerprintDatabase,
-    ShadowingBank,
-    ShadowingField,
-    compile_fingerprints,
-    compile_gaussian_fingerprints,
-)
 from repro.radio.propagation import (
     CELL_SENSITIVITY_DBM,
     CELLULAR_MODEL,
@@ -50,8 +42,6 @@ __all__ = [
     "MISSING_RSSI_DBM",
     "WIFI_MODEL",
     "WIFI_SENSITIVITY_DBM",
-    "CompiledFingerprintDatabase",
-    "CompiledGaussianFingerprintDatabase",
     "Constellation",
     "Fingerprint",
     "FingerprintDatabase",
@@ -63,11 +53,7 @@ __all__ = [
     "PropagationModel",
     "RadioEnvironment",
     "Satellite",
-    "ShadowingBank",
-    "ShadowingField",
     "Transmitter",
-    "compile_fingerprints",
-    "compile_gaussian_fingerprints",
     "deploy_access_points",
     "deploy_cell_towers",
 ]

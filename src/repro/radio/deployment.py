@@ -161,7 +161,7 @@ class RadioEnvironment:
                 entries.append(Fingerprint(point, scan))
         if not entries:
             raise ValueError("survey produced no audible fingerprints")
-        return FingerprintDatabase(entries)
+        return FingerprintDatabase(tuple(entries))
 
     def survey_cellular(
         self, points: list[Point], rng: np.random.Generator
@@ -174,7 +174,7 @@ class RadioEnvironment:
                 entries.append(Fingerprint(point, scan))
         if not entries:
             raise ValueError("survey produced no audible fingerprints")
-        return FingerprintDatabase(entries)
+        return FingerprintDatabase(tuple(entries))
 
     def survey_wifi_gaussian(
         self,

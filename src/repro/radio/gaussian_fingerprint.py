@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.geometry import Point
 from repro.radio.fingerprint import MISSING_RSSI_DBM
 from repro.radio.index import MatchCandidate
-
-if TYPE_CHECKING:
-    from repro.radio.kernels import CompiledGaussianFingerprintDatabase
 
 #: Deviation assumed for an AP with too few samples to estimate one.
 DEFAULT_STD_DB = 4.0
@@ -50,13 +46,55 @@ class GaussianFingerprint:
 
 @dataclass
 class GaussianFingerprintDatabase:
-    """A Horus-style survey: per-location, per-AP Gaussian RSSI models."""
+    """A Horus-style survey: per-location, per-AP Gaussian RSSI models.
 
-    entries: list[GaussianFingerprint]
+    Construction lowers the survey once to dense ``(entries,
+    transmitters)`` mean and deviation matrices plus a presence mask.
+    The log-likelihood runs over the *union* of scan and entry APs;
+    densely that means a term is counted only where the presence mask
+    (entry has a reading) or the scan covers the column — columns absent
+    from both contribute exactly zero, not the floored "missing vs
+    missing" term.  Implements the
+    :class:`~repro.radio.index.FingerprintIndex` protocol with
+    ``score = -log_likelihood``.
+
+    Attributes:
+        entries: surveyed locations, in survey order (any sequence given
+            is stored as a tuple).
+    """
+
+    entries: tuple[GaussianFingerprint, ...]
 
     def __post_init__(self) -> None:
+        self.entries = tuple(self.entries)
         if not self.entries:
             raise ValueError("a Gaussian fingerprint database cannot be empty")
+        vocabulary = sorted({key for e in self.entries for key in e.readings})
+        self.transmitter_ids: tuple[str, ...] = tuple(vocabulary)
+        self._column: dict[str, int] = {
+            identifier: j for j, identifier in enumerate(vocabulary)
+        }
+        shape = (len(self.entries), len(vocabulary))
+        means = np.full(shape, MISSING_RSSI_DBM)
+        stds = np.full(shape, DEFAULT_STD_DB)
+        present = np.zeros(shape, dtype=bool)
+        for i, entry in enumerate(self.entries):
+            for key, reading in entry.readings.items():
+                j = self._column[key]
+                means[i, j] = reading.mean
+                stds[i, j] = reading.std
+                present[i, j] = True
+        for array in (means, stds, present):
+            array.setflags(write=False)
+        self.means = means
+        self.stds = stds
+        self.present = present
+        # -log(std) - 0.5 log(2 pi), precomputed per cell.
+        self._log_norm = -np.log(stds) - 0.5 * math.log(2.0 * math.pi)
+        self._n_readings = np.array([len(e.readings) for e in self.entries])
+        positions_xy = np.array([[e.position.x, e.position.y] for e in self.entries])
+        positions_xy.setflags(write=False)
+        self._positions = positions_xy
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -94,41 +132,47 @@ class GaussianFingerprintDatabase:
             entries.append(GaussianFingerprint(position, readings))
         if not entries:
             raise ValueError("surveys contained no audible samples")
-        return cls(entries)
+        return cls(tuple(entries))
 
-    @staticmethod
-    def log_likelihood(scan: dict[str, float], entry: GaussianFingerprint) -> float:
-        """Return the log-likelihood of a scan under one location's model.
+    def positions(self) -> np.ndarray:
+        """Return the (read-only) ``(n, 2)`` array of surveyed positions."""
+        return self._positions
+
+    def log_likelihoods(self, rssi_dbm: dict[str, float]) -> np.ndarray:
+        """Return each entry's log-likelihood of the scan, as an ``(n,)`` array.
 
         Evaluated over the union of APs: an AP audible online but not in
-        the model (or vice versa) is scored against the sensitivity floor
-        with the default deviation, and every per-AP term is floored so a
-        single outlier cannot veto a location.
+        an entry's model (or vice versa) is scored against the
+        sensitivity floor with the default deviation, and every per-AP
+        term is floored so a single outlier cannot veto a location.  An
+        entry with no readings has likelihood ``-inf`` for an empty scan.
         """
-        keys = set(scan) | set(entry.readings)
-        if not keys:
-            return float("-inf")
-        total = 0.0
-        for key in keys:
-            value = scan.get(key, MISSING_RSSI_DBM)
-            reading = entry.readings.get(key)
-            if reading is None:
-                mean, std = MISSING_RSSI_DBM, DEFAULT_STD_DB
+        vector = np.full(len(self.transmitter_ids), MISSING_RSSI_DBM)
+        in_scan = np.zeros(len(self.transmitter_ids), dtype=bool)
+        extra = 0.0
+        for key, value in rssi_dbm.items():
+            j = self._column.get(key)
+            if j is None:
+                z = (value - MISSING_RSSI_DBM) / DEFAULT_STD_DB
+                term = (
+                    -0.5 * z * z
+                    - math.log(DEFAULT_STD_DB)
+                    - 0.5 * math.log(2.0 * math.pi)
+                )
+                extra += max(term, LOG_LIKELIHOOD_FLOOR)
             else:
-                mean, std = reading.mean, reading.std
-            z = (value - mean) / std
-            term = -0.5 * z * z - math.log(std) - 0.5 * math.log(2.0 * math.pi)
-            total += max(term, LOG_LIKELIHOOD_FLOOR)
-        return total
-
-    def compiled(self) -> "CompiledGaussianFingerprintDatabase":
-        """Return (and cache) the dense kernel form of this database."""
-        from repro.radio.kernels import compile_gaussian_fingerprints
-
-        return compile_gaussian_fingerprints(self)
+                vector[j] = value
+                in_scan[j] = True
+        z = (vector - self.means) / self.stds
+        terms = np.maximum(-0.5 * z * z + self._log_norm, LOG_LIKELIHOOD_FLOOR)
+        mask = self.present | in_scan
+        totals = np.where(mask, terms, 0.0).sum(axis=1) + extra
+        if not rssi_dbm:
+            totals = np.where(self._n_readings == 0, -np.inf, totals)
+        return totals
 
     def most_likely(
-        self, scan: dict[str, float], k: int = 3
+        self, rssi_dbm: dict[str, float], k: int = 3
     ) -> list[tuple[GaussianFingerprint, float]]:
         """Return the ``k`` most likely locations with their log-likelihoods.
 
@@ -138,13 +182,29 @@ class GaussianFingerprintDatabase:
         Raises:
             ValueError: if ``k`` is not positive.
         """
-        return self.compiled().most_likely(scan, k=k)
+        if k <= 0:
+            raise ValueError("k must be positive")
+        if not rssi_dbm:
+            return []
+        totals = self.log_likelihoods(rssi_dbm)
+        order = np.argsort(-totals, kind="stable")[:k]
+        return [(self.entries[i], float(totals[i])) for i in order]
 
-    def match(self, scan: dict[str, float], k: int = 3) -> list[MatchCandidate]:
-        """Return the best ``k`` candidates scored by negated log-likelihood
-        (``FingerprintIndex`` API)."""
-        return self.compiled().match(scan, k=k)
-
-    def positions(self) -> np.ndarray:
-        """Return an ``(n, 2)`` array of surveyed positions."""
-        return self.compiled().positions()
+    def match(
+        self, rssi_dbm: dict[str, float], k: int = 3
+    ) -> list[MatchCandidate]:
+        """Return the best ``k`` candidates, scored by negated log-likelihood."""
+        if k <= 0:
+            raise ValueError("k must be positive")
+        if not rssi_dbm:
+            return []
+        totals = self.log_likelihoods(rssi_dbm)
+        order = np.argsort(-totals, kind="stable")[:k]
+        return [
+            MatchCandidate(
+                index=int(i),
+                position=self.entries[i].position,
+                score=-float(totals[i]),
+            )
+            for i in order
+        ]

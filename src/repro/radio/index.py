@@ -5,9 +5,8 @@ Both fingerprint flavours — the RADAR-style Euclidean
 :class:`~repro.radio.gaussian_fingerprint.GaussianFingerprintDatabase` —
 answer the same question: *given an online scan, which surveyed locations
 match best, and how well?*  :class:`FingerprintIndex` is that question as
-a structural protocol, so schemes and the compiled kernels in
-:mod:`repro.radio.kernels` can consume either database (or its compiled
-form) interchangeably.
+a structural protocol, so schemes written against it consume either
+database interchangeably.
 
 Scores are **lower-is-better** for every implementation: the Euclidean
 databases report the RSSI distance in dB, the Gaussian databases report

@@ -19,20 +19,66 @@ trilateration) is implemented on top of the same model in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.geometry import Point
-from repro.radio.kernels import REFERENCE_DISTANCE_M, ShadowingField
 
 __all__ = [
     "REFERENCE_DISTANCE_M",
+    "wave_bank",
     "PropagationModel",
     "WIFI_MODEL",
     "CELLULAR_MODEL",
     "WIFI_SENSITIVITY_DBM",
     "CELL_SENSITIVITY_DBM",
 ]
+
+#: Reference distance for the path-loss model, meters.
+REFERENCE_DISTANCE_M = 1.0
+
+#: Number of plane waves in one transmitter's shadowing bank.
+N_SHADOWING_WAVES = 6
+
+#: Sum of n independent unit sinusoids has variance n/2; normalize by it.
+_WAVE_NORM = math.sqrt(N_SHADOWING_WAVES / 2.0)
+
+
+@dataclass(frozen=True)
+class WaveBank:
+    """One transmitter's plane-wave directions and phases.
+
+    Attributes:
+        cos_angles, sin_angles: unit direction vectors of each wave.
+        phases: phase offset of each wave, radians.
+    """
+
+    cos_angles: np.ndarray
+    sin_angles: np.ndarray
+    phases: np.ndarray
+
+
+@functools.lru_cache(maxsize=65536)
+def wave_bank(tx_seed: int) -> WaveBank:
+    """Return the (cached) wave bank drawn from a transmitter's seed.
+
+    A fresh ``default_rng(tx_seed)`` yields the wave angles, then the
+    phases, each uniform over ``[0, 2*pi)``: the same draws
+    :func:`repro.bench.baselines.shadowing_db_reference` makes on every
+    call, made here once per seed.
+    """
+    rng = np.random.default_rng(tx_seed)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=N_SHADOWING_WAVES)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=N_SHADOWING_WAVES)
+    phases.setflags(write=False)
+    cos_angles = np.cos(angles)
+    sin_angles = np.sin(angles)
+    cos_angles.setflags(write=False)
+    sin_angles.setflags(write=False)
+    return WaveBank(cos_angles=cos_angles, sin_angles=sin_angles, phases=phases)
 
 
 @dataclass(frozen=True)
@@ -83,15 +129,19 @@ class PropagationModel:
         ``shadowing_scale_m`` and reproducible for any query point, which
         is what fingerprinting needs (the field is the fingerprint).
 
-        Delegates to the cached :class:`~repro.radio.kernels.ShadowingField`
-        kernel, whose evaluation is bit-identical to the original scalar
-        loop — but the wave bank is drawn once per ``(model, tx_seed)``
-        instead of on every call.
+        The bank comes from the per-seed :func:`wave_bank` cache; the
+        value is bit-identical to drawing it afresh on every call.
         """
         if self.shadowing_sigma_db <= 0.0:
             return 0.0
-        field = ShadowingField.for_transmitter(self, tx_seed)
-        return field.shadowing_db_at(rx.x, rx.y)
+        bank = wave_bank(tx_seed)
+        wavenumber = 2.0 * math.pi / self.shadowing_scale_m
+        arg = (
+            wavenumber * (rx.x * bank.cos_angles + rx.y * bank.sin_angles)
+            + bank.phases
+        )
+        total = float(np.sin(arg).sum())
+        return self.shadowing_sigma_db * total / _WAVE_NORM
 
     def distance_for_rssi(self, rssi_dbm: float) -> float:
         """Invert the deterministic model: distance implied by an RSSI.

@@ -7,11 +7,9 @@ The top-``k`` candidates (k = 3 in the paper's setting) are retained both
 to shape the scheme's grid posterior and to feed the error model's "RSSI
 distance deviation" feature.
 
-Matching runs on the compiled kernels
-(:class:`~repro.radio.kernels.CompiledFingerprintDatabase`): one dense
-distance evaluation per scan serves both the global top-k and the
-temporal-continuity window, instead of the historical two passes of
-per-entry dict-union arithmetic.
+Matching runs on the database's dense matrix: one distance evaluation
+per scan serves both the global top-k and the temporal-continuity
+window.
 
 :class:`HorusScheme` is the probabilistic variant the paper discusses
 (Horus [2]): per-AP Gaussian likelihoods instead of vector distances.  It
@@ -28,9 +26,8 @@ import numpy as np
 
 from repro.geometry import Point
 from repro.radio import FingerprintDatabase
-from repro.radio.index import FingerprintIndex
-from repro.radio.kernels import CompiledFingerprintDatabase, compile_fingerprints
 from repro.radio.fingerprint import Fingerprint
+from repro.radio.index import FingerprintIndex
 from repro.schemes.base import LocalizationScheme, SchemeOutput
 from repro.sensors import SensorSnapshot
 
@@ -53,22 +50,17 @@ class FingerprintScheme(LocalizationScheme):
     lost and re-acquires globally.  This is the standard practical
     refinement of RADAR-style systems and keeps errors bounded by walking
     speed rather than by place size.
-
-    Accepts either a plain :class:`~repro.radio.FingerprintDatabase` or
-    an already-compiled kernel database; the scalar form is compiled once
-    at construction.
     """
 
     def __init__(
         self,
-        database: FingerprintDatabase | CompiledFingerprintDatabase,
+        database: FingerprintDatabase,
         k: int = 3,
         continuity_radius_m: float | None = 30.0,
     ) -> None:
         if k <= 0:
             raise ValueError("k must be positive")
         self.database = database
-        self._index = compile_fingerprints(database)
         self.k = k
         self.continuity_radius_m = continuity_radius_m
         self._last_position: Point | None = None
@@ -89,16 +81,16 @@ class FingerprintScheme(LocalizationScheme):
         One dense distance pass serves both the unconstrained top-k and
         the windowed top-k.
         """
-        index = self._index
-        scores = index.distances(scan)
+        database = self.database
+        scores = database.distances(scan)
         order = np.argsort(scores, kind="stable")
         global_top = [
-            (index.entries[i], float(scores[i])) for i in order[: self.k]
+            (database.entries[i], float(scores[i])) for i in order[: self.k]
         ]
         if self.continuity_radius_m is None or self._last_position is None:
             return global_top
         anchor = self._last_position
-        positions = index.positions()
+        positions = database.positions()
         in_window = (
             np.hypot(positions[:, 0] - anchor.x, positions[:, 1] - anchor.y)
             <= self.continuity_radius_m
@@ -108,7 +100,7 @@ class FingerprintScheme(LocalizationScheme):
             return global_top
         if float(scores[windowed[0]]) > global_top[0][1] + CONTINUITY_ESCAPE_DB:
             return global_top  # lost the track: re-acquire globally
-        return [(index.entries[i], float(scores[i])) for i in windowed]
+        return [(database.entries[i], float(scores[i])) for i in windowed]
 
     def estimate(self, snapshot: SensorSnapshot) -> SchemeOutput | None:
         """Match the online scan against the offline database."""
@@ -180,16 +172,16 @@ class HorusScheme(FingerprintScheme):
     distribution with a shared deviation ``sigma_db``; the location
     posterior is the product of per-AP likelihoods.  Because every per-AP
     term shares one deviation, the log-likelihood is exactly
-    ``-d^2 / (2 sigma^2)`` for the kernel RSSI distance ``d`` — so the
-    per-entry union loop collapses to one dense distance pass.  Extension
-    scheme — not part of the aggregated five.
+    ``-d^2 / (2 sigma^2)`` for the database's RSSI distance ``d`` — one
+    dense distance pass.  Extension scheme — not part of the aggregated
+    five.
     """
 
     name = "horus"
 
     def __init__(
         self,
-        database: FingerprintDatabase | CompiledFingerprintDatabase,
+        database: FingerprintDatabase,
         k: int = 3,
         sigma_db: float = 4.0,
     ) -> None:
@@ -205,8 +197,8 @@ class HorusScheme(FingerprintScheme):
         scan = self._scan(snapshot)
         if not scan:
             return None
-        index = self._index
-        distance = index.distances(scan)
+        database = self.database
+        distance = database.distances(scan)
         log_likes_arr = -(distance * distance) / (
             2.0 * self.sigma_db * self.sigma_db
         )
@@ -214,7 +206,7 @@ class HorusScheme(FingerprintScheme):
         likes = np.exp(log_likes_arr)
         order = np.argsort(likes)[::-1][: self.k]
         candidates = [
-            (index.entries[i].position, float(likes[i])) for i in order
+            (database.entries[i].position, float(likes[i])) for i in order
         ]
         best = candidates[0][0]
         spread = self._candidate_spread(best, candidates)
@@ -233,9 +225,9 @@ class GaussianHorusScheme(LocalizationScheme):
     with a shared deviation over single-sample fingerprints), this
     variant consumes a learned per-AP mean/deviation survey.  It is
     written against the :class:`~repro.radio.index.FingerprintIndex`
-    protocol, so any database flavour — Gaussian or Euclidean, scalar or
-    compiled — can be plugged in; scores are lower-is-better and the
-    softmin weighting ``exp(best - score)`` applies uniformly.
+    protocol, so either database flavour — Gaussian or Euclidean — can be
+    plugged in; scores are lower-is-better and the softmin weighting
+    ``exp(best - score)`` applies uniformly.
     """
 
     name = "horus_gaussian"

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.radio import FingerprintDatabase
-from repro.radio.kernels import compile_fingerprints
 from repro.schemes.base import SchemeOutput
 from repro.schemes.pdr import PdrScheme
 from repro.sensors import SensorSnapshot
@@ -44,8 +43,7 @@ class FusionScheme(PdrScheme):
         if self.database is None:
             raise ValueError("FusionScheme requires a fingerprint database")
         super().__post_init__()
-        self._fp_index = compile_fingerprints(self.database)
-        self._fp_tree = cKDTree(self._fp_index.positions())
+        self._fp_tree = cKDTree(self.database.positions())
 
     def estimate(self, snapshot: SensorSnapshot) -> SchemeOutput | None:
         """Motion update, RSSI re-weighting, landmark calibration."""
@@ -62,11 +60,11 @@ class FusionScheme(PdrScheme):
         once per *unique* nearest fingerprint, not per particle.
         """
         scan = snapshot.wifi_scan
-        if not scan:
+        if not scan or self.database is None:
             return
         distances, indices = self._fp_tree.query(self._pf.positions)
         unique = np.unique(indices)
-        unique_scores = self._fp_index.distances(scan, rows=unique)
+        unique_scores = self.database.distances(scan, rows=unique)
         per_particle = unique_scores[np.searchsorted(unique, indices)]
         finite = np.isfinite(per_particle)
         if not finite.any():

@@ -11,14 +11,13 @@ different radio conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 from repro.geometry import Grid, Point, Polygon, Polyline
 from repro.world.environment import EnvironmentType, is_indoor, profile_of
 from repro.world.floorplan import FloorPlan
 
 
-# Bound on memoized corridor-width entries before the cache resets; walk
+# Bound on memoized corridor-width entries before the memo resets; walk
 # queries are grid-snapped so real populations stay far below this.
 _WIDTH_MEMO_MAX = 100_000
 
@@ -64,21 +63,13 @@ class Place:
     floorplan: FloorPlan
     paths: dict[str, Path] = field(default_factory=dict)
 
-    # Populated per-instance by enable_feature_memo(); a ClassVar default
-    # keeps it out of the dataclass field list (and out of eq/repr).
-    _width_memo: ClassVar[dict[tuple[float, float], float] | None] = None
-
-    def enable_feature_memo(self) -> None:
-        """Memoize :meth:`corridor_width_at` by exact query point.
-
-        Geometry features are pure functions of the query point, and a
-        walker population repeatedly evaluates them at the same
-        grid-snapped HMM predictions — so the first lane pays the scalar
-        floor-plan scan and every other lane reuses the exact float.
-        Off by default to keep standalone ``Place`` uses stateless.
-        """
-        if self._width_memo is None:
-            self._width_memo = {}
+    # Corridor widths are pure functions of the query point, and walkers
+    # evaluate them at the same grid-snapped HMM predictions over and
+    # over: the first query pays the floor-plan scan, every repeat
+    # reuses its exact float.  Kept out of init, eq and repr.
+    _width_memo: dict[tuple[float, float], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def environment_at(self, point: Point) -> EnvironmentType:
         """Return the environment label at ``point``."""
@@ -94,17 +85,15 @@ class Place:
     def corridor_width_at(self, point: Point) -> float:
         """Return the corridor width feature (beta_2 of the PDR model)."""
         memo = self._width_memo
-        if memo is not None:
-            key = (point.x, point.y)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        key = (point.x, point.y)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         default = profile_of(self.environment_at(point)).default_corridor_width_m
         value = self.floorplan.corridor_width_at(point, default)
-        if memo is not None:
-            if len(memo) >= _WIDTH_MEMO_MAX:
-                memo.clear()
-            memo[key] = value
+        if len(memo) >= _WIDTH_MEMO_MAX:
+            memo.clear()
+        memo[key] = value
         return value
 
     def grid(self, cell_size: float = 2.0) -> Grid:

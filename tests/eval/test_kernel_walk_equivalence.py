@@ -1,81 +1,28 @@
-"""Acceptance: kernel-backed schemes change nothing about walk results.
+"""Acceptance: the dense fingerprint databases drive real walks.
 
-The API-redesign contract for the kernel layer is *behavioural
-identity*: constructing the fingerprint schemes from the scalar
-``FingerprintDatabase`` (the historical API) and from an explicitly
-pre-compiled :class:`~repro.radio.kernels.CompiledFingerprintDatabase`
-must produce **byte-identical** :class:`WalkResult` pickles for the
-same seeded walk — on multiple places.  Both constructions resolve to
-the same kernel code (compilation is cached on the scalar database),
-so any divergence means a state leak in the compiled layer.
+The Wi-Fi and cellular schemes query their
+:class:`~repro.radio.FingerprintDatabase` directly; on a seeded office
+walk both must report estimates, and only the framework's schemes may.
+Walk-level byte identity with the pre-rewrite code is pinned separately
+by the seeded ``WalkResult`` goldens.
 """
 
-import pickle
-
-import pytest
-
-from repro.core import SchemeBundle
 from repro.eval import PlaceSetup, build_framework, run_walk
 from repro.eval.experiments import shared_models
 from repro.eval.setup import SCHEME_NAMES
-from repro.radio import compile_fingerprints
-from repro.schemes import CellularScheme, RadarScheme
-from repro.world import build_office_place, build_open_space_place
-
-PLACES = {
-    "office": build_office_place,
-    "open-space": build_open_space_place,
-}
+from repro.world import build_office_place
 
 
-def run_place(build, precompiled: bool):
-    setup = PlaceSetup.create(build(), seed=99)
-    models = shared_models(0)
+def test_kernel_backed_schemes_report():
+    """The database-backed schemes actually produce estimates."""
+    setup = PlaceSetup.create(build_office_place(), seed=99)
     walk, snaps = setup.record_walk(
         "survey", walk_seed=7, trace_seed=8, max_length=50.0
     )
     framework = build_framework(
-        setup, models, walk.moments[0].position, scheme_seed=9
+        setup, shared_models(0), walk.moments[0].position, scheme_seed=9
     )
-    if precompiled:
-        # Rebuild the fingerprint schemes against the compiled databases
-        # directly — the new API surface — instead of the scalar fronts.
-        old = framework.bundles
-        framework.bundles = {
-            name: SchemeBundle(
-                scheme=bundle.scheme,
-                error_models=bundle.error_models,
-                extractor=bundle.extractor,
-            )
-            for name, bundle in old.items()
-        }
-        framework.bundles["wifi"].scheme = RadarScheme(
-            compile_fingerprints(setup.wifi_db)
-        )
-        framework.bundles["cellular"].scheme = CellularScheme(
-            compile_fingerprints(setup.cell_db)
-        )
-    return run_walk(framework, setup.place, "survey", walk, snaps)
-
-
-@pytest.mark.parametrize("place_name", sorted(PLACES))
-def test_precompiled_database_walks_are_byte_identical(place_name):
-    build = PLACES[place_name]
-    scalar_api = run_place(build, precompiled=False)
-    compiled_api = run_place(build, precompiled=True)
-    assert len(scalar_api.records) == len(compiled_api.records)
-    for a, b in zip(scalar_api.records, compiled_api.records):
-        assert a.scheme_errors == b.scheme_errors
-        assert a.uniloc1_error == b.uniloc1_error
-        assert a.uniloc2_error == b.uniloc2_error
-        assert a.decision.selected == b.decision.selected
-    assert pickle.dumps(scalar_api) == pickle.dumps(compiled_api)
-
-
-def test_kernel_backed_schemes_report(
-):
-    """The compiled-database schemes actually produce estimates."""
-    result = run_place(build_office_place, precompiled=True)
+    result = run_walk(framework, setup.place, "survey", walk, snaps)
     reported = set()
     for record in result.records:
         reported.update(

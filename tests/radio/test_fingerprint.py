@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.baselines import rssi_distance_reference
 from repro.geometry import Point
 from repro.radio import Fingerprint, FingerprintDatabase
 from repro.radio.fingerprint import MISSING_RSSI_DBM
@@ -22,30 +23,40 @@ def db():
     )
 
 
+def rssi_distance(scan, entry_rssi):
+    """The database's distance from ``scan`` to one entry holding ``entry_rssi``.
+
+    Checked against the union-of-keys reference on every call.
+    """
+    db = FingerprintDatabase([Fingerprint(Point(0, 0), entry_rssi)])
+    distance = float(db.distances(scan)[0])
+    assert distance == pytest.approx(rssi_distance_reference(scan, entry_rssi))
+    return distance
+
+
 class TestRssiDistance:
     def test_identity(self):
         v = {"a": -50.0, "b": -60.0}
-        assert FingerprintDatabase.rssi_distance(v, dict(v)) == 0.0
+        assert rssi_distance(v, dict(v)) == 0.0
 
     def test_symmetry(self):
         a = {"a": -50.0}
         b = {"a": -60.0, "b": -70.0}
-        assert FingerprintDatabase.rssi_distance(a, b) == FingerprintDatabase.rssi_distance(b, a)
+        assert rssi_distance(a, b) == pytest.approx(rssi_distance(b, a))
 
     def test_euclidean_over_common_keys(self):
         a = {"a": -50.0, "b": -60.0}
         b = {"a": -53.0, "b": -56.0}
-        assert FingerprintDatabase.rssi_distance(a, b) == pytest.approx(5.0)
+        assert rssi_distance(a, b) == pytest.approx(5.0)
 
     def test_missing_key_penalized(self):
         a = {"a": -50.0}
         b = {}
-        assert FingerprintDatabase.rssi_distance(a, b) == pytest.approx(
-            abs(-50.0 - MISSING_RSSI_DBM)
-        )
+        assert rssi_distance(a, b) == pytest.approx(abs(-50.0 - MISSING_RSSI_DBM))
+        assert rssi_distance(b, a) == pytest.approx(abs(-50.0 - MISSING_RSSI_DBM))
 
     def test_two_empty_vectors_are_infinitely_far(self):
-        assert FingerprintDatabase.rssi_distance({}, {}) == float("inf")
+        assert rssi_distance({}, {}) == float("inf")
 
 
 class TestNearest:
@@ -115,7 +126,7 @@ def test_empty_database_rejected():
 def test_distance_triangle_like_monotonicity(values, noise):
     """Perturbing one vector by a bounded amount bounds the distance."""
     perturbed = {k: v + noise for k, v in values.items()}
-    d = FingerprintDatabase.rssi_distance(values, perturbed)
+    d = rssi_distance(values, perturbed)
     assert d <= noise * math.sqrt(len(values)) + 1e-9
 
 

@@ -1,7 +1,7 @@
-"""The FingerprintIndex protocol: one query surface, four databases.
+"""The FingerprintIndex protocol: one query surface, two databases.
 
-Every fingerprint flavour — scalar or compiled, Euclidean or Gaussian —
-answers ``__len__`` / ``positions()`` / ``match()`` with lower-is-better
+Both fingerprint flavours — Euclidean and Gaussian — answer
+``__len__`` / ``positions()`` / ``match()`` with lower-is-better
 scores, so schemes written against the protocol
 (:class:`~repro.schemes.GaussianHorusScheme` is the canonical consumer)
 accept any of them.  This file also pins the empty-scan contract: an
@@ -13,9 +13,12 @@ all-entries-tied "best" fingerprint leaked a bogus estimate.
 
 import math
 
-import numpy as np
 import pytest
 
+from repro.bench.baselines import (
+    gaussian_log_likelihood_reference,
+    rssi_distance_reference,
+)
 from repro.geometry import Point
 from repro.radio import (
     Fingerprint,
@@ -25,8 +28,6 @@ from repro.radio import (
     GaussianFingerprintDatabase,
     GaussianReading,
     MatchCandidate,
-    compile_fingerprints,
-    compile_gaussian_fingerprints,
 )
 from repro.schemes import GaussianHorusScheme, RadarScheme
 from repro.sensors.gps import GpsStatus
@@ -74,12 +75,7 @@ def gaussian_db():
 
 @pytest.fixture
 def all_flavours(euclidean_db, gaussian_db):
-    return {
-        "scalar": euclidean_db,
-        "compiled": compile_fingerprints(euclidean_db),
-        "gaussian": gaussian_db,
-        "gaussian_compiled": compile_gaussian_fingerprints(gaussian_db),
-    }
+    return {"euclidean": euclidean_db, "gaussian": gaussian_db}
 
 
 class TestProtocol:
@@ -116,20 +112,16 @@ class TestProtocol:
             output = GaussianHorusScheme(db).estimate(snapshot)
             assert output is not None, name
             estimates[name] = output.position
-        assert estimates["scalar"] == estimates["compiled"]
-        assert estimates["gaussian"] == estimates["gaussian_compiled"]
-        # All flavours agree on the winner for an unambiguous scan.
+        # Both flavours agree on the winner for an unambiguous scan.
         assert len(set(estimates.values())) == 1
 
 
 class TestEmptyScanRegression:
     def test_nearest_on_empty_scan_is_empty(self, euclidean_db):
         assert euclidean_db.nearest({}) == []
-        assert compile_fingerprints(euclidean_db).nearest({}) == []
 
     def test_most_likely_on_empty_scan_is_empty(self, gaussian_db):
         assert gaussian_db.most_likely({}) == []
-        assert compile_gaussian_fingerprints(gaussian_db).most_likely({}) == []
 
     def test_match_on_empty_scan_is_empty(self, all_flavours):
         for name, db in all_flavours.items():
@@ -143,26 +135,44 @@ class TestEmptyScanRegression:
         assert GaussianHorusScheme(gaussian_db).estimate(snapshot) is None
 
     def test_empty_entry_and_empty_scan_stay_infinitely_far(self):
-        # The scalar contract rssi_distance({}, {}) == inf is preserved:
+        # The reference contract rssi_distance({}, {}) == inf holds densely:
         # an entry with no readings never matches an empty scan.
-        assert FingerprintDatabase.rssi_distance({}, {}) == math.inf
+        assert rssi_distance_reference({}, {}) == math.inf
         db = FingerprintDatabase(
             [
                 Fingerprint(Point(0, 0), {}),
                 Fingerprint(Point(5, 0), {"a": -50.0}),
             ]
         )
-        compiled = compile_fingerprints(db)
-        assert compiled.nearest({}) == []
-        distances = compiled.distances({"a": -50.0})
-        assert math.isfinite(distances[1])
-        top = compiled.nearest({"a": -50.0}, k=2)
+        assert db.distances({})[0] == math.inf
+        assert db.nearest({}) == []
+        distances = db.distances({"a": -50.0})
+        for distance, entry in zip(distances, db.entries):
+            assert distance == pytest.approx(
+                rssi_distance_reference({"a": -50.0}, entry.rssi_dbm)
+            )
+        top = db.nearest({"a": -50.0}, k=2)
         assert top[0][0].position == Point(5, 0)
 
     def test_dense_distances_mark_empty_union_infinite(self, euclidean_db):
         db = FingerprintDatabase(
             [Fingerprint(Point(0, 0), {}), Fingerprint(Point(5, 0), {"a": -50.0})]
         )
-        distances = compile_fingerprints(db).distances({})
+        distances = db.distances({})
         assert math.isinf(distances[0])
         assert distances[1] == pytest.approx(50.0)  # |-50 - (-100)|
+
+    def test_empty_scan_log_likelihoods_match_reference(self):
+        def reading(mean):
+            return GaussianReading(mean=mean, std=4.0, count=5)
+
+        db = GaussianFingerprintDatabase(
+            [
+                GaussianFingerprint(Point(0, 0), {}),
+                GaussianFingerprint(Point(5, 0), {"a": reading(-50.0)}),
+            ]
+        )
+        totals = db.log_likelihoods({})
+        assert totals[0] == -math.inf
+        for total, entry in zip(totals, db.entries):
+            assert total == pytest.approx(gaussian_log_likelihood_reference({}, entry))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.baselines import gaussian_log_likelihood_reference
 from repro.geometry import Point
 from repro.radio import GaussianFingerprintDatabase, RadioEnvironment
 from repro.world import build_office_place
@@ -30,11 +31,17 @@ def test_most_likely_finds_matching_location():
     assert top[0][0].position == Point(0, 0)
 
 
+def log_likelihoods(db, scan):
+    """The database's per-entry log-likelihoods, checked against the reference."""
+    totals = db.log_likelihoods(scan)
+    for total, entry in zip(totals, db.entries):
+        assert total == pytest.approx(gaussian_log_likelihood_reference(scan, entry))
+    return totals
+
+
 def test_likelihood_higher_at_true_location():
     db = make_db()
-    scan = {"a": -40.0, "b": -70.0}
-    ll_true = db.log_likelihood(scan, db.entries[0])
-    ll_other = db.log_likelihood(scan, db.entries[1])
+    ll_true, ll_other = log_likelihoods(db, {"a": -40.0, "b": -70.0})
     assert ll_true > ll_other
 
 
@@ -42,8 +49,7 @@ def test_outlier_does_not_veto():
     """The per-AP floor keeps a single wild reading from -inf'ing a cell."""
     db = make_db()
     scan = {"a": -40.0, "b": -5.0}  # absurd reading for b
-    ll = db.log_likelihood(scan, db.entries[0])
-    assert np.isfinite(ll)
+    assert np.isfinite(log_likelihoods(db, scan)[0])
 
 
 def test_invalid_inputs():

@@ -1,19 +1,19 @@
-"""Golden equivalence: the kernel layer vs the pre-kernel scalar code.
+"""Golden equivalence: the radio stack vs the pre-rewrite scalar code.
 
-The batch-first kernels in :mod:`repro.radio.kernels` replaced the
-per-point/per-entry scalar implementations (preserved verbatim in
-:mod:`repro.bench.baselines`).  The refactor's contract is numerical:
+The dense fingerprint databases and the cached shadowing wave banks
+replaced per-entry/per-call scalar implementations (preserved verbatim
+in :mod:`repro.bench.baselines`).  The contract is numerical:
 
 * shadowing agrees **bit-for-bit** (same wave bank, same sin/sum order);
-* path loss, mean RSSI, fingerprint distances, and both `beta` features
-  (candidate deviation, spatial density) agree to 1e-9;
+* fingerprint distances, Gaussian log-likelihoods and both `beta`
+  features (candidate deviation, spatial density) agree to 1e-9;
 * nearest-k returns the same entries in the same order;
-* a compiled database built from a persistence round-trip answers
-  identically (JSON floats round-trip exactly).
+* a database rebuilt from a persistence round-trip answers identically
+  (JSON floats round-trip exactly).
 
-Random "places" are seeded draws: transmitter layouts, fingerprint
-surveys, and scans all come from ``default_rng(seed)``, and every
-property is checked across several seeds.
+Random "places" are seeded draws: fingerprint surveys and scans all
+come from ``default_rng(seed)``, and every property is checked across
+several seeds.
 """
 
 import math
@@ -32,11 +32,7 @@ from repro.radio import (
     GaussianFingerprintDatabase,
     GaussianReading,
     WIFI_MODEL,
-    compile_fingerprints,
-    compile_gaussian_fingerprints,
 )
-from repro.radio import kernels
-from repro.radio.kernels import ShadowingBank, ShadowingField
 
 PLACE_SEEDS = [0, 7, 1234]
 
@@ -66,93 +62,25 @@ class TestShadowing:
     @pytest.mark.parametrize("seed", PLACE_SEEDS)
     def test_scalar_field_is_bitwise_identical_to_reference(self, seed):
         rng = np.random.default_rng(seed)
-        field = ShadowingField.for_transmitter(WIFI_MODEL, tx_seed=seed)
         for x, y in rng.uniform(-200.0, 200.0, size=(50, 2)):
+            point = Point(float(x), float(y))
             expected = baselines.shadowing_db_reference(
                 WIFI_MODEL.shadowing_sigma_db,
                 WIFI_MODEL.shadowing_scale_m,
-                Point(float(x), float(y)),
+                point,
                 seed,
             )
-            assert field.shadowing_db_at(float(x), float(y)) == expected
-
-    @pytest.mark.parametrize("seed", PLACE_SEEDS)
-    def test_batched_field_is_bitwise_identical_to_scalar(self, seed):
-        rng = np.random.default_rng(seed + 1)
-        field = ShadowingField.for_transmitter(WIFI_MODEL, tx_seed=seed)
-        points = rng.uniform(-200.0, 200.0, size=(64, 2))
-        batched = field.shadowing_db(points)
-        for value, (x, y) in zip(batched, points):
-            assert value == field.shadowing_db_at(float(x), float(y))
-
-    def test_bank_matches_per_transmitter_fields(self):
-        rng = np.random.default_rng(3)
-        seeds = tuple(range(11, 17))
-        bank = ShadowingBank.stack(WIFI_MODEL, seeds)
-        points = rng.uniform(-100.0, 100.0, size=(32, 2))
-        grid = bank.shadowing_db(points)
-        for j, tx_seed in enumerate(seeds):
-            field = ShadowingField.for_transmitter(WIFI_MODEL, tx_seed)
-            assert np.array_equal(grid[:, j], field.shadowing_db(points))
-
-
-class TestPathLossAndMeanRssi:
-    @pytest.mark.parametrize("seed", PLACE_SEEDS)
-    def test_batched_path_loss_matches_reference(self, seed):
-        rng = np.random.default_rng(seed + 2)
-        distances = rng.uniform(0.0, 300.0, size=100)
-        walls = rng.integers(0, 4, size=100).astype(float)
-        batched = kernels.path_loss_db(WIFI_MODEL, distances, walls)
-        for i in range(distances.size):
-            expected = baselines.path_loss_db_reference(
-                WIFI_MODEL.pl0_db,
-                WIFI_MODEL.exponent,
-                WIFI_MODEL.wall_loss_db,
-                float(distances[i]),
-                int(walls[i]),
-            )
-            assert batched[i] == pytest.approx(expected, abs=1e-9)
-
-    @pytest.mark.parametrize("seed", PLACE_SEEDS)
-    def test_batched_mean_rssi_matches_scalar_composition(self, seed):
-        rng = np.random.default_rng(seed + 3)
-        tx_xy = rng.uniform(0.0, 60.0, size=(5, 2))
-        tx_seeds = tuple(int(s) for s in rng.integers(0, 10_000, size=5))
-        rx_xy = rng.uniform(0.0, 60.0, size=(20, 2))
-        walls = rng.integers(0, 3, size=(20, 5)).astype(float)
-        grid = kernels.mean_rssi_dbm(WIFI_MODEL, tx_xy, tx_seeds, rx_xy, walls)
-        for i in range(20):
-            for j in range(5):
-                tx = Point(float(tx_xy[j, 0]), float(tx_xy[j, 1]))
-                rx = Point(float(rx_xy[i, 0]), float(rx_xy[i, 1]))
-                expected = (
-                    WIFI_MODEL.tx_power_dbm
-                    - baselines.path_loss_db_reference(
-                        WIFI_MODEL.pl0_db,
-                        WIFI_MODEL.exponent,
-                        WIFI_MODEL.wall_loss_db,
-                        tx.distance_to(rx),
-                        int(walls[i, j]),
-                    )
-                    - baselines.shadowing_db_reference(
-                        WIFI_MODEL.shadowing_sigma_db,
-                        WIFI_MODEL.shadowing_scale_m,
-                        rx,
-                        tx_seeds[j],
-                    )
-                )
-                assert grid[i, j] == pytest.approx(expected, abs=1e-9)
+            assert WIFI_MODEL.shadowing_db(point, seed) == expected
 
 
 class TestFingerprintMatching:
     @pytest.mark.parametrize("seed", PLACE_SEEDS)
     def test_nearest_k_ordering_matches_reference(self, seed):
         db = random_db(seed)
-        compiled = compile_fingerprints(db)
         for scan_seed in range(seed, seed + 10):
             scan = random_scan(scan_seed)
             expected = baselines.nearest_reference(db.entries, scan, k=4)
-            actual = compiled.nearest(scan, k=4)
+            actual = db.nearest(scan, k=4)
             assert [e.position for e, _ in actual] == [
                 e.position for e, _ in expected
             ]
@@ -162,39 +90,26 @@ class TestFingerprintMatching:
     @pytest.mark.parametrize("seed", PLACE_SEEDS)
     def test_beta2_candidate_deviation_matches_reference(self, seed):
         db = random_db(seed)
-        compiled = compile_fingerprints(db)
         for scan_seed in range(seed, seed + 10):
             scan = random_scan(scan_seed)
             expected = baselines.candidate_deviation_reference(
                 db.entries, scan, k=3
             )
-            assert compiled.candidate_deviation(scan, k=3) == pytest.approx(
+            assert db.candidate_deviation(scan, k=3) == pytest.approx(
                 expected, abs=1e-9
             )
 
     @pytest.mark.parametrize("seed", PLACE_SEEDS)
     def test_beta1_spatial_density_matches_reference(self, seed):
         db = random_db(seed)
-        compiled = compile_fingerprints(db)
         rng = np.random.default_rng(seed + 9)
         for x, y in rng.uniform(-10.0, 90.0, size=(25, 2)):
             point = Point(float(x), float(y))
             expected = baselines.spatial_density_reference(
                 db.entries, point, radius_m=15.0
             )
-            actual = compiled.spatial_density_around(point, radius_m=15.0)
+            actual = db.spatial_density_around(point, radius_m=15.0)
             assert actual == pytest.approx(expected, abs=1e-9)
-
-    def test_scalar_database_delegates_identically(self):
-        db = random_db(99)
-        compiled = compile_fingerprints(db)
-        scan = random_scan(99)
-        assert db.nearest(scan, k=3) == compiled.nearest(scan, k=3)
-        assert db.candidate_deviation(scan) == compiled.candidate_deviation(scan)
-        point = Point(5.0, 5.0)
-        assert db.spatial_density_around(point) == compiled.spatial_density_around(
-            point
-        )
 
 
 class TestGaussianLikelihood:
@@ -215,10 +130,9 @@ class TestGaussianLikelihood:
             }
             entries.append(GaussianFingerprint(Point(float(x), float(y)), readings))
         db = GaussianFingerprintDatabase(entries)
-        compiled = compile_gaussian_fingerprints(db)
         for scan_seed in range(seed, seed + 8):
             scan = random_scan(scan_seed, n_keys=8)
-            totals = compiled.log_likelihoods(scan)
+            totals = db.log_likelihoods(scan)
             for i, entry in enumerate(entries):
                 expected = baselines.gaussian_log_likelihood_reference(scan, entry)
                 if math.isinf(expected):
@@ -252,14 +166,13 @@ class TestPersistenceRoundTrip:
     def test_compiled_database_survives_persistence(
         self, entries, scan, tmp_path_factory
     ):
-        """save -> load -> compile answers exactly like the original."""
+        """save -> load answers exactly like the original."""
         from repro.persistence import load_fingerprints, save_fingerprints
 
-        db = FingerprintDatabase(list(entries))
+        original = FingerprintDatabase(list(entries))
         path = tmp_path_factory.mktemp("bench") / "prints.json"
-        save_fingerprints(db, path)
-        reloaded = compile_fingerprints(load_fingerprints(path))
-        original = compile_fingerprints(db)
+        save_fingerprints(original, path)
+        reloaded = load_fingerprints(path)
         assert np.array_equal(original.matrix, reloaded.matrix)
         assert np.array_equal(original.positions(), reloaded.positions())
         a = original.nearest(scan, k=3)

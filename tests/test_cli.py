@@ -177,7 +177,16 @@ def test_run_without_args_errors(capsys):
 
 def test_run_unknown_experiment_errors(capsys):
     assert main(["run", "fig99"]) == 2
-    assert "neither a registered experiment" in capsys.readouterr().err
+    assert "unknown experiment 'fig99'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "profile", "sanitize"])
+def test_unknown_experiment_message_lists_known(command, capsys):
+    from repro.eval.registry import EXPERIMENTS
+
+    assert main([command, "nope"]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown experiment 'nope'; known: {', '.join(EXPERIMENTS)}" in err
 
 
 def test_run_experiment_rejects_trace_flag(capsys):
