@@ -10,8 +10,9 @@ Commands mirror the paper's workflow:
 ``run EXPERIMENT | run PLACE PATH``
     Either reproduce a registered paper artifact by name (``repro run
     fig7 --workers 4``; ``repro run --list`` shows the registry), or
-    walk one path with UniLoc and print per-system error statistics,
-    the scheme-usage bars, and a CDF plot.
+    walk one path with UniLoc as a one-job fleet run (the engine's seeds)
+    and print per-system error statistics, the scheme-usage bars, and a
+    CDF plot.
 ``cache ls|clear|warm|key``
     Manage the persistent artifact cache (surveys, trained models)
     that the experiment engine reads; see README "Parallel execution
@@ -64,11 +65,10 @@ Commands mirror the paper's workflow:
     speedup trajectories across a whole report history and flags
     best-ever regressions (see README "Performance").
 
-Both forms of ``run`` accept ``--telemetry LOG``, which streams the
-live ``uniloc_telemetry`` event log (job/step/span/fault/metric events
-with correlated run/job/worker IDs) to ``LOG`` while the walks run;
-``run PLACE PATH --telemetry LOG`` also records per-scheme latencies,
-and ``repro report LOG`` aggregates the log's step events.  Offline
+Both forms of ``run``, and ``chaos``, accept ``--telemetry LOG``, which
+streams the live ``uniloc_telemetry`` event log (job/step/span/fault/
+metric events with correlated run/job/worker IDs) to ``LOG`` while the
+walks run; ``repro report LOG`` aggregates the log's step events.  Offline
 artifacts come from the fleet cache: set ``REPRO_CACHE_DIR`` (or pass
 ``--cache-dir``) and repeated invocations skip training and surveying.
 """
@@ -78,8 +78,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack, contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+from repro.faults.plan import SCHEME_FAULT_KINDS
+
+if TYPE_CHECKING:
+    from repro.obs.telemetry import TelemetrySession
 
 
 def _builders():
@@ -132,42 +139,55 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-class UnknownTargetError(LookupError):
-    """``run PLACE PATH`` named a place or path that does not exist."""
+class _ExitError(Exception):
+    """Ends a command: :func:`main` prints the message and returns 2."""
 
 
-def _prepare_run(args: argparse.Namespace, frame):
-    """Setup for ``run PLACE PATH`` inside its job ``frame``.
+@contextmanager
+def _telemetry_log(
+    args: argparse.Namespace, experiment: str, announce: bool = True
+) -> Iterator[TelemetrySession | None]:
+    """Stream the block's walks to ``--telemetry LOG`` (None without it).
 
-    Returns ``(setup, framework, walk, snaps)``; artifact I/O during
-    model loading and surveying is metered into the frame's registry.
+    The session is installed process-wide, so every ``run_walks`` inside
+    the block streams into it.  After a clean exit the event count is
+    printed unless ``announce`` is false.
 
     Raises:
-        UnknownTargetError: on a bad place or path.
+        _ExitError: when the log cannot be opened for writing; it is
+            opened first, so an unwritable path fails before any walk.
     """
-    from repro.eval import build_framework
+    if not args.telemetry:
+        yield None
+        return
+    from repro.obs.telemetry import telemetry_session
 
-    if args.place not in _builders():
-        raise UnknownTargetError(f"unknown place {args.place!r}; see `repro places`")
-    with frame.loading():
-        if args.models:
-            from repro.persistence import load_error_models
-
-            models = load_error_models(args.models)
-        else:
-            models = frame.cache.error_models(args.seed)
-        setup = frame.cache.place_setup(args.place, args.seed + 3)
-    if args.path not in setup.place.paths:
-        raise UnknownTargetError(
-            f"unknown path {args.path!r}; this place has: "
-            + ", ".join(setup.place.paths)
+    with ExitStack() as stack:
+        try:
+            session = stack.enter_context(
+                telemetry_session(args.telemetry, experiment=experiment)
+            )
+        except OSError as exc:
+            raise _ExitError(f"cannot write telemetry log: {exc}") from exc
+        yield session
+    if announce:
+        print(
+            f"wrote {session.writer.n_events} telemetry events "
+            f"to {args.telemetry}\n"
         )
-    walk, snaps = setup.record_walk(
-        args.path, walk_seed=args.seed, trace_seed=args.seed + 1
-    )
-    framework = build_framework(setup, models, walk.moments[0].position)
-    framework.metrics = frame.metrics
-    return setup, framework, walk, snaps
+
+
+@contextmanager
+def _reading_log() -> Iterator[None]:
+    """Turn a telemetry log that cannot be read into exit 2.
+
+    Raises:
+        _ExitError: on an ``OSError`` or ``ValueError`` in the block.
+    """
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise _ExitError(f"cannot read telemetry log: {exc}") from exc
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
@@ -182,25 +202,9 @@ def _run_experiment(args: argparse.Namespace) -> int:
         return 2
     if args.cache_dir:
         set_default_cache(_cache(args))
-    telemetry_log = getattr(args, "telemetry", None)
-    if telemetry_log:
-        from repro.obs.telemetry import telemetry_session
-
-        with telemetry_session(telemetry_log, experiment=args.place) as session:
-            session.emitter().emit(
-                "log", "experiment", message=experiment.title
-            )
-            result = run_experiment(
-                args.place,
-                seed=args.seed if args.seed != 0 else None,
-                n_walks=args.n_walks,
-                workers=args.workers,
-            )
-        print(
-            f"wrote {session.writer.n_events} telemetry events "
-            f"to {telemetry_log}\n"
-        )
-    else:
+    with _telemetry_log(args, args.place) as session:
+        if session is not None:
+            session.emitter().emit("log", "experiment", message=experiment.title)
         result = run_experiment(
             args.place,
             seed=args.seed if args.seed != 0 else None,
@@ -220,77 +224,52 @@ def _list_experiments() -> int:
     return 0
 
 
-def _walk_path(args: argparse.Namespace, session=None):
-    """Walk ``run PLACE PATH``'s path; returns a ``WalkResult`` or an exit code.
+def _run_path(args: argparse.Namespace) -> int:
+    """Walk ``run PLACE PATH`` as a one-job fleet run and print its errors.
 
-    The walk is framed as one job, like a serial engine job.  With a
-    telemetry ``session`` its step events, each carrying the step's
-    ``stage_ms`` timings, land between ``job/started`` and
-    ``job/finished`` plus the job's metric deltas (artifact I/O and the
-    stage histograms included); a bad place or path closes the job
-    with ``job/error``.
+    The job follows the engine's seed convention (setup ``seed + 3``,
+    models ``seed``, walk ``seed``, trace ``seed + 1``), so it is the
+    same walk ``run_walks`` gives for those seeds.  ``--models FILE``
+    primes a memory-only cache with the file's models, so they are never
+    written to the persistent cache under the trained models' key.
     """
-    from repro.eval import run_walk
-    from repro.fleet.executor import _JobFrame
-
-    emitter = None
-    if session is not None:
-        emitter = session.emitter(job_id=session.job_id(0), walk_seed=args.seed)
-    try:
-        with _JobFrame(args.place, args.path, _cache(args), emitter) as frame:
-            setup, framework, walk, snaps = _prepare_run(args, frame)
-            result = run_walk(
-                framework, setup.place, args.path, walk, snaps, telemetry=emitter
-            )
-            frame.steps = len(result.records)
-    except UnknownTargetError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    return result
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    """Run a registered experiment, or UniLoc over one place/path."""
-    if args.list:
-        return _list_experiments()
-    if args.place is None:
-        print("run needs an experiment name or PLACE PATH", file=sys.stderr)
-        return 2
-    if args.path is None:
-        return _run_experiment(args)
-
     from repro.eval import SCHEME_NAMES
     from repro.eval.plots import render_bars, render_cdf
+    from repro.fleet import ArtifactCache, WalkJob, run_walks
 
-    session = None
-    if args.telemetry is not None:
-        from repro.obs.telemetry import TelemetrySession
-
-        # Opened before the expensive setup: model training takes
-        # minutes, and an unwritable log should fail in milliseconds.
-        try:
-            session = TelemetrySession(
-                args.telemetry, experiment=f"{args.place}/{args.path}"
-            )
-        except OSError as exc:
-            print(f"cannot write telemetry log: {exc}", file=sys.stderr)
-            return 2
-    try:
-        result = _walk_path(args, session)
-    finally:
-        if session is not None:
-            session.close()
-    if isinstance(result, int):
-        if session is not None:
-            session.path.unlink(missing_ok=True)
-        return result
-    if session is not None:
+    builders = _builders()
+    if args.place not in builders:
+        print(f"unknown place {args.place!r}; see `repro places`", file=sys.stderr)
+        return 2
+    paths = builders[args.place]().paths
+    if args.path not in paths:
         print(
-            f"wrote {session.writer.n_events} telemetry events "
-            f"to {args.telemetry}"
+            f"unknown path {args.path!r}; this place has: " + ", ".join(paths),
+            file=sys.stderr,
         )
+        return 2
+    job = WalkJob(
+        args.place,
+        args.path,
+        setup_seed=args.seed + 3,
+        models_seed=args.seed,
+        walk_seed=args.seed,
+        trace_seed=args.seed + 1,
+    )
+    cache = _cache(args)
+    with _telemetry_log(args, f"{args.place}/{args.path}") as session:
+        if args.models:
+            from repro.persistence import load_error_models
 
-    print(f"\n{args.place}/{args.path}: {len(result.records)} estimates\n")
+            primed = ArtifactCache()
+            primed.put_error_models(load_error_models(args.models), job.models_seed)
+            primed.put_place_setup(
+                job.place_name, cache.place_setup(job.place_name, job.setup_seed)
+            )
+            cache = primed
+        (result,) = run_walks([job], cache=cache, telemetry=session)
+
+    print(f"{args.place}/{args.path}: {len(result.records)} estimates\n")
     errors_by_system = {}
     for estimator in list(SCHEME_NAMES) + ["optsel", "uniloc1", "uniloc2"]:
         errors = result.errors(estimator)
@@ -305,6 +284,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(render_bars(result.usage("uniloc1")))
     print("\n" + render_cdf(errors_by_system))
     return 0
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """Run a registered experiment, or UniLoc over one place/path."""
+    if args.list:
+        return _list_experiments()
+    if args.place is None:
+        print("run needs an experiment name or PLACE PATH", file=sys.stderr)
+        return 2
+    if args.path is None:
+        return _run_experiment(args)
+    return _run_path(args)
 
 
 def _cache_root(args: argparse.Namespace) -> str:
@@ -392,11 +383,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     """
     from repro.obs import read_telemetry, render_report, summarize_steps
 
-    try:
+    with _reading_log():
         _, events = read_telemetry(args.log)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read telemetry log: {exc}", file=sys.stderr)
-        return 2
     summaries = summarize_steps(events)
     if not summaries:
         print(f"{args.log} has no step events", file=sys.stderr)
@@ -416,27 +404,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.cache_dir:
         set_default_cache(_cache(args))
     metrics = MetricsRegistry()
-    telemetry_note = None
     try:
-        if args.telemetry:
-            from repro.obs.telemetry import telemetry_session
-
-            with telemetry_session(
-                args.telemetry, experiment=f"chaos-{args.kind}"
-            ) as session:
-                rows = chaos_matrix(
-                    seed=args.seed,
-                    workers=args.workers,
-                    place_name=args.place,
-                    path_name=args.path,
-                    kind=args.kind,
-                    metrics=metrics,
-                )
-            telemetry_note = (
-                f"wrote {session.writer.n_events} telemetry events "
-                f"to {args.telemetry}"
-            )
-        else:
+        # Kept out of --json mode so stdout stays parseable.
+        with _telemetry_log(args, f"chaos-{args.kind}", announce=not args.json):
             rows = chaos_matrix(
                 seed=args.seed,
                 workers=args.workers,
@@ -448,9 +418,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"chaos: {exc}", file=sys.stderr)
         return 2
-    if telemetry_note and not args.json:
-        # Kept out of --json mode so stdout stays parseable.
-        print(telemetry_note + "\n")
 
     if args.json:
         from dataclasses import asdict
@@ -496,28 +463,22 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         summarize_telemetry,
     )
 
-    if args.telemetry_command == "tail":
+    if args.telemetry_command == "tail" and args.follow:
         try:
-            if args.follow:
+            with _reading_log():
                 for event in follow_telemetry(args.log, poll_s=args.poll_s):
                     print(format_event(event), flush=True)
-                return 0
-            meta, events = read_telemetry(args.log)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read telemetry log: {exc}", file=sys.stderr)
-            return 2
         except KeyboardInterrupt:
-            return 0
+            pass
+        return 0
+    with _reading_log():
+        meta, events = read_telemetry(args.log)
+    if args.telemetry_command == "tail":
         print(format_event(meta))
         shown = events[-args.last :] if args.last > 0 else events
         for event in shown:
             print(format_event(event))
         return 0
-    try:
-        meta, events = read_telemetry(args.log)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read telemetry log: {exc}", file=sys.stderr)
-        return 2
     if args.telemetry_command == "summary":
         print(render_telemetry_summary(summarize_telemetry(meta, events)))
         return 0
@@ -951,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--kind",
         default="crash",
-        choices=["crash", "drop", "hang", "nan", "garbage"],
+        choices=SCHEME_FAULT_KINDS,
         help="scheme fault kind to inject (default: crash)",
     )
     p_chaos.add_argument(
@@ -1128,7 +1089,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ExitError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,19 +14,14 @@ The matching graceful-degradation machinery lives in
 :mod:`repro.core.framework` (exception containment, quarantine with
 exponential backoff, non-finite rejection, confidence decay) and in
 :mod:`repro.fleet.executor` (worker-crash retry).  The
-:func:`chaos_matrix` experiment ties the two together; it is exposed
-lazily because it imports the fleet/eval layers, which themselves
-import this package.
+:func:`chaos_matrix` experiment ties the two together.  It and the
+injectors are resolved on first access (:data:`_LAZY`), so importing a
+plan, or the CLI's list of fault kinds, loads no scheme.
 """
 
+import importlib
 from typing import Any
 
-from repro.faults.injectors import (
-    GARBAGE_RADIUS_M,
-    FaultyScheme,
-    InjectedFault,
-    corrupt_snapshots,
-)
 from repro.faults.plan import (
     SCHEME_FAULT_KINDS,
     SENSOR_FAULT_KINDS,
@@ -34,6 +29,18 @@ from repro.faults.plan import (
     SchemeFault,
     SensorFault,
 )
+
+#: Names resolved on first access: the injectors import the schemes
+#: (and with them scipy), which a fault plan alone does not need, and
+#: chaos imports eval/fleet, which import this package.
+_LAZY = {
+    "GARBAGE_RADIUS_M": "injectors",
+    "FaultyScheme": "injectors",
+    "InjectedFault": "injectors",
+    "corrupt_snapshots": "injectors",
+    "chaos_matrix": "chaos",
+    "OutageRow": "chaos",
+}
 
 __all__ = [
     "GARBAGE_RADIUS_M",
@@ -51,9 +58,7 @@ __all__ = [
 
 
 def __getattr__(name: str) -> Any:
-    # chaos imports eval/fleet, which import faults; resolve on demand.
-    if name in ("chaos_matrix", "OutageRow"):
-        from repro.faults import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"repro.faults.{module}"), name)

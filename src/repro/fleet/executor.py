@@ -49,7 +49,6 @@ import os
 import traceback as _traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
@@ -215,16 +214,14 @@ def _compact_result(result: Any) -> Any:
 class _JobFrame:
     """One walk job's frame: how a job is opened, metered and closed.
 
-    Used by the inline and pool paths of :func:`iter_walks` and by
-    ``repro run PLACE PATH``.  Entering emits ``job/started`` (when
-    streaming to ``emitter``) and gives the job a fresh :attr:`metrics`
-    registry; :meth:`loading` meters the cache into it while the job's
-    artifacts load.  A clean exit counts ``fleet.walks`` and
-    ``fleet.steps`` (the caller sets :attr:`steps`), emits the
-    ``fleet.walk`` span, ``job/finished`` and the registry as metric
-    deltas, then folds the registry into ``into``.  An exception emits
-    ``job/error`` with ``error="<Type>: <msg>"`` and propagates
-    unchanged.
+    Used by the inline and pool paths of :func:`iter_walks`.  Entering
+    emits ``job/started`` (when streaming to ``emitter``) and gives the
+    job a fresh :attr:`metrics` registry; :meth:`walk` meters the cache
+    into it while the job runs.  A clean exit counts ``fleet.walks`` and
+    ``fleet.steps``, emits the ``fleet.walk`` span, ``job/finished`` and
+    the registry as metric deltas, then folds the registry into
+    ``into``.  An exception emits ``job/error`` with
+    ``error="<Type>: <msg>"`` and propagates unchanged.
     """
 
     def __init__(
@@ -250,20 +247,14 @@ class _JobFrame:
         self._start_s = monotonic_s()
         return self
 
-    @contextmanager
-    def loading(self) -> Iterator[None]:
-        """Meter the cache into this job's registry for the block."""
+    def walk(self, job: WalkJob) -> Any:
+        """Run ``job`` with :func:`execute_job` and record its steps."""
         previous = self.cache.metrics
         self.cache.metrics = self.metrics
         try:
-            yield
+            result = execute_job(job, self.cache, telemetry=self.emitter)
         finally:
             self.cache.metrics = previous
-
-    def walk(self, job: WalkJob) -> Any:
-        """Run ``job`` with :func:`execute_job` and record its steps."""
-        with self.loading():
-            result = execute_job(job, self.cache, telemetry=self.emitter)
         self.steps = len(result.records)
         return result
 

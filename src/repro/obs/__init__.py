@@ -7,9 +7,12 @@ calls cost one attribute lookup, and the framework's per-stage timings
 are plain :mod:`repro.obs.clock` reads taken on every step.  Every
 recorded event — metric deltas, spans, faults, job lifecycle, and each
 scored step decision with its stage timings — goes into one
-``uniloc_telemetry`` JSONL stream (:mod:`repro.obs.telemetry`);
-:mod:`repro.obs.report` aggregates its ``step`` events.  See README's "Observability" section for the event
-schema and CLI workflow.
+``uniloc_telemetry`` JSONL stream (:mod:`repro.obs.telemetry`), written
+by one :class:`TelemetryWriter` and read back through one decoder by
+:func:`read_telemetry` and :func:`follow_telemetry`;
+:mod:`repro.obs.report` aggregates its ``step`` events.  The worker
+spools of a fleet run stay inside :mod:`repro.obs.telemetry`.  See
+README's "Observability" section for the event schema and CLI workflow.
 """
 
 from repro.obs import clock
@@ -50,9 +53,7 @@ from repro.obs.telemetry import (
     EventSinkLike,
     NoopEmitter,
     TelemetrySession,
-    TelemetrySpool,
     TelemetryWriter,
-    WorkerTelemetry,
     apply_metric_event,
     current_session,
     decision_to_dict,
@@ -88,11 +89,9 @@ __all__ = [
     "SamplingProfiler",
     "SchemeSummary",
     "TelemetrySession",
-    "TelemetrySpool",
     "TelemetryWriter",
     "Timer",
     "TraceSummary",
-    "WorkerTelemetry",
     "apply_metric_event",
     "clock",
     "current_session",

@@ -54,7 +54,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Protocol
 
@@ -300,31 +300,41 @@ def registry_from_events(events: Iterable[dict[str, Any]]) -> MetricsRegistry:
 
 
 class TelemetryWriter:
-    """Appends events to the single merged run log (meta line first).
+    """Appends flushed ``json.dumps(event, sort_keys=True)`` lines to a file.
 
-    Every line is flushed immediately so ``repro telemetry tail
-    --follow`` can watch a run that is still going.
+    The run log is one of these, opened fresh with the meta line first;
+    a worker's :class:`TelemetrySpool` is another, opened for appending
+    with no meta line.  Every line is flushed immediately so ``repro
+    telemetry tail --follow`` and :meth:`TelemetrySession.drain` see it
+    while the run is still going.  :attr:`n_events` counts event lines,
+    not the meta line.
     """
 
     def __init__(
-        self, path: str | Path, run_id: str = "", experiment: str = ""
+        self,
+        path: str | Path,
+        run_id: str = "",
+        experiment: str = "",
+        *,
+        meta: bool = True,
     ) -> None:
         self.path = Path(path)
-        self.run_id = run_id
         self.n_events = 0
-        self._fh: IO[str] | None = self.path.open("w")
-        self._fh.write(
-            json.dumps(
+        self._fh: IO[str] | None = self.path.open("w" if meta else "a")
+        if meta:
+            self._write_line(
                 {
                     "type": "meta",
                     **format_header(TELEMETRY_FORMAT, TELEMETRY_VERSION),
                     "run_id": run_id,
                     "experiment": experiment,
-                },
-                sort_keys=True,
+                }
             )
-            + "\n"
-        )
+
+    def _write_line(self, record: dict[str, Any]) -> None:
+        if self._fh is None:
+            raise ValueError(f"telemetry file {self.path} is closed")
+        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
 
     def write_event(self, event: dict[str, Any]) -> None:
@@ -333,10 +343,7 @@ class TelemetryWriter:
         Raises:
             ValueError: if the writer was already closed.
         """
-        if self._fh is None:
-            raise ValueError(f"telemetry writer for {self.path} is closed")
-        self._fh.write(json.dumps(event, sort_keys=True) + "\n")
-        self._fh.flush()
+        self._write_line(event)
         self.n_events += 1
 
     def close(self) -> None:
@@ -358,56 +365,32 @@ class WorkerTelemetry:
 
     A frozen pure value (like :class:`~repro.fleet.executor.WalkJob`):
     it crosses the process boundary on the submit call and tells the
-    worker where to spool and which IDs to stamp.
+    worker where to spool and which IDs to stamp.  The worker replaces
+    ``context.worker_id`` with its own.
     """
 
     spool_root: str
-    run_id: str
-    job_id: str
-    walk_seed: int | None = None
+    context: EventContext
 
 
-class TelemetrySpool:
-    """Worker-side append-only event sink (one file per worker process).
+class TelemetrySpool(TelemetryWriter):
+    """A worker's spool: a :class:`TelemetryWriter` on its own pid file.
 
-    Each event line is flushed so the parent's tail sees it promptly;
-    each worker writes only its own pid-named file, so no cross-process
-    write interleaving can corrupt a line.
+    Each worker appends only to its own pid-named file, so no
+    cross-process write interleaving can corrupt a line.
     """
 
     def __init__(self, spool_root: str | Path) -> None:
         self.worker_id = f"worker-{os.getpid()}"
         root = Path(spool_root)
         root.mkdir(parents=True, exist_ok=True)
-        self.path = root / f"{self.worker_id}.jsonl"
-        self._fh: IO[str] | None = self.path.open("a")
-
-    def write_event(self, event: dict[str, Any]) -> None:
-        """Append one event line (flushed).
-
-        Raises:
-            ValueError: if the spool was already closed.
-        """
-        if self._fh is None:
-            raise ValueError(f"telemetry spool {self.path} is closed")
-        self._fh.write(json.dumps(event, sort_keys=True) + "\n")
-        self._fh.flush()
+        super().__init__(root / f"{self.worker_id}.jsonl", meta=False)
 
     def emitter(self, spec: WorkerTelemetry) -> EventEmitter:
         """Return an emitter stamping this worker's IDs for one job."""
-        context = EventContext(
-            run_id=spec.run_id,
-            job_id=spec.job_id,
-            worker_id=self.worker_id,
-            walk_seed=spec.walk_seed,
+        return EventEmitter(
+            self.write_event, replace(spec.context, worker_id=self.worker_id)
         )
-        return EventEmitter(self.write_event, context)
-
-    def close(self) -> None:
-        """Flush and close the spool file (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 class TelemetrySession:
@@ -429,13 +412,12 @@ class TelemetrySession:
     ) -> None:
         self.path = Path(path)
         self.run_id = run_id if run_id is not None else new_run_id()
-        self.experiment = experiment
         self.writer = TelemetryWriter(
             self.path, run_id=self.run_id, experiment=experiment
         )
         self.spool_root = Path(f"{self.path}.spool")
         self.spool_root.mkdir(parents=True, exist_ok=True)
-        self._offsets: dict[str, int] = {}
+        self._tails: dict[str, _LineTail] = {}
         self._closed = False
 
     @staticmethod
@@ -464,42 +446,23 @@ class TelemetrySession:
         """Return the pickle-safe spec for one pool-submitted job."""
         return WorkerTelemetry(
             spool_root=str(self.spool_root),
-            run_id=self.run_id,
-            job_id=self.job_id(index),
-            walk_seed=walk_seed,
+            context=EventContext(
+                run_id=self.run_id, job_id=self.job_id(index), walk_seed=walk_seed
+            ),
         )
 
     def drain(self) -> int:
         """Tail every spool file and merge complete new lines into the log.
 
-        Reads from each spool's remembered byte offset; a partially
-        written trailing line is left for the next drain.  Returns the
-        number of events merged.
+        Each spool is read from where the last drain stopped; a
+        partially written trailing line is left for the next drain.
+        Returns the number of events merged.
         """
         merged = 0
-        if not self.spool_root.is_dir():
-            return 0
         for spool_path in sorted(self.spool_root.glob("*.jsonl")):
-            key = spool_path.name
-            offset = self._offsets.get(key, 0)
-            try:
-                size = spool_path.stat().st_size
-            except OSError:
-                continue
-            if size <= offset:
-                continue
-            with spool_path.open("rb") as fh:
-                fh.seek(offset)
-                chunk = fh.read()
-            end = chunk.rfind(b"\n")
-            if end < 0:
-                continue
-            self._offsets[key] = offset + end + 1
-            for line in chunk[: end + 1].splitlines():
-                if not line.strip():
-                    continue
-                event = json.loads(line.decode("utf-8"))
-                self.writer.write_event(event)
+            tail = self._tails.setdefault(spool_path.name, _LineTail(spool_path))
+            for _, line in tail.poll():
+                self.writer.write_event(json.loads(line))
                 merged += 1
         return merged
 
@@ -567,35 +530,84 @@ def telemetry_session(
 # ---------------------------------------------------------------------------
 
 
+class _LineTail:
+    """The complete lines appended to one file since the last poll.
+
+    Remembers a byte offset and a line count, so :meth:`poll` returns
+    only new lines, numbered as in the file; a partially written
+    trailing line is left for the next poll.  A missing file reads as
+    empty.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.offset = 0
+        self.lineno = 0
+
+    def poll(self) -> list[tuple[int, bytes]]:
+        """Return ``(line number, line)`` for each new non-blank line."""
+        try:
+            with self.path.open("rb") as fh:
+                fh.seek(self.offset)
+                chunk = fh.read()
+        except FileNotFoundError:
+            return []
+        end = chunk.rfind(b"\n") + 1
+        self.offset += end
+        lines = []
+        for line in chunk[:end].splitlines():
+            self.lineno += 1
+            if line.strip():
+                lines.append((self.lineno, line))
+        return lines
+
+
+def _log_events(
+    path: str | Path, lines: Iterable[tuple[int, str | bytes]]
+) -> Iterator[dict[str, Any]]:
+    """Decode a log's numbered lines; the first must be a compatible meta.
+
+    Blank lines are skipped.
+
+    Raises:
+        ValueError: ``"PATH:N: ..."`` for a line that is not a JSON
+            object; :class:`~repro.formats.UnsupportedFormatError` (a
+            ``ValueError``) when the first line is not a compatible meta.
+    """
+    checked = False
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not JSON ({exc.msg})") from exc
+        if not isinstance(event, dict):
+            raise ValueError(f"{path}:{lineno}: not a JSON object")
+        if not checked:
+            if event.get("type") != "meta":
+                raise UnsupportedFormatError(
+                    f"{path} does not start with a {TELEMETRY_FORMAT} meta line"
+                )
+            check_header(event, TELEMETRY_FORMAT, TELEMETRY_VERSION, source=path)
+            checked = True
+        yield event
+
+
 def iter_telemetry(path: str | Path) -> Iterator[dict[str, Any]]:
     """Yield every line of a telemetry log, meta line included.
 
     Raises:
-        ValueError: if the first line is not a compatible meta line.
+        ValueError: on an empty log, a line that is not a JSON object,
+            or a first line that is not a compatible meta line.
     """
     with Path(path).open() as fh:
-        first = fh.readline()
-        if not first:
+        events = _log_events(path, enumerate(fh, start=1))
+        meta = next(events, None)
+        if meta is None:
             raise ValueError(f"{path} is empty, not a telemetry log")
-        try:
-            meta = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:1: not JSON ({exc.msg})") from exc
-        if not isinstance(meta, dict) or meta.get("type") != "meta":
-            raise UnsupportedFormatError(
-                f"{path} does not start with a {TELEMETRY_FORMAT} meta line"
-            )
-        check_header(meta, TELEMETRY_FORMAT, TELEMETRY_VERSION, source=path)
         yield meta
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: not JSON ({exc.msg})"
-                ) from exc
+        yield from events
 
 
 def read_telemetry(
@@ -604,7 +616,7 @@ def read_telemetry(
     """Read a whole log; returns ``(meta, events)``.
 
     Raises:
-        ValueError: on a missing/incompatible meta line.
+        ValueError: as :func:`iter_telemetry`.
     """
     stream = iter_telemetry(path)
     meta = next(stream)
@@ -626,46 +638,24 @@ def follow_telemetry(
     tolerate before returning (``None`` = follow forever).
 
     Raises:
-        ValueError: when the file's first line is not a compatible meta.
+        ValueError: as :func:`iter_telemetry` (an empty log is waited on).
     """
-    target = Path(path)
-    offset = 0
-    header_checked = False
-    idle = 0
-    while True:
-        size = target.stat().st_size if target.exists() else 0
-        if size > offset:
-            with target.open("rb") as fh:
-                fh.seek(offset)
-                chunk = fh.read()
-            end = chunk.rfind(b"\n")
-            if end >= 0:
+
+    def lines() -> Iterator[tuple[int, bytes]]:
+        tail = _LineTail(Path(path))
+        idle = 0
+        while True:
+            new = tail.poll()
+            if new:
                 idle = 0
-                offset += end + 1
-                for line in chunk[: end + 1].splitlines():
-                    if not line.strip():
-                        continue
-                    event = json.loads(line.decode("utf-8"))
-                    if not header_checked:
-                        if (
-                            not isinstance(event, dict)
-                            or event.get("type") != "meta"
-                        ):
-                            raise UnsupportedFormatError(
-                                f"{target} does not start with a "
-                                f"{TELEMETRY_FORMAT} meta line"
-                            )
-                        check_header(
-                            event, TELEMETRY_FORMAT, TELEMETRY_VERSION,
-                            source=target,
-                        )
-                        header_checked = True
-                    yield event
+                yield from new
                 continue
-        idle += 1
-        if max_idle_polls is not None and idle > max_idle_polls:
-            return
-        sleep(poll_s)
+            idle += 1
+            if max_idle_polls is not None and idle > max_idle_polls:
+                return
+            sleep(poll_s)
+
+    yield from _log_events(path, lines())
 
 
 def format_event(event: dict[str, Any]) -> str:

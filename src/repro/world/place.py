@@ -89,8 +89,15 @@ class Place:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        default = profile_of(self.environment_at(point)).default_corridor_width_m
-        value = self.floorplan.corridor_width_at(point, default)
+        plan = self.floorplan
+        # Only a plan without corridors reads the environment's default,
+        # and environment_at is the costliest place query.
+        default = (
+            0.0
+            if plan.corridors
+            else profile_of(self.environment_at(point)).default_corridor_width_m
+        )
+        value = plan.corridor_width_at(point, default)
         if len(memo) >= _WIDTH_MEMO_MAX:
             memo.clear()
         memo[key] = value

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -164,6 +165,33 @@ def test_iter_telemetry_rejects_wrong_format(tmp_path):
         list(iter_telemetry(empty))
 
 
+def _log_with_line(tmp_path, line):
+    path = tmp_path / "run.jsonl"
+    with TelemetryWriter(path, run_id="run-1") as writer:
+        writer.write_event(make_event("log", "ok", CONTEXT))
+    with path.open("a") as fh:
+        fh.write(line + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "line, reason", [("[1, 2]", "not a JSON object"), ("{oops", "not JSON")]
+)
+def test_read_telemetry_names_the_bad_line(tmp_path, line, reason):
+    path = _log_with_line(tmp_path, line)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {reason}")):
+        read_telemetry(path)
+
+
+@pytest.mark.parametrize(
+    "line, reason", [("[1, 2]", "not a JSON object"), ("{oops", "not JSON")]
+)
+def test_follow_telemetry_names_the_bad_line(tmp_path, line, reason):
+    path = _log_with_line(tmp_path, line)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {reason}")):
+        list(follow_telemetry(path, sleep=lambda _s: None, max_idle_polls=0))
+
+
 def test_writer_raises_after_close(tmp_path):
     writer = TelemetryWriter(tmp_path / "run.jsonl", run_id="r")
     writer.close()
@@ -179,7 +207,7 @@ def test_session_drains_spools_into_the_log(tmp_path):
     log = tmp_path / "run.jsonl"
     with TelemetrySession(log, run_id="run-1", experiment="t") as session:
         spec = session.worker_spec(0, walk_seed=100)
-        assert spec.job_id == "job-0000"
+        assert spec.context.job_id == "job-0000"
         spool = TelemetrySpool(spec.spool_root)
         emitter = spool.emitter(spec)
         emitter.emit("job", "started", place="office", path="survey")
@@ -245,6 +273,26 @@ def test_follow_telemetry_yields_live_appends(tmp_path):
     assert events[0]["type"] == "meta"
     assert [e["name"] for e in events[1:]] == ["late"]
     assert sleeps[0] == 0.25
+
+
+def test_follow_leaves_partial_trailing_line_for_next_poll(tmp_path):
+    log = tmp_path / "run.jsonl"
+    with TelemetryWriter(log, run_id="run-1") as writer:
+        writer.write_event(make_event("log", "done", CONTEXT))
+    with log.open("a") as fh:
+        fh.write('{"type": "eve')
+    sleeps = []
+
+    def fake_sleep(seconds):
+        sleeps.append(seconds)
+        # Finish the partial line on the first idle poll.
+        if len(sleeps) == 1:
+            with log.open("a") as fh:
+                fh.write('nt", "kind": "log", "name": "late"}\n')
+
+    events = list(follow_telemetry(log, sleep=fake_sleep, max_idle_polls=1))
+    assert [e.get("name") for e in events[1:]] == ["done", "late"]
+    assert len(sleeps) == 2
 
 
 def test_follow_telemetry_rejects_wrong_format(tmp_path):

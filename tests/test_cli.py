@@ -152,6 +152,78 @@ def test_trace_command_emits_reportable_stream(tmp_path, capsys):
     assert "error_prediction" in report and "Table V ms" in report
 
 
+def _capture_cdf_errors(monkeypatch):
+    """Record the per-estimator errors `run PLACE PATH` plots."""
+    import repro.eval.plots as plots
+
+    seen = {}
+    render_cdf = plots.render_cdf
+
+    def spy(errors_by_system, *args, **kwargs):
+        seen.update(errors_by_system)
+        return render_cdf(errors_by_system, *args, **kwargs)
+
+    monkeypatch.setattr(plots, "render_cdf", spy)
+    return seen
+
+
+def _plotted_errors(result):
+    from repro.eval import SCHEME_NAMES
+
+    estimators = list(SCHEME_NAMES) + ["optsel", "uniloc1", "uniloc2"]
+    return {e: result.errors(e) for e in estimators if result.errors(e)}
+
+
+def test_run_place_path_is_the_engine_job(monkeypatch, capsys):
+    from repro.fleet import WalkJob, run_walks
+
+    seen = _capture_cdf_errors(monkeypatch)
+    assert main(["run", "office", "survey"]) == 0
+    job = WalkJob(
+        "office", "survey", setup_seed=3, models_seed=0, walk_seed=0, trace_seed=1
+    )
+    (expected,) = run_walks([job])
+    assert seen == _plotted_errors(expected)
+
+
+def test_run_with_models_file_leaves_persistent_cache_alone(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.eval.setup import train_error_models
+    from repro.fleet import ArtifactCache, WalkJob, run_walks
+    from repro.persistence import load_error_models, save_error_models
+
+    models_file = tmp_path / "models.json"
+    save_error_models(train_error_models(seed=0, n_walks_per_place=1), models_file)
+    cache_dir = tmp_path / "cache"
+    ArtifactCache(cache_dir).place_setup("office", 3)
+
+    def listing():
+        return sorted(
+            (p.name, p.stat().st_size, p.stat().st_mtime_ns)
+            for p in cache_dir.iterdir()
+        )
+
+    before = listing()
+    seen = _capture_cdf_errors(monkeypatch)
+    argv = ["run", "office", "survey", "--models", str(models_file)]
+    assert main(argv + ["--cache-dir", str(cache_dir)]) == 0
+    assert listing() == before
+    primed = ArtifactCache()
+    primed.put_error_models(load_error_models(models_file), 0)
+    (expected,) = run_walks([WalkJob("office", "survey")], cache=primed)
+    assert seen == _plotted_errors(expected)
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "office", "survey"], ["run", "fig3"], ["chaos"]]
+)
+def test_unwritable_telemetry_log_exits_2(argv, tmp_path, capsys):
+    log = tmp_path / "missing-dir" / "t.jsonl"
+    assert main(argv + ["--telemetry", str(log)]) == 2
+    assert "cannot write telemetry log" in capsys.readouterr().err
+
+
 def test_train_saves_models(tmp_path, capsys):
     out_file = tmp_path / "models.json"
     assert main(["train", "--out", str(out_file)]) == 0
@@ -301,6 +373,39 @@ def test_telemetry_rejects_non_telemetry_file(tmp_path, capsys):
     bogus.write_text('{"not": "telemetry"}\n')
     assert main(["telemetry", "summary", str(bogus)]) == 2
     assert "cannot read telemetry log" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["report"],
+        ["telemetry", "tail"],
+        ["telemetry", "tail", "--follow", "--poll-s", "0"],
+        ["telemetry", "summary"],
+        ["telemetry", "export"],
+    ],
+)
+def test_every_log_reader_rejects_a_non_object_line(command, tmp_path, capsys):
+    log = tmp_path / "events.jsonl"
+    _write_synthetic_telemetry(log)
+    with log.open("a") as fh:
+        fh.write("[1, 2]\n")
+    assert main(command + [str(log)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read telemetry log" in err
+    assert f"{log}:6: not a JSON object" in err
+
+
+def test_chaos_kind_choices_are_the_scheme_fault_kinds():
+    import argparse
+
+    from repro.faults.plan import SCHEME_FAULT_KINDS
+
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    (kind,) = [a for a in commands.choices["chaos"]._actions if a.dest == "kind"]
+    assert tuple(kind.choices) == SCHEME_FAULT_KINDS
 
 
 def test_profile_unknown_experiment_errors(capsys):

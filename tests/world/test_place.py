@@ -44,6 +44,46 @@ def test_corridor_width_uses_profile_default(place):
     assert place.corridor_width_at(Point(7, 5)) == 2.0
 
 
+def test_corridor_width_with_corridors_skips_environment_lookup(monkeypatch):
+    from repro.geometry import Segment
+    from repro.world import Corridor
+
+    corridor = Corridor(Segment(Point(0, 0), Point(10, 0)), width=3.0)
+    place = Place(
+        name="hall",
+        boundary=Polygon.rectangle(-5, -5, 15, 5),
+        regions=[EnvironmentRegion(Polygon.rectangle(-5, -5, 15, 5), Env.OFFICE)],
+        default_env=Env.OPEN_SPACE,
+        floorplan=FloorPlan(corridors=[corridor], walls=[], landmarks=[]),
+    )
+    calls = []
+    monkeypatch.setattr(
+        Place, "environment_at", lambda self, point: calls.append(point)
+    )
+    assert place.corridor_width_at(Point(4, 1)) == 3.0
+    assert calls == []
+
+
+def test_open_space_corridor_width_is_its_environment_default(monkeypatch):
+    from repro.fleet import place_builders
+    from repro.world.environment import profile_of
+
+    place = place_builders()["open-space"]()
+    assert not place.floorplan.corridors
+    point = place.paths["survey"].polyline.point_at_distance(10.0)
+    env = place.environment_at(point)
+    calls = []
+    original = Place.environment_at
+
+    def spy(self, query):
+        calls.append(query)
+        return original(self, query)
+
+    monkeypatch.setattr(Place, "environment_at", spy)
+    assert place.corridor_width_at(point) == profile_of(env).default_corridor_width_m
+    assert calls == [point]
+
+
 def test_grid_covers_boundary(place):
     grid = place.grid(cell_size=5.0)
     assert grid.n_cells == 7 * 4
