@@ -31,8 +31,8 @@ def main() -> None:
         "names", nargs="*", help=f"experiments to run (known: {', '.join(experiment_names())})"
     )
     parser.add_argument("--all", action="store_true", help="run every registered experiment")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     names = experiment_names() if args.all else args.names

@@ -224,7 +224,7 @@ class SanitizeReport:
     """Outcome of one double-run determinism check."""
 
     experiment: str
-    seed: int | None
+    seed: int
     n_records: tuple[int, int]
     n_rng_constructions: tuple[int, int]
     divergence: Divergence | None
@@ -249,8 +249,7 @@ class SanitizeReport:
 
     def render(self) -> str:
         lines = [
-            f"sanitize {self.experiment}"
-            + (f" --seed {self.seed}" if self.seed is not None else ""),
+            f"sanitize {self.experiment} --seed {self.seed}",
             f"  run A: {self.n_records[0]} record(s), "
             f"{self.n_rng_constructions[0]} rng construction(s)",
             f"  run B: {self.n_records[1]} record(s), "
@@ -363,14 +362,14 @@ def _step_of(
 
 
 def _clear_result_memos() -> None:
-    """Drop the experiment-level ``lru_cache`` memos (results, tables).
+    """Drop the experiment result memos (their ``lru_cache`` wrappers).
 
     Without this, the warmed-up recorded runs would both return the
     memoized result object and record zero events — a vacuously clean
-    report.  The exact-float memos (wave banks, corridor widths,
-    fingerprint spatial densities) are left warm: they construct no
-    RNGs, read no clocks, and emit no telemetry, so their temperature
-    cannot alter the stream.
+    report.  The offline artifacts stay warm in the artifact cache, as
+    do the exact-float memos (wave banks, corridor widths, fingerprint
+    spatial densities): they construct no RNGs, read no clocks, and emit
+    no telemetry, so their temperature cannot alter the stream.
     """
     from repro.eval import experiments
 
@@ -385,7 +384,7 @@ def _recorded_run(
     run_label: str,
     log_path: Path,
     runner: Callable[..., Any],
-    **overrides: Any,
+    seed: int,
 ) -> list[dict[str, Any]]:
     """Execute one instrumented run; return its normalized record stream."""
     from repro.obs import clock
@@ -398,7 +397,7 @@ def _recorded_run(
             with telemetry_session(
                 log_path, run_id=f"sanitize-{run_label}", experiment=name
             ):
-                runner(name, **overrides)
+                runner(name, seed=seed, workers=1)
     _, events = read_telemetry(log_path)
     stream = [normalize_event(event) for event in events]
     # RNG records follow the telemetry block; each sub-stream is in
@@ -410,8 +409,7 @@ def _recorded_run(
 
 def sanitize_experiment(
     name: str,
-    seed: int | None = None,
-    n_walks: int | None = None,
+    seed: int = 0,
     out_dir: str | Path | None = None,
     runner: Callable[..., Any] | None = None,
     warmup: bool = True,
@@ -420,8 +418,7 @@ def sanitize_experiment(
 
     Args:
         name: registered experiment name (``repro run --list``).
-        seed: master-seed override forwarded to the runner.
-        n_walks: walk-count override forwarded to the runner.
+        seed: master seed forwarded to the runner.
         out_dir: where the two telemetry logs land (default: a
             ``.repro-cache/sanitize`` directory next to the cwd).
         runner: the experiment runner; injectable for tests.  Defaults
@@ -441,17 +438,12 @@ def sanitize_experiment(
         from repro.eval.registry import run_experiment
 
         runner = run_experiment
-    overrides: dict[str, Any] = {"workers": 1}
-    if seed is not None:
-        overrides["seed"] = seed
-    if n_walks is not None:
-        overrides["n_walks"] = n_walks
 
     root = Path(out_dir) if out_dir else Path(".repro-cache") / "sanitize"
     root.mkdir(parents=True, exist_ok=True)
 
     if warmup:
-        runner(name, **overrides)
+        runner(name, seed=seed, workers=1)
 
     streams: list[list[dict[str, Any]]] = []
     for label in ("a", "b"):
@@ -459,7 +451,7 @@ def sanitize_experiment(
             _clear_result_memos()
         log_path = root / f"{name}-{label}.telemetry.jsonl"
         streams.append(
-            _recorded_run(name, label, log_path, runner, **overrides)
+            _recorded_run(name, label, log_path, runner, seed)
         )
     stream_a, stream_b = streams
 

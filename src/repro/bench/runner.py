@@ -410,10 +410,10 @@ def run_benches(
     cache makes this cheap enough for a CI smoke job.
     """
     from repro.eval.setup import build_framework
-    from repro.fleet import default_cache
+    from repro.fleet import default_cache, protocol_setup_seed
 
     cache = cache if cache is not None else default_cache()
-    setup = cache.place_setup(place_name, seed + 3)
+    setup = cache.place_setup(place_name, protocol_setup_seed(seed))
     walk, snapshots = setup.record_walk(
         "survey" if "survey" in setup.place.paths else next(iter(setup.place.paths)),
         walk_seed=seed,

@@ -50,7 +50,7 @@ Commands mirror the paper's workflow:
     set (DET101 seed lineage, PUR101 escape analysis).  Exits 1 on any
     error-tier finding; ``--format sarif`` targets GitHub code scanning
     (see README "Static analysis").
-``sanitize EXPERIMENT [--n-walks N] [--json]``
+``sanitize EXPERIMENT [--out-dir DIR] [--json]``
     Runtime determinism check: run a registered experiment twice under
     scripted clocks and a recording RNG constructor, then bisect the
     two telemetry streams for the first diverging event; exits 1 on
@@ -81,18 +81,11 @@ import sys
 from contextlib import ExitStack, contextmanager
 from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
 from repro.faults.plan import SCHEME_FAULT_KINDS
 
 if TYPE_CHECKING:
+    from repro.eval.registry import Experiment
     from repro.obs.telemetry import TelemetrySession
-
-
-def _builders():
-    from repro.fleet import place_builders
-
-    return place_builders()
 
 
 def _cache(args: argparse.Namespace):
@@ -107,7 +100,9 @@ def _cache(args: argparse.Namespace):
 
 def cmd_places(_: argparse.Namespace) -> int:
     """List built-in places and their paths."""
-    for name, build in _builders().items():
+    from repro.fleet import place_builders
+
+    for name, build in place_builders().items():
         place = build()
         paths = ", ".join(
             f"{p.name} ({p.length():.0f} m)" for p in place.paths.values()
@@ -190,27 +185,44 @@ def _reading_log() -> Iterator[None]:
         raise _ExitError(f"cannot read telemetry log: {exc}") from exc
 
 
-def _run_experiment(args: argparse.Namespace) -> int:
-    """Dispatch ``repro run <experiment>`` through the registry."""
-    from repro.eval.registry import get_experiment, render_result, run_experiment
+def _check_target(place: str, path: str | None = None) -> None:
+    """Exit 2 (via :class:`_ExitError`) on an unknown place, or path in it."""
+    from repro.fleet import place_builders
+
+    builders = place_builders()
+    if place not in builders:
+        raise _ExitError(f"unknown place {place!r}; see `repro places`")
+    if path is not None:
+        paths = builders[place]().paths
+        if path not in paths:
+            raise _ExitError(
+                f"unknown path {path!r}; this place has: " + ", ".join(paths)
+            )
+
+
+def _experiment(args: argparse.Namespace, name: str) -> Experiment:
+    """Return experiment ``name`` (exit 2 if unregistered) on ``--cache-dir``."""
+    from repro.eval.registry import get_experiment
     from repro.fleet import set_default_cache
 
     try:
-        experiment = get_experiment(args.place)
+        experiment = get_experiment(name)
     except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.cache_dir:
+        raise _ExitError(str(exc)) from exc
+    if getattr(args, "cache_dir", None):
         set_default_cache(_cache(args))
+    return experiment
+
+
+def _run_experiment(args: argparse.Namespace) -> int:
+    """Dispatch ``repro run <experiment>`` through the registry."""
+    from repro.eval.registry import render_result
+
+    experiment = _experiment(args, args.place)
     with _telemetry_log(args, args.place) as session:
         if session is not None:
             session.emitter().emit("log", "experiment", message=experiment.title)
-        result = run_experiment(
-            args.place,
-            seed=args.seed if args.seed != 0 else None,
-            n_walks=args.n_walks,
-            workers=args.workers,
-        )
+        result = experiment.run(args.seed, args.workers)
     print(f"{experiment.name}: {experiment.title}\n")
     print(render_result(experiment, result))
     return 0
@@ -227,62 +239,34 @@ def _list_experiments() -> int:
 def _run_path(args: argparse.Namespace) -> int:
     """Walk ``run PLACE PATH`` as a one-job fleet run and print its errors.
 
-    The job follows the engine's seed convention (setup ``seed + 3``,
-    models ``seed``, walk ``seed``, trace ``seed + 1``), so it is the
-    same walk ``run_walks`` gives for those seeds.  ``--models FILE``
-    primes a memory-only cache with the file's models, so they are never
-    written to the persistent cache under the trained models' key.
+    The job is :meth:`~repro.fleet.WalkJob.for_seed` of ``--seed``, so it
+    is the same walk ``run_walks`` gives for those seeds.  ``--models
+    FILE`` is read before any log is opened and primes a memory-only
+    cache, so the file's models are never written to the persistent
+    cache under the trained models' key.
     """
-    from repro.eval import SCHEME_NAMES
-    from repro.eval.plots import render_bars, render_cdf
+    from repro.eval.registry import render_walk
     from repro.fleet import ArtifactCache, WalkJob, run_walks
 
-    builders = _builders()
-    if args.place not in builders:
-        print(f"unknown place {args.place!r}; see `repro places`", file=sys.stderr)
-        return 2
-    paths = builders[args.place]().paths
-    if args.path not in paths:
-        print(
-            f"unknown path {args.path!r}; this place has: " + ", ".join(paths),
-            file=sys.stderr,
-        )
-        return 2
-    job = WalkJob(
-        args.place,
-        args.path,
-        setup_seed=args.seed + 3,
-        models_seed=args.seed,
-        walk_seed=args.seed,
-        trace_seed=args.seed + 1,
-    )
+    _check_target(args.place, args.path)
+    job = WalkJob.for_seed(args.place, args.path, args.seed)
     cache = _cache(args)
+    if args.models:
+        from repro.persistence import load_error_models
+
+        try:
+            models = load_error_models(args.models)
+        except (OSError, ValueError, KeyError) as exc:
+            raise _ExitError(f"cannot read models file: {exc}") from exc
+        primed = ArtifactCache()
+        primed.put_error_models(models, job.models_seed)
+        primed.put_place_setup(
+            job.place_name, cache.place_setup(job.place_name, job.setup_seed)
+        )
+        cache = primed
     with _telemetry_log(args, f"{args.place}/{args.path}") as session:
-        if args.models:
-            from repro.persistence import load_error_models
-
-            primed = ArtifactCache()
-            primed.put_error_models(load_error_models(args.models), job.models_seed)
-            primed.put_place_setup(
-                job.place_name, cache.place_setup(job.place_name, job.setup_seed)
-            )
-            cache = primed
         (result,) = run_walks([job], cache=cache, telemetry=session)
-
-    print(f"{args.place}/{args.path}: {len(result.records)} estimates\n")
-    errors_by_system = {}
-    for estimator in list(SCHEME_NAMES) + ["optsel", "uniloc1", "uniloc2"]:
-        errors = result.errors(estimator)
-        if errors:
-            errors_by_system[estimator] = errors
-            print(
-                f"  {estimator:9s} mean {np.mean(errors):6.2f} m   "
-                f"p50 {np.percentile(errors, 50):6.2f} m   "
-                f"p90 {np.percentile(errors, 90):6.2f} m"
-            )
-    print("\nUniLoc1 scheme usage:")
-    print(render_bars(result.usage("uniloc1")))
-    print("\n" + render_cdf(errors_by_system))
+    print(f"{args.place}/{args.path}: {render_walk(result)}")
     return 0
 
 
@@ -304,7 +288,7 @@ def _cache_root(args: argparse.Namespace) -> str:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Manage the persistent artifact cache."""
-    from repro.fleet import ArtifactCache, config_hash, place_names
+    from repro.fleet import ArtifactCache, config_hash, place_builders
 
     if args.cache_command == "key":
         print(config_hash())
@@ -327,7 +311,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.cache_command == "warm":
         places = args.places or None
-        unknown = [p for p in (places or []) if p not in place_names()]
+        unknown = [p for p in (places or []) if p not in place_builders()]
         if unknown:
             print(f"unknown places: {', '.join(unknown)}", file=sys.stderr)
             return 2
@@ -341,14 +325,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 def cmd_survey(args: argparse.Namespace) -> int:
     """Dump a place's Wi-Fi fingerprint survey to JSON."""
-    from repro.eval import PlaceSetup
+    from repro.fleet import protocol_setup_seed
     from repro.persistence import save_fingerprints
 
-    builders = _builders()
-    if args.place not in builders:
-        print(f"unknown place {args.place!r}", file=sys.stderr)
-        return 2
-    setup = PlaceSetup.create(builders[args.place](), seed=args.seed + 3)
+    _check_target(args.place)
+    setup = _cache(args).place_setup(args.place, protocol_setup_seed(args.seed))
     save_fingerprints(setup.wifi_db, args.out)
     print(f"saved {len(setup.wifi_db)} fingerprints to {args.out}")
     return 0
@@ -356,17 +337,11 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     """Record one walk's raw sensor trace to JSON."""
-    from repro.eval import PlaceSetup
+    from repro.fleet import protocol_setup_seed
     from repro.persistence import save_trace
 
-    builders = _builders()
-    if args.place not in builders:
-        print(f"unknown place {args.place!r}", file=sys.stderr)
-        return 2
-    setup = PlaceSetup.create(builders[args.place](), seed=args.seed + 3)
-    if args.path not in setup.place.paths:
-        print(f"unknown path {args.path!r}", file=sys.stderr)
-        return 2
+    _check_target(args.place, args.path)
+    setup = _cache(args).place_setup(args.place, protocol_setup_seed(args.seed))
     _, snaps = setup.record_walk(
         args.path, walk_seed=args.seed, trace_seed=args.seed + 1
     )
@@ -401,23 +376,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.fleet import set_default_cache
     from repro.obs import MetricsRegistry
 
+    _check_target(args.place, args.path)
     if args.cache_dir:
         set_default_cache(_cache(args))
     metrics = MetricsRegistry()
-    try:
-        # Kept out of --json mode so stdout stays parseable.
-        with _telemetry_log(args, f"chaos-{args.kind}", announce=not args.json):
-            rows = chaos_matrix(
-                seed=args.seed,
-                workers=args.workers,
-                place_name=args.place,
-                path_name=args.path,
-                kind=args.kind,
-                metrics=metrics,
-            )
-    except ValueError as exc:
-        print(f"chaos: {exc}", file=sys.stderr)
-        return 2
+    # Kept out of --json mode so stdout stays parseable.
+    with _telemetry_log(args, f"chaos-{args.kind}", announce=not args.json):
+        rows = chaos_matrix(
+            seed=args.seed,
+            workers=args.workers,
+            place_name=args.place,
+            path_name=args.path,
+            kind=args.kind,
+            metrics=metrics,
+        )
 
     if args.json:
         from dataclasses import asdict
@@ -504,25 +476,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Run an experiment under the sampling profiler."""
     from pathlib import Path
 
-    from repro.eval.registry import get_experiment, run_experiment
-    from repro.fleet import set_default_cache
     from repro.obs.profiler import SamplingProfiler
 
-    try:
-        experiment = get_experiment(args.experiment)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.cache_dir:
-        set_default_cache(_cache(args))
+    experiment = _experiment(args, args.experiment)
     profiler = SamplingProfiler(interval_s=args.interval_ms / 1e3)
     with profiler:
-        run_experiment(
-            args.experiment,
-            seed=args.seed if args.seed != 0 else None,
-            n_walks=args.n_walks,
-            workers=args.workers,
-        )
+        experiment.run(args.seed, args.workers)
     print(f"{experiment.name}: {experiment.title}\n")
     print(profiler.render_table(args.top))
     if args.out:
@@ -604,18 +563,10 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.sanitizer import sanitize_experiment
-    from repro.eval.registry import get_experiment
 
-    try:
-        get_experiment(args.experiment)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    _experiment(args, args.experiment)
     report = sanitize_experiment(
-        args.experiment,
-        seed=args.seed,
-        n_walks=args.n_walks,
-        out_dir=args.out_dir,
+        args.experiment, seed=args.seed, out_dir=args.out_dir
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
@@ -768,11 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=1,
         help="worker processes for multi-walk experiments",
-    )
-    p_run.add_argument(
-        "--n-walks", type=int, default=None, help="walks to pool (pooled experiments)"
     )
     p_run.add_argument("--cache-dir", help="persistent artifact cache directory")
     p_run.add_argument("--models", help="load fitted models instead of training")
@@ -879,10 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", help="write collapsed (flamegraph-ready) stacks here"
     )
     p_profile.add_argument(
-        "--workers", type=int, default=None, help="fleet worker processes"
-    )
-    p_profile.add_argument(
-        "--n-walks", type=int, default=None, help="walks to pool"
+        "--workers", type=int, default=1, help="fleet worker processes"
     )
     p_profile.add_argument(
         "--cache-dir", help="persistent artifact cache directory"
@@ -991,9 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_san.add_argument(
         "experiment", help="registered experiment name (see `repro run --list`)"
-    )
-    p_san.add_argument(
-        "--n-walks", type=int, default=None, help="walks to pool"
     )
     p_san.add_argument(
         "--out-dir",

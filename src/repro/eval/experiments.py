@@ -12,13 +12,20 @@ fig2         :func:`_impl_fig2_motivation` — scheme errors along Path 1
 table1       :func:`_impl_table1_influence_factors`
 table2       :func:`_impl_table2_error_models`
 table3       :func:`_impl_table3_prediction_rmse`
-fig3/5/6     :func:`daily_path_result` (one UniLoc run serves all)
+fig3         :func:`_impl_fig3_daily_path` (:func:`daily_path_result`)
+fig5/6       :func:`daily_path_pooled` (pools more walks onto fig3's)
 fig7         :func:`_impl_fig7_eight_paths`
-fig8a-c      :func:`_impl_fig8_environment` ("mall", "open-space", "office")
+fig8a-c      :func:`_impl_fig8_environment` ("mall", "urban-open-space",
+             "office")
 fig8d        :func:`_impl_fig8d_heterogeneity`
 table4       :func:`_impl_table4_energy`
 table5       :func:`_impl_table5_response_time`
 ===========  =====================================================
+
+Each is called as ``run(seed, workers)``: jobs derive their seeds from
+the master ``seed`` by :meth:`~repro.fleet.WalkJob.for_seed`, and
+single-walk experiments ignore ``workers``.  The ``lru_cache`` memos
+hold results only; artifacts come from the current ``default_cache()``.
 
 The implementations are intentionally private: all dispatch goes
 through :mod:`repro.eval.registry` (``run_experiment("fig7",
@@ -46,7 +53,7 @@ from repro.eval.setup import (
     PlaceSetup,
     build_framework,
 )
-from repro.fleet import WalkJob, default_cache, run_walks
+from repro.fleet import WalkJob, default_cache, protocol_setup_seed, run_walks
 from repro.sensors import LG_G3, NEXUS_5X, DeviceProfile, OffsetCalibrator
 from repro.sensors.snapshot import SensorSnapshot
 from repro.world import EnvironmentType
@@ -55,49 +62,22 @@ from repro.world import EnvironmentType
 DEFAULT_SEED = 0
 
 
-@functools.lru_cache(maxsize=4)
 def shared_models(seed: int = DEFAULT_SEED) -> dict[str, ErrorModelSet]:
     """Return the error models trained once per the paper's protocol.
 
-    Backed by the fleet artifact cache: with ``REPRO_CACHE_DIR`` set the
-    training happens at most once per machine, not once per process.
+    Backed by the current fleet artifact cache: with ``REPRO_CACHE_DIR``
+    set the training happens at most once per machine, not per process.
     """
     return default_cache().error_models(seed)
 
 
-@functools.lru_cache(maxsize=16)
 def place_setup(place_name: str, seed: int = DEFAULT_SEED) -> PlaceSetup:
-    """Return a cached deployed+surveyed setup for a named built-in place.
+    """Return the protocol's deployed+surveyed setup for a built-in place.
 
     Raises:
         ValueError: on an unknown place name.
     """
-    return default_cache().place_setup(place_name, seed + 3)
-
-
-def _job(
-    place_name: str,
-    path_name: str,
-    seed: int,
-    walk_seed: int,
-    trace_seed: int,
-    **overrides,
-) -> WalkJob:
-    """Build a walk job using the experiment suite's seed conventions."""
-    return WalkJob(
-        place_name=place_name,
-        path_name=path_name,
-        setup_seed=seed + 3,
-        models_seed=seed,
-        walk_seed=walk_seed,
-        trace_seed=trace_seed,
-        **overrides,
-    )
-
-
-def _run_jobs(jobs: list[WalkJob], workers: int = 1) -> list[WalkResult]:
-    """Execute jobs through the fleet engine against the default cache."""
-    return run_walks(jobs, workers=workers, cache=default_cache())
+    return default_cache().place_setup(place_name, protocol_setup_seed(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +94,7 @@ class Fig2Row:
     errors: dict[str, float]
 
 
-def _impl_fig2_motivation(seed: int = DEFAULT_SEED) -> list[Fig2Row]:
+def _impl_fig2_motivation(seed: int = DEFAULT_SEED, workers: int = 1) -> list[Fig2Row]:
     setup = place_setup("daily", seed)
     walk, snaps = setup.record_walk("path1", walk_seed=seed, trace_seed=seed + 1)
     schemes = setup.make_schemes(walk.moments[0].position, scheme_seed=seed + 2)
@@ -141,7 +121,7 @@ def _impl_fig2_motivation(seed: int = DEFAULT_SEED) -> list[Fig2Row]:
 
 
 def _impl_table1_influence_factors(
-    seed: int = DEFAULT_SEED,
+    seed: int = DEFAULT_SEED, workers: int = 1
 ) -> dict[str, dict[str, tuple[str, ...]]]:
     setup = place_setup("daily", seed)
     extractors = setup.make_extractors()
@@ -160,7 +140,7 @@ def _impl_table1_influence_factors(
 
 
 def _impl_table2_error_models(
-    seed: int = DEFAULT_SEED,
+    seed: int = DEFAULT_SEED, workers: int = 1
 ) -> dict[str, dict[str, RegressionSummary]]:
     models = shared_models(seed)
     table: dict[str, dict[str, RegressionSummary]] = {}
@@ -214,7 +194,7 @@ def _impl_table3_prediction_rmse(
     for label, (places, device) in _TABLE3_CONDITIONS.items():
         for idx, place_name in enumerate(places):
             jobs.append(
-                _job(
+                WalkJob.for_seed(
                     place_name,
                     "survey",
                     seed,
@@ -224,7 +204,7 @@ def _impl_table3_prediction_rmse(
                 )
             )
             slots.append(label)
-    results = _run_jobs(jobs, workers=workers)
+    results = run_walks(jobs, workers=workers)
     table: dict[str, dict[str, float]] = {}
     for label in _TABLE3_CONDITIONS:
         grouped = [r for slot, r in zip(slots, results) if slot == label]
@@ -239,14 +219,19 @@ def _impl_table3_prediction_rmse(
 
 @functools.lru_cache(maxsize=4)
 def daily_path_result(seed: int = DEFAULT_SEED) -> WalkResult:
-    """Run UniLoc over Path 1 once (serves Fig. 3 and Table IV)."""
-    jobs = [_job("daily", "path1", seed, walk_seed=seed, trace_seed=seed + 1)]
-    return _run_jobs(jobs)[0]
+    """Run UniLoc over Path 1 once (serves Figs. 3, 5, 6 and Table IV)."""
+    return run_walks([WalkJob.for_seed("daily", "path1", seed)])[0]
+
+
+def _impl_fig3_daily_path(seed: int = DEFAULT_SEED, workers: int = 1) -> WalkResult:
+    # One walk, so ``workers`` has nothing to fan out; the memo above is
+    # keyed by seed alone so Figs. 5/6 and Table IV reuse this walk.
+    return daily_path_result(seed)
 
 
 @functools.lru_cache(maxsize=4)
 def daily_path_pooled(
-    seed: int = DEFAULT_SEED, n_walks: int = 3, workers: int = 1
+    seed: int = DEFAULT_SEED, workers: int = 1, n_walks: int = 3
 ) -> WalkResult:
     """Pool several Path 1 walks (serves Figs. 5 and 6).
 
@@ -255,7 +240,7 @@ def daily_path_pooled(
     single-session luck in the per-scheme means.
     """
     jobs = [
-        _job(
+        WalkJob.for_seed(
             "daily",
             "path1",
             seed,
@@ -264,7 +249,7 @@ def daily_path_pooled(
         )
         for idx in range(1, n_walks)
     ]
-    results = [daily_path_result(seed)] + _run_jobs(jobs, workers=workers)
+    results = [daily_path_result(seed)] + run_walks(jobs, workers=workers)
     return merge_results(results)
 
 
@@ -279,7 +264,7 @@ def _impl_fig7_eight_paths(
 ) -> WalkResult:
     setup = place_setup("campus", seed)
     jobs = [
-        _job(
+        WalkJob.for_seed(
             "campus",
             path_name,
             seed,
@@ -289,7 +274,7 @@ def _impl_fig7_eight_paths(
         )
         for idx, path_name in enumerate(sorted(setup.place.paths))
     ]
-    return merge_results(_run_jobs(jobs, workers=workers))
+    return merge_results(run_walks(jobs, workers=workers))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +291,7 @@ def _impl_fig8_environment(
     window = min(100.0, path.length() * 0.6)
     usable = max(path.length() - window - 1.0, 1.0)
     jobs = [
-        _job(
+        WalkJob.for_seed(
             place_name,
             "survey",
             seed,
@@ -318,7 +303,7 @@ def _impl_fig8_environment(
         )
         for idx in range(10)
     ]
-    return merge_results(_run_jobs(jobs, workers=workers))
+    return merge_results(run_walks(jobs, workers=workers))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +350,9 @@ def _train_calibrator(setup: PlaceSetup, seed: int) -> OffsetCalibrator:
 
 
 @functools.lru_cache(maxsize=2)
-def _impl_fig8d_heterogeneity(seed: int = DEFAULT_SEED) -> dict[str, WalkResult]:
+def _impl_fig8d_heterogeneity(
+    seed: int = DEFAULT_SEED, workers: int = 1
+) -> dict[str, WalkResult]:
     setup = place_setup("office", seed)
     models = shared_models(seed)
     walk, snaps = setup.record_walk(
@@ -390,9 +377,14 @@ def _impl_fig8d_heterogeneity(seed: int = DEFAULT_SEED) -> dict[str, WalkResult]
 # ---------------------------------------------------------------------------
 
 
-def _impl_table4_energy(seed: int = DEFAULT_SEED) -> list[EnergyReport]:
+def _impl_table4_energy(
+    seed: int = DEFAULT_SEED, workers: int = 1
+) -> list[EnergyReport]:
     return energy_table(daily_path_result(seed))
 
 
-def _impl_table5_response_time() -> ResponseTimeBreakdown:
+def _impl_table5_response_time(
+    seed: int = DEFAULT_SEED, workers: int = 1
+) -> ResponseTimeBreakdown:
+    # Modeled constants: neither the seed nor the workers change them.
     return response_time()

@@ -2,15 +2,15 @@
 
 This is the single dispatch point for reproduction artifacts.  Each
 entry maps a stable name (``"fig7"``, ``"table3"``, ...) to an
-:class:`Experiment` descriptor carrying the implementation callable, its
-default :class:`ExperimentConfig` (seed / walk count / worker count),
-and the kind of result it produces, so the CLI (``repro run fig7
---workers 4``), ``tools/generate_experiments.py``, and the examples all
-invoke experiments the same way::
+:class:`Experiment` descriptor carrying the implementation and the kind
+of result it produces.  Every implementation is called the same way,
+``run(seed, workers)``, so the CLI (``repro run fig7 --workers 4``),
+``tools/generate_experiments.py``, and the examples all invoke
+experiments through one function::
 
     from repro.eval.registry import run_experiment
 
-    result = run_experiment("fig7", workers=4)
+    result = run_experiment("fig7", seed=0, workers=4)
 
 Implementations live in :mod:`repro.eval.experiments` and execute
 through the :mod:`repro.fleet` engine, so a registry run benefits from
@@ -25,12 +25,14 @@ acyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.eval import experiments as _exp
+from repro.faults.chaos import chaos_matrix
 
 #: Result kinds a registry entry can declare.
 #:
@@ -42,24 +44,6 @@ KINDS = ("walk", "walk_map", "rows", "table")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Run parameters every experiment understands.
-
-    Attributes:
-        seed: master seed; each experiment derives its walk/trace seeds
-            from this exactly as the paper protocol describes.
-        n_walks: how many walks the experiment pools (only meaningful
-            for pooled experiments; informational elsewhere).
-        workers: worker processes for the fleet engine fan-out (only
-            meaningful for multi-walk experiments).
-    """
-
-    seed: int = 0
-    n_walks: int = 1
-    workers: int = 1
-
-
-@dataclass(frozen=True)
 class Experiment:
     """One registered paper artifact.
 
@@ -67,28 +51,14 @@ class Experiment:
         name: stable registry key (also the CLI argument).
         title: human-readable description shown by ``repro run --list``.
         kind: one of :data:`KINDS`, telling renderers what ``run`` returns.
-        run: implementation; takes the resolved config, returns the result.
-        config: default parameters (overridable per invocation).
+        run: implementation, called as ``run(seed, workers)`` with the
+            master seed and the fleet worker count.
     """
 
     name: str
     title: str
     kind: str
-    run: Callable[[ExperimentConfig], Any]
-    config: ExperimentConfig = ExperimentConfig()
-
-
-def _pooled(cfg: ExperimentConfig) -> Any:
-    return _exp.daily_path_pooled(
-        cfg.seed, n_walks=cfg.n_walks, workers=cfg.workers
-    )
-
-
-def _chaos(cfg: ExperimentConfig) -> Any:
-    # Deferred import: repro.faults.chaos pulls in the fleet layer.
-    from repro.faults.chaos import chaos_matrix
-
-    return chaos_matrix(seed=cfg.seed, workers=cfg.workers)
+    run: Callable[[int, int], Any]
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -98,109 +68,91 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="fig2",
             title="Motivation: per-scheme error along the daily path",
             kind="rows",
-            run=lambda cfg: _exp._impl_fig2_motivation(cfg.seed),
+            run=_exp._impl_fig2_motivation,
         ),
         Experiment(
             name="table1",
             title="Influence factors modeled per scheme and context",
             kind="table",
-            run=lambda cfg: _exp._impl_table1_influence_factors(cfg.seed),
+            run=_exp._impl_table1_influence_factors,
         ),
         Experiment(
             name="table2",
             title="Error-model regression coefficients and diagnostics",
             kind="table",
-            run=lambda cfg: _exp._impl_table2_error_models(cfg.seed),
+            run=_exp._impl_table2_error_models,
         ),
         Experiment(
             name="table3",
             title="Normalized RMSE of online error prediction (4 conditions)",
             kind="table",
-            run=lambda cfg: _exp._impl_table3_prediction_rmse(
-                cfg.seed, workers=cfg.workers
-            ),
-            config=ExperimentConfig(n_walks=8),
+            run=_exp._impl_table3_prediction_rmse,
         ),
         Experiment(
             name="fig3",
             title="UniLoc over the daily path (one walk)",
             kind="walk",
-            run=lambda cfg: _exp.daily_path_result(cfg.seed),
+            run=_exp._impl_fig3_daily_path,
         ),
         Experiment(
             name="fig5",
             title="Scheme usage over the pooled daily path",
             kind="walk",
-            run=_pooled,
-            config=ExperimentConfig(n_walks=3),
+            run=_exp.daily_path_pooled,
         ),
         Experiment(
             name="fig6",
             title="Per-system accuracy over the pooled daily path",
             kind="walk",
-            run=_pooled,
-            config=ExperimentConfig(n_walks=3),
+            run=_exp.daily_path_pooled,
         ),
         Experiment(
             name="fig7",
             title="All eight campus paths, pooled",
             kind="walk",
-            run=lambda cfg: _exp._impl_fig7_eight_paths(
-                cfg.seed, workers=cfg.workers
-            ),
-            config=ExperimentConfig(n_walks=8),
+            run=_exp._impl_fig7_eight_paths,
         ),
         Experiment(
             name="fig8a",
             title="Environment study: mall (10 trajectories)",
             kind="walk",
-            run=lambda cfg: _exp._impl_fig8_environment(
-                "mall", cfg.seed, workers=cfg.workers
-            ),
-            config=ExperimentConfig(n_walks=10),
+            run=partial(_exp._impl_fig8_environment, "mall"),
         ),
         Experiment(
             name="fig8b",
             title="Environment study: urban open space (10 trajectories)",
             kind="walk",
-            run=lambda cfg: _exp._impl_fig8_environment(
-                "urban-open-space", cfg.seed, workers=cfg.workers
-            ),
-            config=ExperimentConfig(n_walks=10),
+            run=partial(_exp._impl_fig8_environment, "urban-open-space"),
         ),
         Experiment(
             name="fig8c",
             title="Environment study: office (10 trajectories)",
             kind="walk",
-            run=lambda cfg: _exp._impl_fig8_environment(
-                "office", cfg.seed, workers=cfg.workers
-            ),
-            config=ExperimentConfig(n_walks=10),
+            run=partial(_exp._impl_fig8_environment, "office"),
         ),
         Experiment(
             name="fig8d",
             title="Device heterogeneity: LG G3 with/without calibration",
             kind="walk_map",
-            run=lambda cfg: _exp._impl_fig8d_heterogeneity(cfg.seed),
+            run=_exp._impl_fig8d_heterogeneity,
         ),
         Experiment(
             name="table4",
             title="Energy accounting over the daily path",
             kind="table",
-            run=lambda cfg: _exp._impl_table4_energy(cfg.seed),
+            run=_exp._impl_table4_energy,
         ),
         Experiment(
             name="table5",
             title="Modeled response-time decomposition",
             kind="table",
-            run=lambda cfg: _exp._impl_table5_response_time(),
+            run=_exp._impl_table5_response_time,
         ),
         Experiment(
             name="chaos",
             title="Resilience matrix: UniLoc2 under single-scheme outages",
             kind="table",
-            run=_chaos,
-            config=ExperimentConfig(n_walks=6),
+            run=chaos_matrix,
         ),
     )
 }
@@ -225,29 +177,13 @@ def get_experiment(name: str) -> Experiment:
         ) from None
 
 
-def run_experiment(
-    name: str,
-    seed: int | None = None,
-    n_walks: int | None = None,
-    workers: int | None = None,
-) -> Any:
-    """Run a registered experiment, overriding any config fields given.
+def run_experiment(name: str, seed: int = 0, workers: int = 1) -> Any:
+    """Run a registered experiment as ``run(seed, workers)``.
 
     Raises:
         ValueError: for an unregistered name.
     """
-    experiment = get_experiment(name)
-    overrides = {
-        key: value
-        for key, value in (
-            ("seed", seed),
-            ("n_walks", n_walks),
-            ("workers", workers),
-        )
-        if value is not None
-    }
-    config = replace(experiment.config, **overrides)
-    return experiment.run(config)
+    return get_experiment(name).run(seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +191,8 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _render_walk(result: Any) -> str:
+def render_walk(result: Any) -> str:
+    """Render one walk's per-system errors, UniLoc1 usage bars and CDF."""
     from repro.eval.plots import render_bars, render_cdf
     from repro.eval.setup import SCHEME_NAMES
 
@@ -335,11 +272,11 @@ def _render_table(value: Any, indent: str = "") -> str:
 def render_result(experiment: Experiment, result: Any) -> str:
     """Render an experiment result as the CLI's plain-text report."""
     if experiment.kind == "walk":
-        return _render_walk(result)
+        return render_walk(result)
     if experiment.kind == "walk_map":
         sections = []
         for label, walk_result in result.items():
-            sections.append(f"== {label} ==\n{_render_walk(walk_result)}")
+            sections.append(f"== {label} ==\n{render_walk(walk_result)}")
         return "\n\n".join(sections)
     if experiment.kind == "rows":
         return _render_rows(result)

@@ -167,8 +167,8 @@ def chaos_matrix(
     attributable (each scenario kills a different scheme).
 
     Args:
-        seed: master seed, following the experiment suite's conventions
-            (setup ``seed+3``, models ``seed``, walk ``seed``).
+        seed: master seed; every job is
+            :meth:`~repro.fleet.WalkJob.for_seed` of it.
         workers: fleet worker processes for the job fan-out.
         place_name: built-in place to walk.
         path_name: path within the place.
@@ -182,18 +182,15 @@ def chaos_matrix(
         to its scored :class:`OutageRow`.
     """
     from repro.eval.setup import SCHEME_NAMES
-    from repro.fleet import WalkJob, default_cache, run_walks
+    from repro.fleet import WalkJob, run_walks
 
     metrics = metrics if metrics is not None else MetricsRegistry()
     outages = ["none", *SCHEME_NAMES]
     jobs = [
-        WalkJob(
-            place_name=place_name,
-            path_name=path_name,
-            setup_seed=seed + 3,
-            models_seed=seed,
-            walk_seed=seed,
-            trace_seed=seed + 1,
+        WalkJob.for_seed(
+            place_name,
+            path_name,
+            seed,
             # Duty cycling leaves GPS unpolled on the daily walk (other
             # schemes stay confident), which would make a gps outage
             # invisible; the chaos matrix wants every scheme exercised.
@@ -206,13 +203,7 @@ def chaos_matrix(
         )
         for outage in outages
     ]
-    results = run_walks(
-        jobs,
-        workers=workers,
-        cache=default_cache(),
-        metrics=metrics,
-        on_failure="return",
-    )
+    results = run_walks(jobs, workers=workers, metrics=metrics, on_failure="return")
     return {
         outage: _row(result, outage, kind, SCHEME_NAMES, metrics)
         for outage, result in zip(outages, results)

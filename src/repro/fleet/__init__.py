@@ -16,7 +16,7 @@ from repro.fleet.cache import (
     config_hash,
     default_cache,
     place_builders,
-    place_names,
+    protocol_setup_seed,
     set_default_cache,
 )
 from repro.fleet.executor import (
@@ -43,7 +43,7 @@ __all__ = [
     "execute_job",
     "iter_walks",
     "place_builders",
-    "place_names",
+    "protocol_setup_seed",
     "run_walks",
     "set_default_cache",
 ]

@@ -47,7 +47,12 @@ if TYPE_CHECKING:
 CACHE_VERSION = 1
 
 
-def _builders() -> dict[str, Callable[[], Any]]:
+def place_builders() -> dict[str, Callable[[], Any]]:
+    """Return the canonical name -> builder map for the built-in places.
+
+    The CLI and the experiment suite both dispatch from this map so a new
+    world only has to be registered once.
+    """
     from repro.world import (
         build_campus_place,
         build_daily_path_place,
@@ -69,18 +74,12 @@ def _builders() -> dict[str, Callable[[], Any]]:
     }
 
 
-def place_names() -> list[str]:
-    """Return the built-in place names the cache knows how to rebuild."""
-    return list(_builders())
+def protocol_setup_seed(seed: int) -> int:
+    """Return the place-setup seed the experiment protocol pairs with ``seed``.
 
-
-def place_builders() -> dict[str, Callable[[], Any]]:
-    """Return the canonical name -> builder map for the built-in places.
-
-    The CLI and the experiment suite both dispatch from this map so a new
-    world only has to be registered once.
+    The one written copy of the offset; see :meth:`repro.fleet.WalkJob.for_seed`.
     """
-    return _builders()
+    return seed + 3
 
 
 def config_fingerprint() -> dict[str, Any]:
@@ -204,6 +203,31 @@ class ArtifactCache:
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
 
+    def _fetch(
+        self,
+        artifact: str,
+        key: str,
+        load: Callable[[Path], Any],
+        build: Callable[[], Any],
+        put: Callable[[Any], None],
+    ) -> Any:
+        """Return one artifact from the memo, else from disk, else built.
+
+        ``load`` turns the entry's file into the artifact (timing only
+        its own JSON read); on a miss ``build`` makes the artifact and
+        ``put`` stores it in the memo and on disk.
+        """
+        memo_key = (artifact, key)
+        if memo_key not in self._memo:
+            path = self._path_for(artifact, key)
+            if path is None or not path.exists():
+                self._record("miss")
+                put(build())
+                return self._memo[memo_key]
+            self._memo[memo_key] = load(path)
+        self._record("hit")
+        return self._memo[memo_key]
+
     # -- error models ------------------------------------------------------
 
     @staticmethod
@@ -214,25 +238,18 @@ class ArtifactCache:
         self, seed: int = 0, n_walks_per_place: int = 6
     ) -> dict[str, "ErrorModelSet"]:
         """Return the trained error models, training only on a cold cache."""
+        from repro.eval.setup import train_error_models
         from repro.persistence import load_error_models
 
-        key = self._models_key(seed, n_walks_per_place)
-        memo_key = ("error_models", key)
-        if memo_key in self._memo:
-            self._record("hit")
-            return self._memo[memo_key]
-        path = self._path_for("error_models", key)
-        if path is not None and path.exists():
-            models = self._timed_read(path, load_error_models)
-            self._memo[memo_key] = models
-            self._record("hit")
-            return models
-        self._record("miss")
-        from repro.eval.setup import train_error_models
-
-        models = train_error_models(seed=seed, n_walks_per_place=n_walks_per_place)
-        self.put_error_models(models, seed, n_walks_per_place)
-        return models
+        return self._fetch(
+            "error_models",
+            self._models_key(seed, n_walks_per_place),
+            lambda path: self._timed_read(path, load_error_models),
+            lambda: train_error_models(
+                seed=seed, n_walks_per_place=n_walks_per_place
+            ),
+            lambda built: self.put_error_models(built, seed, n_walks_per_place),
+        )
 
     def put_error_models(
         self,
@@ -266,26 +283,18 @@ class ArtifactCache:
         Raises:
             ValueError: on an unknown ``place_name``.
         """
-        builders = _builders()
+        builders = place_builders()
         if place_name not in builders:
             raise ValueError(f"unknown place {place_name!r}")
-        key = self._setup_key(place_name, seed)
-        memo_key = ("place_setup", key)
-        if memo_key in self._memo:
-            self._record("hit")
-            return self._memo[memo_key]
-        path = self._path_for("place_setup", key)
-        if path is not None and path.exists():
-            setup = self._load_setup(path, place_name, seed)
-            self._memo[memo_key] = setup
-            self._record("hit")
-            return setup
-        self._record("miss")
         from repro.eval.setup import PlaceSetup
 
-        setup = PlaceSetup.create(builders[place_name](), seed=seed)
-        self.put_place_setup(place_name, setup)
-        return setup
+        return self._fetch(
+            "place_setup",
+            self._setup_key(place_name, seed),
+            lambda path: self._load_setup(path, place_name, seed),
+            lambda: PlaceSetup.create(builders[place_name](), seed=seed),
+            lambda built: self.put_place_setup(place_name, built),
+        )
 
     def put_place_setup(self, place_name: str, setup: "PlaceSetup") -> None:
         """Store a surveyed setup under its (place, seed, config) key."""
@@ -314,7 +323,7 @@ class ArtifactCache:
         from repro.radio import RadioEnvironment
 
         payload = self._timed_read(path, lambda p: _read(p, "place_setup"))
-        place = _builders()[place_name]()
+        place = place_builders()[place_name]()
         # Mirrors PlaceSetup.create exactly, minus the (cached) survey.
         radio = RadioEnvironment.deploy(place, seed=seed)
         return PlaceSetup(
@@ -369,16 +378,16 @@ class ArtifactCache:
     ) -> list[str]:
         """Build (or load) every artifact an experiment run will need.
 
-        Uses the experiment suite's seed conventions: error models train
-        on ``seed`` and each place's setup is surveyed with ``seed + 3``
-        (see :func:`repro.eval.experiments.place_setup`).  Returns the
-        artifact keys that are now warm.
+        Uses the experiment protocol's seeds: error models train on
+        ``seed`` and each place's setup is surveyed with
+        :func:`protocol_setup_seed` of it.  Returns the artifact keys
+        that are now warm.
         """
         warmed = [self._models_key(seed, 6)]
         self.error_models(seed)
-        for name in places if places is not None else place_names():
-            self.place_setup(name, seed + 3)
-            warmed.append(self._setup_key(name, seed + 3))
+        for name in places if places is not None else place_builders():
+            self.place_setup(name, protocol_setup_seed(seed))
+            warmed.append(self._setup_key(name, protocol_setup_seed(seed)))
         return warmed
 
 

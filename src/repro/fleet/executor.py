@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
-from repro.fleet.cache import ArtifactCache, default_cache
+from repro.fleet.cache import ArtifactCache, default_cache, protocol_setup_seed
 from repro.obs.clock import monotonic_s
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
@@ -128,6 +128,26 @@ class WalkJob:
     compact: bool = True
     gps_duty_cycling: bool = True
     fault_plan: FaultPlan | None = None
+
+    @classmethod
+    def for_seed(
+        cls, place_name: str, path_name: str, seed: int, **overrides: Any
+    ) -> WalkJob:
+        """Return the experiment protocol's job for master ``seed``.
+
+        Setup :func:`~repro.fleet.cache.protocol_setup_seed` of ``seed``,
+        models and walk ``seed``, trace ``seed + 1``; ``overrides``
+        replace any field (multi-walk figures move the walk seeds).
+        """
+        job = cls(
+            place_name,
+            path_name,
+            setup_seed=protocol_setup_seed(seed),
+            models_seed=seed,
+            walk_seed=seed,
+            trace_seed=seed + 1,
+        )
+        return replace(job, **overrides)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from repro.fleet import (
     config_hash,
     default_cache,
     place_builders,
-    place_names,
     set_default_cache,
 )
 from repro.obs import MetricsRegistry
@@ -43,8 +42,7 @@ def test_config_fingerprint_names_the_knobs():
 
 
 def test_place_names_cover_all_experiment_worlds():
-    names = place_names()
-    assert set(names) == set(place_builders())
+    names = place_builders()
     for required in ("daily", "campus", "office", "office-2", "open-space",
                      "urban-open-space", "mall"):
         assert required in names

@@ -122,3 +122,30 @@ def test_start_noise_is_part_of_the_job_value(warm_cache):
     # And the noisy run is itself reproducible.
     [noisy2] = run_walks(_office_jobs(1, start_noise_m=3.0), cache=warm_cache)
     assert noisy.errors("motion") == noisy2.errors("motion")
+
+
+def test_for_seed_is_the_protocol_job():
+    """``WalkJob.for_seed`` is the job the chaos matrix and ``repro run
+    PLACE PATH`` used to spell out field by field."""
+    from repro.faults.plan import FaultPlan
+
+    assert WalkJob.for_seed("office", "survey", 5) == WalkJob(
+        "office", "survey", setup_seed=8, models_seed=5, walk_seed=5, trace_seed=6
+    )
+    plan = FaultPlan.scheme_outage("wifi", kind="crash", seed=2)
+    assert WalkJob.for_seed(
+        "daily", "path1", 2, gps_duty_cycling=False, fault_plan=plan
+    ) == WalkJob(
+        place_name="daily",
+        path_name="path1",
+        setup_seed=5,
+        models_seed=2,
+        walk_seed=2,
+        trace_seed=3,
+        gps_duty_cycling=False,
+        fault_plan=plan,
+    )
+    # Overrides win over the protocol's own seeds.
+    assert WalkJob.for_seed("campus", "path2", 0, walk_seed=7) == WalkJob(
+        "campus", "path2", setup_seed=3, models_seed=0, walk_seed=7, trace_seed=1
+    )

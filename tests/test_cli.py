@@ -52,6 +52,35 @@ def test_record_unknown_path(tmp_path, capsys):
     assert main(["record", "office", "nopath", "--out", str(tmp_path / "x.json")]) == 2
 
 
+def test_survey_and_record_read_the_warm_cache(tmp_path, capsys):
+    """On a warm cache `survey` and `record` build nothing, and write the
+    same bytes as a freshly surveyed setup."""
+    from repro.eval import PlaceSetup
+    from repro.fleet import ArtifactCache, set_default_cache
+    from repro.obs import MetricsRegistry
+    from repro.persistence import save_fingerprints, save_trace
+    from repro.world import build_office_place
+
+    fresh = PlaceSetup.create(build_office_place(), seed=3)
+    save_fingerprints(fresh.wifi_db, tmp_path / "expected-prints.json")
+    _, snaps = fresh.record_walk("survey", walk_seed=0, trace_seed=1)
+    save_trace(snaps, tmp_path / "expected-trace.json")
+    ArtifactCache(tmp_path / "cache").put_place_setup("office", fresh)
+
+    warm = ArtifactCache(tmp_path / "cache", metrics=MetricsRegistry())
+    previous = set_default_cache(warm)
+    try:
+        prints, trace = tmp_path / "prints.json", tmp_path / "trace.json"
+        assert main(["survey", "office", "--out", str(prints)]) == 0
+        assert main(["record", "office", "survey", "--out", str(trace)]) == 0
+    finally:
+        set_default_cache(previous)
+    assert warm.metrics.counter("fleet.cache.miss").value == 0
+    assert warm.metrics.counter("fleet.cache.hit").value == 2
+    assert prints.read_bytes() == (tmp_path / "expected-prints.json").read_bytes()
+    assert trace.read_bytes() == (tmp_path / "expected-trace.json").read_bytes()
+
+
 def _write_synthetic_steps(path):
     from repro.core.framework import StepDecision
     from repro.geometry import Point
@@ -215,6 +244,32 @@ def test_run_with_models_file_leaves_persistent_cache_alone(
     assert seen == _plotted_errors(expected)
 
 
+@pytest.mark.parametrize("fmt", [None, "fingerprints"], ids=["missing", "fingerprints"])
+def test_run_with_unreadable_models_file_exits_2(fmt, tmp_path, capsys):
+    import json
+
+    from repro.formats import format_header
+    from repro.persistence import FORMAT_VERSION
+
+    models_file = tmp_path / "models.json"
+    if fmt is not None:  # a readable artifact, but not error models
+        header = format_header(fmt, FORMAT_VERSION)
+        models_file.write_text(json.dumps({**header, "entries": []}))
+    log = tmp_path / "t.jsonl"
+    argv = ["run", "office", "survey", "--models", str(models_file)]
+    assert main(argv + ["--telemetry", str(log)]) == 2
+    assert "cannot read models file" in capsys.readouterr().err
+    assert not log.exists()  # the file is read before the log is opened
+
+
+@pytest.mark.parametrize("command", ["run", "profile", "sanitize"])
+def test_n_walks_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "fig5", "--n-walks", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-walks" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [["run", "office", "survey"], ["run", "fig3"], ["chaos"]]
 )
@@ -289,6 +344,13 @@ def test_chaos_rejects_unknown_fault_kind():
 def test_chaos_unknown_place_errors(capsys):
     assert main(["chaos", "--place", "atlantis"]) == 2
     assert "atlantis" in capsys.readouterr().err
+
+
+def test_chaos_unknown_place_leaves_no_telemetry_log(tmp_path, capsys):
+    log = tmp_path / "chaos.jsonl"
+    assert main(["chaos", "--place", "atlantis", "--telemetry", str(log)]) == 2
+    assert "unknown place" in capsys.readouterr().err
+    assert not log.exists()
 
 
 def test_chaos_parser_defaults():

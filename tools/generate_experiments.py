@@ -37,7 +37,7 @@ def fmt(x, digits=2):
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=1)
     workers = parser.parse_args().workers
     print("# EXPERIMENTS — paper vs. this reproduction\n")
     print(
