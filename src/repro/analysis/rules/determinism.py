@@ -124,21 +124,17 @@ _WALL_CLOCK = frozenset(
     }
 )
 
-#: The only production modules allowed to touch the raw clock: the
-#: injectable clock helper itself, and the obs timing primitives whose
-#: entire purpose is latency measurement.  Everything else goes through
-#: :mod:`repro.obs.clock` so tests can freeze time.  This list is part
-#: of the rule (not the baseline file) because it is an architectural
-#: statement, not a grandfathered violation — the shipped baseline
-#: stays empty.
-DET002_ALLOWED_MODULES = (
-    "repro/obs/clock.py",
-    "repro/obs/metrics.py",
-)
+#: The only production module allowed to touch the raw clock: the
+#: injectable clock helper itself.  Everything else, the obs timers
+#: included, goes through :mod:`repro.obs.clock` so tests can freeze
+#: time.  This list is part of the rule (not the baseline file) because
+#: it is an architectural statement, not a grandfathered violation —
+#: the shipped baseline stays empty.
+DET002_ALLOWED_MODULES = ("repro/obs/clock.py",)
 
 
 class WallClockRead(Rule):
-    """DET002: no raw wall-clock reads outside the obs timer modules.
+    """DET002: no raw wall-clock reads outside :mod:`repro.obs.clock`.
 
     A ``time.time()`` in a simulation, cache, or serialization path
     makes output depend on when it ran — the cache-age bug class this
@@ -146,7 +142,7 @@ class WallClockRead(Rule):
     :func:`repro.obs.clock.now_s` / ``monotonic_s`` (overridable in
     tests); both calls *and* bare references (``callback=time.time``)
     are flagged.  Tests are exempt (benchmarks legitimately measure
-    wall time), as are the modules in :data:`DET002_ALLOWED_MODULES`.
+    wall time), as is :data:`DET002_ALLOWED_MODULES`.
     """
 
     id = "DET002"
@@ -183,9 +179,9 @@ class WallClockRead(Rule):
                 self.finding(
                     file,
                     node,
-                    f"raw clock {canonical} {how} outside the obs timer "
-                    "modules; use repro.obs.clock.now_s/monotonic_s so "
-                    "tests can control time",
+                    f"raw clock {canonical} {how} outside "
+                    "repro.obs.clock; use repro.obs.clock.now_s/monotonic_s "
+                    "so tests can control time",
                 )
             )
         return findings

@@ -26,8 +26,7 @@ recorded event streams record-for-record:
 4. **Normalization.**  Fields that are honestly nondeterministic and
    allowlisted as such — ``run_id``, span ``duration_ms``, the step
    events' ``stage_ms`` timings, and ``_ms``/``_s``-suffixed metric
-   values measured by the raw ``perf_counter``-based obs timers — are
-   scrubbed before comparison.
+   values (measured durations) — are scrubbed before comparison.
 5. **Bisection.**  :func:`first_divergence` binary-searches cumulative
    prefix hashes of the two streams for the first index where they
    disagree, and the report localizes that record to its job, worker,
@@ -64,8 +63,8 @@ CLOCK_TICK_S = 1e-3
 #: nondeterminism: ids and measured durations).
 _SCRUBBED_KEYS = frozenset({"run_id", "duration_ms", "stage_ms"})
 
-#: Metric-name suffixes whose values come from the un-instrumented
-#: obs timers and are therefore scrubbed, not compared.
+#: Metric-name suffixes whose values are measured durations and are
+#: therefore scrubbed, not compared.
 _TIMING_SUFFIXES = ("_ms", "_s")
 
 
@@ -136,10 +135,9 @@ def normalize_event(event: dict[str, Any]) -> dict[str, Any]:
     """Return a comparison-safe copy of one telemetry event.
 
     Drops :data:`_SCRUBBED_KEYS` at the top level and inside ``data``,
-    and replaces the values of ``_ms``/``_s``-suffixed metrics — the
-    obs timers read ``perf_counter`` directly (allowlisted by DET002),
-    so their magnitudes are honest noise, though their *presence* and
-    order still must match.
+    and replaces the values of ``_ms``/``_s``-suffixed metrics — they
+    are measured durations, so their magnitudes are not compared,
+    though their *presence* and order still must match.
     """
     out = {k: v for k, v in event.items() if k not in _SCRUBBED_KEYS}
     data = out.get("data")

@@ -24,16 +24,14 @@ Commands mirror the paper's workflow:
 ``tables``
     Regenerate the paper's energy and response-time tables.
 ``report LOG``
-    Aggregate the ``step`` events of a telemetry log into per-scheme
-    usage, availability, latency percentiles, and duty-cycle stats, one
-    table per walk.  One of three post-run analysis paths — see also
-    ``telemetry`` for fleet rollups and ``bench trend`` for performance
-    history.
-``telemetry tail|summary|export``
+    Summarize a whole telemetry log in one pass: a run block (jobs and
+    steps per place, per-scheme selected/faults/quarantines/skipped,
+    unfinished jobs), then per walk the scheme usage, availability,
+    latency percentiles, duty-cycle stats and per-stage costs.
+``telemetry tail|export``
     Inspect a fleet telemetry event log: ``tail`` prints recent events
-    (or follows a live run with ``--follow``), ``summary`` renders
-    per-place and per-scheme rollups, ``export`` serializes the merged
-    metrics as Prometheus text or JSONL (see README "Observability").
+    (or follows a live run with ``--follow``), ``export`` serializes
+    the merged metrics as Prometheus text (see README "Observability").
 ``profile EXPERIMENT``
     Run a registered experiment under the deterministic sampling
     profiler and print the hot-function table; ``--out`` writes
@@ -42,7 +40,8 @@ Commands mirror the paper's workflow:
     Run the fault-matrix resilience experiment: one clean baseline walk
     plus one walk per scheme with that scheme at 100% failure, printing
     whether UniLoc2 still beats the best surviving single scheme (see
-    README "Fault injection & resilience").
+    README "Fault injection & resilience").  ``--kind hang`` exits 2:
+    with no scheme timeout its rows would equal the baseline.
 ``lint [paths] [--rule ID] [--format text|json|sarif] [--baseline [FILE]]``
     Run the repo-specific static-analysis rules over the tree: the
     syntactic set (unseeded randomness, wall-clock reads,
@@ -68,7 +67,7 @@ Commands mirror the paper's workflow:
 Both forms of ``run``, and ``chaos``, accept ``--telemetry LOG``, which
 streams the live ``uniloc_telemetry`` event log (job/step/span/fault/
 metric events with correlated run/job/worker IDs) to ``LOG`` while the
-walks run; ``repro report LOG`` aggregates the log's step events.  Offline
+walks run; ``repro report LOG`` summarizes the whole log.  Offline
 artifacts come from the fleet cache: set ``REPRO_CACHE_DIR`` (or pass
 ``--cache-dir``) and repeated invocations skip training and surveying.
 """
@@ -351,20 +350,14 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Aggregate a telemetry log's step events, one table per walk.
-
-    ``repro report`` is the per-step view of a log; ``repro telemetry
-    summary`` is its fleet-level sibling.
-    """
-    from repro.obs import read_telemetry, render_report, summarize_steps
+    """Print a telemetry log's run block, then one table per walk."""
+    from repro.obs import read_telemetry, render_log, summarize_log
 
     with _reading_log():
-        _, events = read_telemetry(args.log)
-    summaries = summarize_steps(events)
-    if not summaries:
-        print(f"{args.log} has no step events", file=sys.stderr)
-        return 2
-    print("\n\n".join(render_report(summary) for summary in summaries))
+        meta, events = read_telemetry(args.log)
+    if not events:
+        raise _ExitError(f"{args.log} has no events")
+    print(render_log(summarize_log(meta, events)))
     return 0
 
 
@@ -372,11 +365,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the single-scheme-outage resilience matrix and report it."""
     import json
 
-    from repro.faults.chaos import chaos_matrix
+    from repro.faults.chaos import chaos_matrix, check_chaos_kind
     from repro.fleet import set_default_cache
     from repro.obs import MetricsRegistry
 
     _check_target(args.place, args.path)
+    try:
+        check_chaos_kind(args.kind)
+    except ValueError as exc:
+        raise _ExitError(str(exc)) from exc
     if args.cache_dir:
         set_default_cache(_cache(args))
     metrics = MetricsRegistry()
@@ -425,14 +422,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_telemetry(args: argparse.Namespace) -> int:
-    """Inspect a fleet telemetry event log (tail/summary/export)."""
+    """Inspect a fleet telemetry event log (tail/export)."""
     from repro.obs.telemetry import (
         follow_telemetry,
         format_event,
         read_telemetry,
         registry_from_events,
-        render_telemetry_summary,
-        summarize_telemetry,
     )
 
     if args.telemetry_command == "tail" and args.follow:
@@ -451,19 +446,15 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         for event in shown:
             print(format_event(event))
         return 0
-    if args.telemetry_command == "summary":
-        print(render_telemetry_summary(summarize_telemetry(meta, events)))
-        return 0
     if args.telemetry_command == "export":
         from pathlib import Path
 
-        from repro.obs.exporters import get_exporter
+        from repro.obs.exporters import PrometheusExporter
 
-        registry = registry_from_events(events)
-        text = get_exporter(args.format).export(registry)
+        text = PrometheusExporter().export(registry_from_events(events))
         if args.out:
             Path(args.out).write_text(text)
-            print(f"wrote {args.format} metrics to {args.out}")
+            print(f"wrote prometheus metrics to {args.out}")
         else:
             print(text, end="")
         return 0
@@ -728,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         metavar="LOG",
         help="stream the telemetry event log (job, step, fault and metric "
-        "events) here; `repro report LOG` aggregates its steps",
+        "events) here; `repro report LOG` summarizes it",
     )
     p_run.set_defaults(func=cmd_run)
 
@@ -758,8 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser(
         "report",
-        help="summarize a telemetry log's step events (usage, latency, "
-        "duty cycle); see also `telemetry` and `bench trend`",
+        help="summarize a telemetry log: run block (places, schemes, "
+        "unfinished jobs), then usage, latency and duty cycle per walk",
     )
     p_report.add_argument("log", help="telemetry event log (JSONL)")
     p_report.set_defaults(func=cmd_report)
@@ -790,21 +781,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="poll interval while following (default: 0.5)",
     )
     p_tel_tail.set_defaults(func=cmd_telemetry)
-    p_tel_sum = tel_sub.add_parser(
-        "summary", help="render per-place and per-scheme rollups"
-    )
-    p_tel_sum.add_argument("log", help="telemetry event log (JSONL)")
-    p_tel_sum.set_defaults(func=cmd_telemetry)
     p_tel_exp = tel_sub.add_parser(
-        "export", help="export the merged metrics (prometheus/jsonl)"
+        "export", help="export the merged metrics as Prometheus text"
     )
     p_tel_exp.add_argument("log", help="telemetry event log (JSONL)")
-    p_tel_exp.add_argument(
-        "--format",
-        choices=["prometheus", "jsonl"],
-        default="prometheus",
-        help="wire format (default: prometheus)",
-    )
     p_tel_exp.add_argument("--out", help="write here instead of stdout")
     p_tel_exp.set_defaults(func=cmd_telemetry)
 

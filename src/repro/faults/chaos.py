@@ -151,6 +151,22 @@ def _row(
     )
 
 
+def check_chaos_kind(kind: str) -> None:
+    """Reject a fault kind whose outage rows could not differ from baseline.
+
+    Raises:
+        ValueError: for ``"hang"``: the outage plan's hang sleeps
+            ``delay_ms=0.0`` and no framework the engine builds sets
+            ``scheme_timeout_ms``, so the hung scheme answers normally.
+    """
+    if kind == "hang":
+        raise ValueError(
+            "chaos kind 'hang' tests nothing: the outage hang sleeps 0 ms "
+            "and the engine's frameworks set no scheme timeout, so every "
+            "row would equal the baseline"
+        )
+
+
 def chaos_matrix(
     seed: int = 0,
     workers: int = 1,
@@ -180,9 +196,14 @@ def chaos_matrix(
     Returns:
         Mapping from outage name (``"none"`` first, then each scheme)
         to its scored :class:`OutageRow`.
+
+    Raises:
+        ValueError: for a ``kind`` :func:`check_chaos_kind` rejects.
     """
     from repro.eval.setup import SCHEME_NAMES
     from repro.fleet import WalkJob, run_walks
+
+    check_chaos_kind(kind)
 
     metrics = metrics if metrics is not None else MetricsRegistry()
     outages = ["none", *SCHEME_NAMES]

@@ -10,20 +10,15 @@ scored step decision with its stage timings — goes into one
 ``uniloc_telemetry`` JSONL stream (:mod:`repro.obs.telemetry`), written
 by one :class:`TelemetryWriter` and read back through one decoder by
 :func:`read_telemetry` and :func:`follow_telemetry`;
-:mod:`repro.obs.report` aggregates its ``step`` events.  The worker
+:mod:`repro.obs.report` summarizes a whole log in one pass (``repro
+report``), and :class:`PrometheusExporter` serializes the registry its
+metric events rebuild (``repro telemetry export``).  The worker
 spools of a fleet run stay inside :mod:`repro.obs.telemetry`.  See
 README's "Observability" section for the event schema and CLI workflow.
 """
 
 from repro.obs import clock
-from repro.obs.exporters import (
-    EXPORTERS,
-    Exporter,
-    JsonlExporter,
-    PrometheusExporter,
-    get_exporter,
-    prometheus_name,
-)
+from repro.obs.exporters import PrometheusExporter, prometheus_name
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -38,10 +33,12 @@ from repro.obs.profiler import (
     profile_callable,
 )
 from repro.obs.report import (
+    LogSummary,
     SchemeSummary,
     TraceSummary,
+    render_log,
     render_report,
-    summarize_steps,
+    summarize_log,
     summarize_trace,
 )
 from repro.obs.telemetry import (
@@ -63,14 +60,11 @@ from repro.obs.telemetry import (
     iter_telemetry,
     read_telemetry,
     registry_from_events,
-    render_telemetry_summary,
     set_session,
-    summarize_telemetry,
     telemetry_session,
 )
 
 __all__ = [
-    "EXPORTERS",
     "NOOP_EMITTER",
     "TELEMETRY_FORMAT",
     "TELEMETRY_VERSION",
@@ -78,11 +72,10 @@ __all__ = [
     "EventContext",
     "EventEmitter",
     "EventSinkLike",
-    "Exporter",
     "Gauge",
     "Histogram",
     "HotFunction",
-    "JsonlExporter",
+    "LogSummary",
     "MetricsRegistry",
     "NoopEmitter",
     "PrometheusExporter",
@@ -99,18 +92,16 @@ __all__ = [
     "fault_timeline",
     "follow_telemetry",
     "format_event",
-    "get_exporter",
     "iter_telemetry",
     "percentile",
     "profile_callable",
     "prometheus_name",
     "read_telemetry",
     "registry_from_events",
+    "render_log",
     "render_report",
-    "render_telemetry_summary",
     "set_session",
-    "summarize_steps",
-    "summarize_telemetry",
+    "summarize_log",
     "summarize_trace",
     "telemetry_session",
 ]

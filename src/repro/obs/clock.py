@@ -9,8 +9,8 @@ through this module instead of calling :func:`time.time` or
    content-addressed cache keys — all assume no wall-clock value leaks
    into a simulation or cache-key path.  The ``DET002`` rule of
    ``repro lint`` enforces that assumption statically, and its
-   allowlist is exactly the obs timer modules plus this helper; any
-   other direct clock call in ``src/`` is a lint error.
+   allowlist is exactly this helper; any other direct clock call in
+   ``src/`` is a lint error, the obs timers included.
 2. **Time-dependent logic is testable.**  :func:`override` swaps the
    process clock for a constant (or any callable) inside a ``with``
    block, so cache-age rendering, backoff timing, and latency budgets

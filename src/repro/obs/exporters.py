@@ -1,17 +1,14 @@
-"""Metric exporters: one registry, many wire formats.
+"""The metric exporter: a registry as Prometheus text.
 
 The :class:`~repro.obs.metrics.MetricsRegistry` is the in-process
-source of truth; exporters serialize it for the outside world behind a
-common :class:`Exporter` protocol:
-
-* :class:`PrometheusExporter` — the Prometheus text exposition format
-  (``# TYPE``/``# HELP`` comment lines, ``_total``-suffixed counters,
-  histograms as summaries with ``quantile`` labels plus ``_sum`` and
-  ``_count`` series), so a scrape endpoint or a textfile collector can
-  ingest a run's metrics unchanged.
-* :class:`JsonlExporter` — one JSON line per instrument under the
-  shared :mod:`repro.formats` header, the machine-readable twin of
-  ``MetricsRegistry.as_dict()``.
+source of truth, and a telemetry log's metric events are already its
+lossless JSONL form (:func:`repro.obs.telemetry.registry_from_events`
+reads them back).  :class:`PrometheusExporter` serializes it for the
+outside world in the Prometheus text exposition format (``# TYPE``/
+``# HELP`` comment lines, ``_total``-suffixed counters, histograms as
+summaries with ``quantile`` labels plus ``_sum`` and ``_count``
+series), so a scrape endpoint or a textfile collector can ingest a
+run's metrics unchanged.
 
 Metric names keep their dotted grammar internally
 (``uniloc.selected.wifi``); the Prometheus exporter maps them to the
@@ -21,32 +18,14 @@ which is where naming conventions are supposed to be translated.
 
 from __future__ import annotations
 
-import json
 import re
-from typing import Protocol
 
-from repro.formats import format_header
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-
-#: Format tag / version stamped on JSONL metric exports.
-METRICS_EXPORT_FORMAT = "uniloc_metrics"
-METRICS_EXPORT_VERSION = 1
 
 #: Quantiles a histogram is exposed at (the paper tables' trio).
 SUMMARY_QUANTILES = (0.5, 0.9, 0.99)
 
 _ILLEGAL = re.compile(r"[^a-zA-Z0-9_]")
-
-
-class Exporter(Protocol):
-    """Structural type of a metrics serializer."""
-
-    #: Short format name (CLI ``--format`` values dispatch on it).
-    name: str
-
-    def export(self, registry: MetricsRegistry) -> str:
-        """Serialize every instrument in the registry."""
-        ...
 
 
 def prometheus_name(name: str) -> str:
@@ -63,8 +42,6 @@ def _fmt(value: float) -> str:
 
 class PrometheusExporter:
     """Writes the text exposition format (content-type 0.0.4)."""
-
-    name = "prometheus"
 
     def export(self, registry: MetricsRegistry) -> str:
         """Serialize the registry; counters end in ``_total``."""
@@ -91,65 +68,3 @@ class PrometheusExporter:
                 lines.append(f"{base}_sum {_fmt(instrument.total)}")
                 lines.append(f"{base}_count {_fmt(instrument.count)}")
         return "\n".join(lines) + "\n" if lines else ""
-
-
-class JsonlExporter:
-    """One JSON line per instrument, header line first."""
-
-    name = "jsonl"
-
-    def export(self, registry: MetricsRegistry) -> str:
-        """Serialize the registry as headered JSONL."""
-        lines = [
-            json.dumps(
-                {
-                    "type": "meta",
-                    **format_header(
-                        METRICS_EXPORT_FORMAT, METRICS_EXPORT_VERSION
-                    ),
-                },
-                sort_keys=True,
-            )
-        ]
-        for metric_name, instrument in registry:
-            if isinstance(instrument, Histogram):
-                record = {
-                    "name": metric_name,
-                    "kind": "histogram",
-                    **instrument.summary(),
-                }
-            elif isinstance(instrument, Counter):
-                record = {
-                    "name": metric_name,
-                    "kind": "counter",
-                    "value": instrument.value,
-                }
-            else:
-                record = {
-                    "name": metric_name,
-                    "kind": "gauge",
-                    "value": instrument.value,
-                }
-            lines.append(json.dumps(record, sort_keys=True))
-        return "\n".join(lines) + "\n"
-
-
-#: The exporter registry the CLI dispatches ``--format`` through.
-EXPORTERS: dict[str, Exporter] = {
-    exporter.name: exporter
-    for exporter in (PrometheusExporter(), JsonlExporter())
-}
-
-
-def get_exporter(name: str) -> Exporter:
-    """Return the exporter registered under ``name``.
-
-    Raises:
-        ValueError: for an unknown exporter name.
-    """
-    try:
-        return EXPORTERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown exporter {name!r}; known: {', '.join(sorted(EXPORTERS))}"
-        ) from None

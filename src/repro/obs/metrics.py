@@ -7,8 +7,9 @@ its ``estimate()`` took, how often the GPS chip was powered.  The design
 goals, in order:
 
 1. **Dependency-free.**  Nothing here imports outside the standard
-   library, so every layer (schemes, core, eval, CLI) can depend on it
-   without cycles.
+   library but :mod:`repro.obs.clock` (itself standard-library only),
+   so every layer (schemes, core, eval, CLI) can depend on it without
+   cycles.
 2. **Cheap.**  A counter increment is one dict lookup and an integer
    add; a histogram observation is a ``list.append``.  Percentiles are
    computed lazily, only when a report is rendered.
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from typing import Any, Iterator
+
+from repro.obs.clock import monotonic_s
 
 
 class Counter:
@@ -177,7 +179,9 @@ class Timer:
     """Context manager recording elapsed wall time into a histogram.
 
     The observation unit is milliseconds — the natural scale of one
-    localization step.
+    localization step.  Time is read through
+    :func:`repro.obs.clock.monotonic_s`, so ``clock.override`` scripts
+    it.
     """
 
     __slots__ = ("_histogram", "_start", "elapsed_ms")
@@ -188,11 +192,11 @@ class Timer:
         self.elapsed_ms = 0.0
 
     def __enter__(self) -> Timer:
-        self._start = time.perf_counter()
+        self._start = monotonic_s()
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self.elapsed_ms = (time.perf_counter() - self._start) * 1e3
+        self.elapsed_ms = (monotonic_s() - self._start) * 1e3
         self._histogram.observe(self.elapsed_ms)
 
 

@@ -1,14 +1,24 @@
-"""Step-event aggregation: turn a telemetry log into a readable summary.
+"""The run report: one summary of a whole telemetry log, in one pass.
 
-This is the read side of the ``step`` events in a ``uniloc_telemetry``
-log (:mod:`repro.obs.telemetry`): given the step payloads of one walk
-it computes, per scheme, the availability rate, the UniLoc1 usage
-share, the estimate-latency percentiles, and the mean ground-truth
-error, plus walk-level stats — GPS duty cycle, indoor fraction, mean
-tau, ensemble errors — and the framework's per-stage cost beside the
-paper's Table V (:mod:`repro.energy.response_time`).  ``repro report``
-prints :func:`render_report`'s table once per job; tests and notebooks
-consume the :class:`TraceSummary` dataclass directly.
+This is the read side of a ``uniloc_telemetry`` log
+(:mod:`repro.obs.telemetry`).  :func:`summarize_log` walks the events
+once and returns a :class:`LogSummary`:
+
+* the run block: run id, experiment, event count, workers, jobs and
+  steps per place, the per-scheme selected / faults / quarantines /
+  skipped counts, and the jobs that never finished;
+* one :class:`TraceSummary` per job with ``step`` events, folded by
+  :func:`summarize_trace`: per scheme the availability rate, the
+  UniLoc1 usage share, the estimate-latency percentiles and the mean
+  ground-truth error, plus walk-level stats — GPS duty cycle, indoor
+  fraction, mean tau, ensemble errors — and the framework's per-stage
+  cost beside the paper's Table V (:mod:`repro.energy.response_time`).
+
+Every count comes from the events themselves — step decisions, job
+edges and quarantine events — never from the metric events a job emits
+only when it finishes, so a job that raised keeps its steps, faults and
+quarantines.  ``repro report`` prints :func:`render_log`; tests and
+notebooks consume the dataclasses directly.
 
 Latencies come from each step event's ``stage_ms`` map.  Logs written
 before step events carried it still summarize; their latency cells
@@ -144,24 +154,130 @@ def summarize_trace(
     )
 
 
-def summarize_steps(events: Iterable[dict[str, Any]]) -> list[TraceSummary]:
-    """Summarize every job of a telemetry log that has ``step`` events.
+#: The per-scheme counts of the run block, in column order.
+SCHEME_COUNTS = ("selected", "faults", "quarantines", "skipped")
 
-    Returns one :class:`TraceSummary` per such job, in ``job_id`` order,
-    titled from that job's ``job/started`` event.
+
+@dataclass
+class LogSummary:
+    """Everything ``repro report`` prints about one telemetry log."""
+
+    run_id: str
+    experiment: str
+    n_events: int
+    workers: list[str]
+    #: Place -> ``{"jobs": n, "steps": n}``; steps are step events.
+    places: dict[str, dict[str, int]]
+    #: Scheme -> one count per :data:`SCHEME_COUNTS` label; only schemes
+    #: with a nonzero count appear.
+    schemes: dict[str, dict[str, int]]
+    #: Jobs without a ``job/finished`` event, sorted.
+    unfinished: list[str]
+    #: One per job with step events, in ``job_id`` order.
+    traces: list[TraceSummary]
+
+
+def summarize_log(
+    meta: dict[str, Any], events: Iterable[dict[str, Any]]
+) -> LogSummary:
+    """Summarize a whole log (see :func:`~repro.obs.read_telemetry`).
+
+    A job is any ``job_id`` on a ``job`` or ``step`` event; its place
+    is the one its ``job/started`` event names.  A step's
+    ``decision.selected``, ``decision.failures`` and
+    ``decision.quarantined`` count as that scheme's selected, faults
+    and skipped, and each ``quarantine/quarantine`` event as one
+    quarantine entry.
     """
+    n_events = 0
+    workers: set[str] = set()
     started: dict[str, dict[str, Any]] = {}
+    jobs: dict[str, bool] = {}  # job_id -> finished
     steps: dict[str, list[dict[str, Any]]] = {}
+    schemes: dict[str, dict[str, int]] = {}
+
+    def count(scheme: str, label: str) -> None:
+        schemes.setdefault(scheme, dict.fromkeys(SCHEME_COUNTS, 0))[label] += 1
+
     for event in events:
+        n_events += 1
+        if event.get("worker_id"):
+            workers.add(event["worker_id"])
+        kind, name = event.get("kind"), event.get("name")
         job_id = event.get("job_id", "")
-        if event.get("kind") == "step":
-            steps.setdefault(job_id, []).append(event.get("data", {}))
-        elif (event.get("kind"), event.get("name")) == ("job", "started"):
-            started[job_id] = event.get("data", {})
-    return [
-        summarize_trace(started.get(job_id, {}), steps[job_id])
-        for job_id in sorted(steps)
+        data = event.get("data", {})
+        if kind == "step":
+            jobs.setdefault(job_id, False)
+            steps.setdefault(job_id, []).append(data)
+            decision = data["decision"]
+            if decision["selected"] is not None:
+                count(decision["selected"], "selected")
+            for scheme in decision.get("failures", {}):
+                count(scheme, "faults")
+            for scheme in decision.get("quarantined", []):
+                count(scheme, "skipped")
+        elif kind == "job":
+            jobs[job_id] = jobs.get(job_id, False) or name == "finished"
+            if name == "started":
+                started[job_id] = data
+        elif (kind, name) == ("quarantine", "quarantine"):
+            count(data.get("scheme", ""), "quarantines")
+
+    places: dict[str, dict[str, int]] = {}
+    for job_id in jobs:
+        place = started.get(job_id, {}).get("place") or "(unknown)"
+        entry = places.setdefault(place, {"jobs": 0, "steps": 0})
+        entry["jobs"] += 1
+        entry["steps"] += len(steps.get(job_id, []))
+    return LogSummary(
+        run_id=meta.get("run_id", ""),
+        experiment=meta.get("experiment", ""),
+        n_events=n_events,
+        workers=sorted(workers),
+        places=places,
+        schemes=schemes,
+        unfinished=sorted(job_id for job_id, done in jobs.items() if not done),
+        traces=[
+            summarize_trace(started.get(job_id, {}), steps[job_id])
+            for job_id in sorted(steps)
+        ],
+    )
+
+
+def render_log(summary: LogSummary) -> str:
+    """Render the run block, then one :func:`render_report` table per job."""
+    lines = [
+        f"run: {summary.run_id} — {summary.experiment or '(unnamed run)'}",
+        f"{summary.n_events} events from {len(summary.workers)} worker(s): "
+        + (", ".join(summary.workers) or "(none)"),
     ]
+    if summary.places:
+        lines.append("")
+        lines.append(f"{'place':18s} {'jobs':>6s} {'steps':>8s}")
+        for place in sorted(summary.places):
+            entry = summary.places[place]
+            lines.append(f"{place:18s} {entry['jobs']:6d} {entry['steps']:8d}")
+    if summary.schemes:
+        lines.append("")
+        lines.append(
+            f"{'scheme':10s} {'selected':>9s} {'faults':>7s} "
+            f"{'quarantines':>12s} {'skipped':>8s}"
+        )
+        for scheme in sorted(summary.schemes):
+            entry = summary.schemes[scheme]
+            lines.append(
+                f"{scheme:10s} {entry['selected']:9d} {entry['faults']:7d} "
+                f"{entry['quarantines']:12d} {entry['skipped']:8d}"
+            )
+    if summary.unfinished:
+        lines.append("")
+        lines.append(
+            f"{len(summary.unfinished)} job(s) not finished: "
+            + ", ".join(summary.unfinished)
+        )
+    return "\n\n".join(
+        ["\n".join(lines), *(render_report(trace) for trace in summary.traces)]
+    )
 
 
 def render_report(summary: TraceSummary) -> str:

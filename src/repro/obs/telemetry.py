@@ -39,12 +39,15 @@ key, keeping the DET002 determinism contract intact.
 ``kind="step"`` events are the per-step decision record: one
 ``step``/``decision`` event per scored step, emitted by the eval layer
 (:func:`repro.eval.runner.run_walk`) where ground truth is known, and
-aggregated by ``repro report`` (:mod:`repro.obs.report`).
+summarized, with the rest of the log, by ``repro report``
+(:mod:`repro.obs.report`).
 
 ``kind="metric"`` events mirror the registry snapshot format
 (``instrument`` + ``value``/``values``) and are applied through
 :func:`apply_metric_event`, which delegates to ``merge_snapshot`` so
-streamed and snapshotted metrics can never diverge semantically.
+streamed and snapshotted metrics can never diverge semantically; they
+are the log's lossless form of the registry, which ``repro telemetry
+export`` rebuilds with :func:`registry_from_events`.
 """
 
 from __future__ import annotations
@@ -54,13 +57,13 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Protocol
 
 from repro.formats import UnsupportedFormatError, check_header, format_header
 from repro.obs.clock import now_s
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 #: Artifact format tag / newest readable version for telemetry logs.
 TELEMETRY_FORMAT = "uniloc_telemetry"
@@ -685,152 +688,8 @@ def _compact(value: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Rollups: summary and fault-timeline reconstruction.
+# Fault-timeline reconstruction.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class JobRollup:
-    """Lifecycle state of one walk job, reconstructed from its events."""
-
-    job_id: str
-    worker_id: str = ""
-    place: str = ""
-    path: str = ""
-    walk_seed: int | None = None
-    steps: int = 0
-    status: str = "running"
-
-
-@dataclass
-class TelemetrySummary:
-    """Everything ``repro telemetry summary`` renders about one run."""
-
-    run_id: str
-    experiment: str
-    n_events: int
-    workers: list[str]
-    jobs: dict[str, JobRollup]
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-
-    def scheme_rollup(self) -> dict[str, dict[str, int]]:
-        """Return per-scheme selections/faults/quarantines/skips."""
-        rollup: dict[str, dict[str, int]] = {}
-        prefixes = (
-            ("uniloc.selected.", "selected"),
-            ("uniloc.quarantine.entered.", "quarantines"),
-            ("uniloc.quarantine.skipped.", "skipped_steps"),
-        )
-        for name, instrument in self.registry:
-            if not isinstance(instrument, Counter):
-                continue
-            for prefix, label in prefixes:
-                if name.startswith(prefix):
-                    scheme = name[len(prefix):]
-                    rollup.setdefault(scheme, {})[label] = instrument.value
-            if name.startswith("uniloc.faults."):
-                rest = name[len("uniloc.faults."):]
-                scheme, _, _kind = rest.partition(".")
-                entry = rollup.setdefault(scheme, {})
-                entry["faults"] = entry.get("faults", 0) + instrument.value
-        return rollup
-
-    def place_rollup(self) -> dict[str, dict[str, int]]:
-        """Return per-place job and step counts."""
-        rollup: dict[str, dict[str, int]] = {}
-        for job in self.jobs.values():
-            entry = rollup.setdefault(
-                job.place or "(unknown)", {"jobs": 0, "steps": 0}
-            )
-            entry["jobs"] += 1
-            entry["steps"] += job.steps
-        return rollup
-
-
-def summarize_telemetry(
-    meta: dict[str, Any], events: list[dict[str, Any]]
-) -> TelemetrySummary:
-    """Aggregate one run's event stream (see :func:`read_telemetry`)."""
-    registry = MetricsRegistry()
-    jobs: dict[str, JobRollup] = {}
-    workers: set[str] = set()
-    for event in events:
-        if event.get("type") != "event":
-            continue
-        worker_id = event.get("worker_id")
-        if worker_id:
-            workers.add(worker_id)
-        kind = event.get("kind")
-        if kind == "metric":
-            apply_metric_event(registry, event)
-        elif kind == "job":
-            job_id = event.get("job_id", "")
-            job = jobs.setdefault(job_id, JobRollup(job_id=job_id))
-            job.worker_id = worker_id or job.worker_id
-            job.walk_seed = event.get("walk_seed", job.walk_seed)
-            data = event.get("data", {})
-            name = event.get("name")
-            if name == "started":
-                job.place = data.get("place", job.place)
-                job.path = data.get("path", job.path)
-            elif name == "finished":
-                job.status = "finished"
-                job.steps = int(data.get("steps", job.steps))
-            elif name == "error":
-                job.status = "error"
-    return TelemetrySummary(
-        run_id=meta.get("run_id", ""),
-        experiment=meta.get("experiment", ""),
-        n_events=len(events),
-        workers=sorted(workers),
-        jobs=jobs,
-        registry=registry,
-    )
-
-
-def render_telemetry_summary(summary: TelemetrySummary) -> str:
-    """Render a run summary as a fixed-width report."""
-    title = summary.experiment or "(unnamed run)"
-    lines = [
-        f"run: {summary.run_id} — {title}",
-        f"{summary.n_events} events from "
-        f"{len(summary.workers)} worker(s): "
-        + (", ".join(summary.workers) or "(none)"),
-    ]
-    places = summary.place_rollup()
-    if places:
-        lines.append("")
-        lines.append(f"{'place':18s} {'jobs':>6s} {'steps':>8s}")
-        for place in sorted(places):
-            entry = places[place]
-            lines.append(
-                f"{place:18s} {entry['jobs']:6d} {entry['steps']:8d}"
-            )
-    schemes = summary.scheme_rollup()
-    if schemes:
-        lines.append("")
-        lines.append(
-            f"{'scheme':10s} {'selected':>9s} {'faults':>7s} "
-            f"{'quarantines':>12s} {'skipped':>8s}"
-        )
-        for scheme in sorted(schemes):
-            entry = schemes[scheme]
-            lines.append(
-                f"{scheme:10s} {entry.get('selected', 0):9d} "
-                f"{entry.get('faults', 0):7d} "
-                f"{entry.get('quarantines', 0):12d} "
-                f"{entry.get('skipped_steps', 0):8d}"
-            )
-    incomplete = [
-        j.job_id for j in summary.jobs.values() if j.status != "finished"
-    ]
-    if incomplete:
-        lines.append("")
-        lines.append(
-            f"{len(incomplete)} job(s) not finished: "
-            + ", ".join(sorted(incomplete))
-        )
-    return "\n".join(lines)
 
 
 def fault_timeline(events: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:

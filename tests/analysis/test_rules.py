@@ -60,6 +60,12 @@ class TestDET002:
         engine = LintEngine(cache_path=None)
         assert engine.lint_text(text, display="src/repro/obs/clock.py") == []
 
+    def test_metrics_timers_read_the_clock_module_too(self):
+        text = (FIXTURES / "det002.py").read_text()
+        engine = LintEngine(cache_path=None)
+        findings = engine.lint_text(text, display="src/repro/obs/metrics.py")
+        assert rules_of(findings) == ["DET002"] * 3
+
 
 class TestPUR001:
     def test_flags_every_impurity(self):

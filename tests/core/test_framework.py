@@ -218,7 +218,7 @@ def test_run_walk_emits_aggregatable_trace(framework, office_system, tmp_path):
     WalkResult reports."""
     import pytest as _pytest
 
-    from repro.obs import read_telemetry, summarize_steps
+    from repro.obs import read_telemetry, summarize_log
     from repro.obs.telemetry import TelemetrySession
 
     setup, walk, snaps = (
@@ -233,13 +233,13 @@ def test_run_walk_emits_aggregatable_trace(framework, office_system, tmp_path):
         result = run_walk(
             framework, setup.place, "survey", walk, snaps, telemetry=emitter
         )
-    _, events = read_telemetry(path)
+    meta, events = read_telemetry(path)
     steps = [e for e in events if e["kind"] == "step"]
     assert len(steps) == len(result.records)
     assert [e["data"]["index"] for e in steps] == [
         r.moment.index for r in result.records
     ]
-    [summary] = summarize_steps(events)
+    [summary] = summarize_log(meta, events).traces
     assert (summary.place, summary.path) == (setup.place.name, "survey")
     assert summary.gps_duty_cycle == _pytest.approx(result.gps_duty_cycle())
     for name, share in result.usage("uniloc1").items():

@@ -95,3 +95,12 @@ def test_describe_renders_the_verdict(chaos):
     rows, _ = chaos
     line = rows["wifi"].describe()
     assert "uniloc2" in line and "beats" in line and "quarantine" in line
+
+
+def test_hang_matrix_is_refused():
+    """Every hang row would equal the baseline: no engine framework has a
+    scheme timeout and the outage hang sleeps 0 ms."""
+    from repro.faults.chaos import chaos_matrix
+
+    with pytest.raises(ValueError, match="no scheme timeout"):
+        chaos_matrix(kind="hang")

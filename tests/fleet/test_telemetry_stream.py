@@ -5,19 +5,22 @@ merges them into a single ``uniloc_telemetry`` log.  Both engines —
 inline and pool — frame each job the same way, so the log's metric
 events rebuild the caller's registry, the caller's registry is the same
 with or without a session, every started job is closed, and walk
-results stay byte-identical throughout.
+results stay byte-identical throughout.  The run report summarizes
+such a log from its events, so its counts match the rebuilt registry
+on a complete log and survive a job that raised.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.fleet import ArtifactCache, WalkJob, run_walks
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, summarize_log
 from repro.obs.telemetry import (
     TelemetrySession,
     fault_timeline,
     read_telemetry,
     registry_from_events,
-    summarize_telemetry,
 )
 
 
@@ -145,12 +148,93 @@ def test_serial_and_parallel_streams_carry_same_rollups(warm_cache, tmp_path):
     )
     rollups = []
     for log in (serial_log, parallel_log):
-        meta, events = read_telemetry(log)
-        summary = summarize_telemetry(meta, events)
-        assert {j.status for j in summary.jobs.values()} == {"finished"}
-        rollups.append((summary.scheme_rollup(), summary.place_rollup()))
+        summary = summarize_log(*read_telemetry(log))
+        assert summary.unfinished == []
+        rollups.append((summary.schemes, summary.places))
     assert rollups[0] == rollups[1]
     assert rollups[0][1]["office"]["jobs"] == 2
+
+
+def _scheme_counters(registry):
+    """The run block's per-scheme counts, read from registry counters."""
+    labels = (
+        ("uniloc.selected.", "selected"),
+        ("uniloc.faults.", "faults"),
+        ("uniloc.quarantine.entered.", "quarantines"),
+        ("uniloc.quarantine.skipped.", "skipped"),
+    )
+    counts = {}
+    for name, spec in registry.snapshot().items():
+        for prefix, label in labels:
+            if name.startswith(prefix) and spec["value"]:
+                scheme = name[len(prefix):].partition(".")[0]
+                entry = counts.setdefault(
+                    scheme,
+                    {"selected": 0, "faults": 0, "quarantines": 0, "skipped": 0},
+                )
+                entry[label] += spec["value"]
+    return counts
+
+
+def test_run_block_counts_equal_the_rebuilt_registry(warm_cache, tmp_path):
+    """On a complete chaos-style log the two sources agree."""
+    from repro.faults import FaultPlan
+
+    baseline, wifi, motion = _office_jobs(3, gps_duty_cycling=False)
+    jobs = [
+        baseline,
+        replace(wifi, fault_plan=FaultPlan.scheme_outage("wifi", seed=1)),
+        replace(motion, fault_plan=FaultPlan.scheme_outage("motion", kind="nan")),
+    ]
+    _, _, log = _run_with_telemetry(
+        jobs, workers=2, cache=warm_cache, tmp_path=tmp_path, tag="chaos"
+    )
+    meta, events = read_telemetry(log)
+    summary = summarize_log(meta, events)
+    assert summary.unfinished == []
+    assert summary.schemes["wifi"]["quarantines"] > 0
+    assert summary.schemes["motion"]["faults"] > 0
+    assert summary.schemes == _scheme_counters(registry_from_events(events))
+    steps = registry_from_events(events).counter("fleet.steps").value
+    assert summary.places == {"office": {"jobs": 3, "steps": steps}}
+
+
+def test_a_job_that_raises_keeps_its_steps_and_faults(
+    warm_cache, tmp_path, monkeypatch
+):
+    """Its log has no ``job/finished`` and no metric events, yet the
+    report still counts every streamed step, fault and quarantine."""
+    from repro.eval import runner
+    from repro.faults import FaultPlan
+
+    n_steps = 12
+    scored = []
+
+    def score_then_raise(place, moment, decision):
+        if len(scored) == n_steps:
+            raise RuntimeError("scorer crashed")
+        scored.append(moment.index)
+        return real_score_step(place, moment, decision)
+
+    real_score_step = runner.score_step
+    monkeypatch.setattr(runner, "score_step", score_then_raise)
+    (job,) = _office_jobs(1, fault_plan=FaultPlan.scheme_outage("wifi", seed=5))
+    log = tmp_path / "raised.jsonl"
+    with TelemetrySession(log, run_id="run-raised") as session:
+        with pytest.raises(RuntimeError, match="scorer crashed"):
+            run_walks([job], cache=warm_cache, telemetry=session)
+    meta, events = read_telemetry(log)
+    assert not [e for e in events if e["kind"] == "metric"]
+    summary = summarize_log(meta, events)
+    assert summary.places == {"office": {"jobs": 1, "steps": n_steps}}
+    assert summary.unfinished == ["job-0000"]
+    # Crash on every step: 3 failures quarantine wifi for 8 steps, and
+    # the probe at step 11 fails and quarantines it again.
+    assert summary.schemes["wifi"] == {
+        "selected": 0, "faults": 4, "quarantines": 2, "skipped": 8,
+    }
+    [trace] = summary.traces
+    assert trace.steps == n_steps
 
 
 def test_fault_plan_events_stream_through_workers(warm_cache, tmp_path):

@@ -1,21 +1,8 @@
-"""Tests for the metric exporters (Prometheus text format + JSONL)."""
-
-import json
+"""Tests for the metric exporter (Prometheus text format)."""
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    get_exporter,
-    prometheus_name,
-)
-from repro.obs.exporters import (
-    EXPORTERS,
-    METRICS_EXPORT_FORMAT,
-    METRICS_EXPORT_VERSION,
-    JsonlExporter,
-    PrometheusExporter,
-)
+from repro.obs import MetricsRegistry, PrometheusExporter, prometheus_name
 
 
 def _sample_registry():
@@ -77,29 +64,3 @@ def test_prometheus_empty_histogram_skips_quantiles():
 
 def test_prometheus_empty_registry_exports_empty_string():
     assert PrometheusExporter().export(MetricsRegistry()) == ""
-
-
-def test_jsonl_export_round_trips_records():
-    lines = JsonlExporter().export(_sample_registry()).splitlines()
-    meta = json.loads(lines[0])
-    assert meta["format"] == METRICS_EXPORT_FORMAT
-    assert meta["version"] == METRICS_EXPORT_VERSION
-    records = {r["name"]: r for r in map(json.loads, lines[1:])}
-    assert records["uniloc.selected.wifi"] == {
-        "name": "uniloc.selected.wifi",
-        "kind": "counter",
-        "value": 12,
-    }
-    assert records["fleet.worker_pid"]["kind"] == "gauge"
-    histogram = records["uniloc.step_ms"]
-    assert histogram["kind"] == "histogram"
-    assert histogram["count"] == 4
-    assert histogram["p50"] == pytest.approx(2.5)
-
-
-def test_get_exporter_dispatch_and_unknown_name():
-    assert get_exporter("prometheus").name == "prometheus"
-    assert get_exporter("jsonl").name == "jsonl"
-    assert set(EXPORTERS) == {"prometheus", "jsonl"}
-    with pytest.raises(ValueError, match="jsonl, prometheus"):
-        get_exporter("statsd")

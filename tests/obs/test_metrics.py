@@ -73,6 +73,21 @@ def test_timer_records_elapsed_ms():
     assert registry.histogram("op_ms").count == 1
 
 
+def test_timer_reads_the_injectable_clock():
+    """``clock.override`` scripts every timer, e.g. the cache's I/O ms."""
+    from repro.obs import clock
+
+    ticks = iter([10.0, 10.25, 20.0, 20.5])
+    registry = MetricsRegistry()
+    with clock.override(monotonic=lambda: next(ticks)):
+        with registry.timer("fleet.cache.io.read_ms") as first:
+            pass
+        with registry.timer("fleet.cache.io.read_ms"):
+            pass
+    assert first.elapsed_ms == 250.0
+    assert registry.histogram("fleet.cache.io.read_ms").values() == [250.0, 500.0]
+
+
 def test_registry_reuses_instruments():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")

@@ -1,5 +1,7 @@
 """Tests for the sampling profiler (scripted-tick determinism)."""
 
+import gc
+
 import pytest
 
 from repro.obs import SamplingProfiler, profile_callable
@@ -32,20 +34,33 @@ def _work():
     return total
 
 
+def _profile_work_without_gc():
+    """Profile ``_work`` with the collector paused.
+
+    A collection that lands inside the profiled block runs every
+    ``gc.callbacks`` hook (hypothesis installs one), which the profiler
+    rightly records as call edges; when it lands depends on what ran
+    before, not on ``_work``.
+    """
+    profiler = SamplingProfiler(interval_s=0.001, tick=_ramp(1.0))
+    gc.disable()
+    try:
+        with profiler:
+            _work()
+    finally:
+        gc.enable()
+    return profiler
+
+
 def test_scripted_tick_samples_every_call_edge():
     # Each tick read advances past the interval, so EVERY call edge
     # samples — the output is a pure function of the call sequence.
-    profiler = SamplingProfiler(interval_s=0.001, tick=_ramp(1.0))
-    with profiler:
-        _work()
+    profiler = _profile_work_without_gc()
     assert profiler.n_samples > 0
     collapsed = profiler.collapsed()
     assert collapsed.endswith("\n")
     # Deterministic: a second identical run collapses identically.
-    repeat = SamplingProfiler(interval_s=0.001, tick=_ramp(1.0))
-    with repeat:
-        _work()
-    assert repeat.collapsed() == collapsed
+    assert _profile_work_without_gc().collapsed() == collapsed
 
 
 def test_collapsed_stacks_are_root_first():

@@ -1,9 +1,16 @@
-"""Tests for step-event aggregation and report rendering."""
+"""Tests for the run report: the log summary and its rendering."""
 
 import pytest
 
-from repro.obs import render_report, summarize_steps, summarize_trace
+from repro.obs import render_log, render_report, summarize_log, summarize_trace
 from repro.obs.telemetry import EventContext, make_event
+
+META = {"type": "meta", "run_id": "run-test", "experiment": "fig7"}
+
+
+def traces(events):
+    """Return the per-job trace summaries of a log's events."""
+    return summarize_log(META, events).traces
 
 JOB = EventContext(run_id="run-test", job_id="job-0000", walk_seed=100)
 
@@ -19,6 +26,8 @@ def step_event(
     tau=5.0,
     uniloc1_error=None,
     uniloc2_error=None,
+    failures=None,
+    quarantined=None,
     context=JOB,
 ):
     """Build a minimal telemetry ``step`` event the way ``run_walk`` does."""
@@ -42,6 +51,8 @@ def step_event(
                 "uniloc1": None,
                 "uniloc2": None,
                 "gps_enabled": gps_enabled,
+                "failures": failures or {},
+                "quarantined": quarantined or [],
             },
             "scheme_errors": errors or {},
             "uniloc1_error": uniloc1_error,
@@ -89,7 +100,7 @@ def events():
 
 
 def test_summary_counts(events):
-    [summary] = summarize_steps(events)
+    [summary] = traces(events)
     assert (summary.place, summary.path) == ("office", "survey")
     assert summary.steps == 10
     assert summary.estimate_rate == pytest.approx(0.8)
@@ -101,7 +112,7 @@ def test_summary_counts(events):
 
 
 def test_per_scheme_usage_availability_latency(events):
-    [summary] = summarize_steps(events)
+    [summary] = traces(events)
     wifi = summary.schemes["wifi"]
     assert wifi.availability == pytest.approx(0.8)
     assert wifi.usage == pytest.approx(0.8)
@@ -114,7 +125,7 @@ def test_per_scheme_usage_availability_latency(events):
 
 
 def test_render_report_mentions_everything(events):
-    [summary] = summarize_steps(events)
+    [summary] = traces(events)
     text = render_report(summary)
     assert "office/survey" in text
     assert "wifi" in text and "gps" in text
@@ -131,13 +142,13 @@ def test_summarize_steps_splits_jobs_in_job_id_order(events):
         *events,
         make_event("job", "started", EventContext(run_id="r", job_id="job-0002")),
     ]
-    summaries = summarize_steps(mixed)
+    summaries = traces(mixed)
     # Job 2 has no step events, so it gets no table.
     assert [(s.place, s.path, s.steps) for s in summaries] == [
         ("office", "survey", 10),
         ("mall", "p2", 1),
     ]
-    assert summarize_steps(events[:1]) == []
+    assert traces(events[:1]) == []
 
 
 def test_empty_trace_renders():
@@ -152,7 +163,7 @@ def test_stage_block_sits_beside_table_v(events):
     """Each stage's p50 and share of the step, next to the paper's figure."""
     from repro.energy.response_time import BMA_MS, ERROR_PREDICTION_MS, SCHEME_COMPUTE_MS
 
-    [summary] = summarize_steps(events)
+    [summary] = traces(events)
     assert summary.stages["step"].count == 8
     rows = {
         line.split()[0]: line.split()[1:]
@@ -196,10 +207,47 @@ def test_old_step_events_without_stage_ms_report_dashes():
             "oracle": {"scheme": "wifi", "error": 1.5},
         },
     )
-    [summary] = summarize_steps([old])
+    [summary] = traces([old])
     assert summary.schemes["wifi"].latency.count == 0
     assert summary.stages == {}
     lines = render_report(summary).splitlines()
     [wifi] = [line for line in lines if line.startswith("wifi")]
     assert wifi.split()[3:6] == ["-", "-", "-"]
     assert lines[-1].split() == ["step", "-", "-", "-"]
+
+
+def test_run_block_heads_the_per_job_tables(events):
+    text = render_log(summarize_log(META, events))
+    job_table = render_report(traces(events)[0])
+    assert text.endswith("\n\n" + job_table)
+    run_block = text[: -len(job_table) - 2]
+    assert run_block.startswith("run: run-test — fig7\n11 events from 1 worker(s): main")
+    assert "office                  1       10" in run_block
+    assert "wifi               8       0            0        0" in run_block
+    assert "1 job(s) not finished: job-0000" in run_block
+
+
+def test_stepless_log_renders_the_run_block_alone():
+    ctx = EventContext(run_id="run-test", job_id="job-0000", worker_id="worker-1")
+    events = [
+        make_event("job", "started", ctx, data={"place": "mall", "path": "p2"}),
+        make_event("job", "finished", ctx, data={"steps": 25}),
+    ]
+    summary = summarize_log(META, events)
+    assert summary.traces == []
+    assert summary.places == {"mall": {"jobs": 1, "steps": 0}}
+    assert summary.unfinished == []
+    text = render_log(summary)
+    assert "trace:" not in text and "not finished" not in text
+    assert text.splitlines()[-1].split() == ["mall", "1", "0"]
+
+
+def test_report_reads_no_metric_event():
+    """The run block counts from the events, not the registry they rebuild."""
+    import inspect
+
+    import repro.obs.report as report
+
+    source = inspect.getsource(report)
+    assert "registry_from_events" not in source
+    assert "apply_metric_event" not in source

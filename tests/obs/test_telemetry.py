@@ -29,11 +29,10 @@ from repro.obs.telemetry import (
     new_run_id,
     read_telemetry,
     registry_from_events,
-    render_telemetry_summary,
     set_session,
-    summarize_telemetry,
     telemetry_session,
 )
+from tests.obs.test_report import step_event
 
 CONTEXT = EventContext(
     run_id="run-1", job_id="job-0001", worker_id="worker-9", walk_seed=42
@@ -302,7 +301,7 @@ def test_follow_telemetry_rejects_wrong_format(tmp_path):
         list(follow_telemetry(bad, sleep=lambda _s: None, max_idle_polls=0))
 
 
-# -- rendering + rollups ----------------------------------------------------
+# -- rendering + the run summary --------------------------------------------
 
 
 def test_format_event_renders_one_line():
@@ -326,18 +325,29 @@ def test_format_event_renders_one_line():
 def _job_events():
     ctx_a = EventContext(run_id="r", job_id="job-0000", worker_id="worker-1")
     ctx_b = EventContext(run_id="r", job_id="job-0001", worker_id="worker-2")
+    wifi_steps = [
+        step_event(selected="wifi", outputs={"wifi": True, "gps": False},
+                   failures={"gps": "exception"}, context=ctx_a)
+        for _ in range(3)
+    ]
+    skipped_steps = [
+        step_event(selected="wifi", outputs={"wifi": True, "gps": False},
+                   quarantined=["gps"], context=ctx_a)
+        for _ in range(8)
+    ]
     events = [
         make_event("job", "started", ctx_a, data={"place": "office", "path": "survey"}),
-        make_event("job", "finished", ctx_a, data={"steps": 25}),
-        make_event("job", "started", ctx_b, data={"place": "office", "path": "survey"}),
+        *wifi_steps,
+        make_event("quarantine", "quarantine", ctx_a,
+                   data={"scheme": "gps", "step": 2, "until": 10}),
+        *skipped_steps,
+        make_event("job", "finished", ctx_a, data={"steps": 11}),
+        # Metric events are the registry's wire form; the summary
+        # counts from the steps and ignores them.
         make_event("metric", "uniloc.selected.wifi", ctx_a,
-                   data={"instrument": "counter", "value": 20}),
-        make_event("metric", "uniloc.faults.gps.crash", ctx_a,
-                   data={"instrument": "counter", "value": 3}),
-        make_event("metric", "uniloc.quarantine.entered.gps", ctx_a,
-                   data={"instrument": "counter", "value": 1}),
-        make_event("metric", "uniloc.quarantine.skipped.gps", ctx_a,
-                   data={"instrument": "counter", "value": 8}),
+                   data={"instrument": "counter", "value": 99}),
+        make_event("job", "started", ctx_b, data={"place": "office", "path": "survey"}),
+        step_event(selected=None, outputs={"wifi": False}, context=ctx_b),
     ]
     meta = {"type": "meta", "format": TELEMETRY_FORMAT, "version": 1,
             "run_id": "r", "experiment": "fig7"}
@@ -345,24 +355,24 @@ def _job_events():
 
 
 def test_summarize_telemetry_rolls_up_jobs_and_schemes():
+    from repro.obs import render_log, summarize_log
+
     meta, events = _job_events()
-    summary = summarize_telemetry(meta, events)
+    summary = summarize_log(meta, events)
     assert summary.run_id == "r"
+    assert summary.n_events == len(events)
     assert summary.workers == ["worker-1", "worker-2"]
-    assert summary.jobs["job-0000"].status == "finished"
-    assert summary.jobs["job-0000"].steps == 25
-    assert summary.jobs["job-0001"].status == "running"
-    schemes = summary.scheme_rollup()
-    assert schemes["wifi"]["selected"] == 20
-    assert schemes["gps"]["faults"] == 3
-    assert schemes["gps"]["quarantines"] == 1
-    assert schemes["gps"]["skipped_steps"] == 8
-    places = summary.place_rollup()
-    assert places["office"] == {"jobs": 2, "steps": 25}
-    rendered = render_telemetry_summary(summary)
-    assert "wifi" in rendered
-    assert "office" in rendered
-    assert "job-0001" in rendered  # flagged as not finished
+    assert summary.unfinished == ["job-0001"]
+    assert summary.schemes == {
+        "wifi": {"selected": 11, "faults": 0, "quarantines": 0, "skipped": 0},
+        "gps": {"selected": 0, "faults": 3, "quarantines": 1, "skipped": 8},
+    }
+    assert summary.places == {"office": {"jobs": 2, "steps": 12}}
+    assert [trace.steps for trace in summary.traces] == [11, 1]
+    rendered = render_log(summary)
+    assert "run: r — fig7" in rendered
+    assert "1 job(s) not finished: job-0001" in rendered
+    assert rendered.count("trace: office/survey") == 2
 
 
 def test_fault_timeline_orders_lifecycle_by_job_and_step():

@@ -135,11 +135,21 @@ def test_report_rejects_non_trace(tmp_path, capsys):
     assert main(["report", str(bogus)]) == 2
     assert "cannot read telemetry log" in capsys.readouterr().err
     assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
-    # A well-formed log without step events has nothing to report.
+    # A log with only its meta line has nothing to report.
+    from repro.obs.telemetry import TelemetryWriter
+
+    empty = tmp_path / "empty.jsonl"
+    TelemetryWriter(empty, run_id="run-empty").close()
+    capsys.readouterr()
+    assert main(["report", str(empty)]) == 2
+    assert "has no events" in capsys.readouterr().err
+    # A log without step events still has its run block: the job table.
     stepless = tmp_path / "stepless.jsonl"
     _write_synthetic_telemetry(stepless)
-    assert main(["report", str(stepless)]) == 2
-    assert "no step events" in capsys.readouterr().err
+    assert main(["report", str(stepless)]) == 0
+    out = capsys.readouterr().out
+    assert "office                  1        0" in out
+    assert "trace:" not in out
 
 
 def test_trace_unknown_place_errors(tmp_path, capsys):
@@ -353,6 +363,14 @@ def test_chaos_unknown_place_leaves_no_telemetry_log(tmp_path, capsys):
     assert not log.exists()
 
 
+def test_chaos_hang_exits_2_before_the_log_opens(tmp_path, capsys):
+    """A hang outage sleeps 0 ms with no scheme timeout, so it tests nothing."""
+    log = tmp_path / "chaos.jsonl"
+    assert main(["chaos", "--kind", "hang", "--telemetry", str(log)]) == 2
+    assert "chaos kind 'hang' tests nothing" in capsys.readouterr().err
+    assert not log.exists()
+
+
 def test_chaos_parser_defaults():
     args = build_parser().parse_args(["chaos"])
     assert args.place == "daily"
@@ -410,14 +428,28 @@ def test_telemetry_tail_prints_recent_events(tmp_path, capsys):
     assert "job/started" not in out
 
 
-def test_telemetry_summary_renders_rollups(tmp_path, capsys):
+def test_report_prints_the_run_block(tmp_path, capsys):
     log = tmp_path / "events.jsonl"
     _write_synthetic_telemetry(log)
-    assert main(["telemetry", "summary", str(log)]) == 0
+    assert main(["report", str(log)]) == 0
     out = capsys.readouterr().out
-    assert "run-t" in out
-    assert "wifi" in out
+    assert out.startswith("run: run-t — fig7\n")
+    assert "4 events from 1 worker(s): worker-1" in out
     assert "office" in out
+    # Selections are counted from step events, not metric events.
+    assert "wifi" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["telemetry", "summary"], ["telemetry", "export", "--format", "jsonl"]],
+)
+def test_telemetry_summary_and_export_format_are_gone(argv, tmp_path, capsys):
+    log = tmp_path / "events.jsonl"
+    _write_synthetic_telemetry(log)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + [str(log)])
+    assert exc.value.code == 2
 
 
 def test_telemetry_export_prometheus_parses(tmp_path, capsys):
@@ -433,7 +465,7 @@ def test_telemetry_export_prometheus_parses(tmp_path, capsys):
 def test_telemetry_rejects_non_telemetry_file(tmp_path, capsys):
     bogus = tmp_path / "bogus.jsonl"
     bogus.write_text('{"not": "telemetry"}\n')
-    assert main(["telemetry", "summary", str(bogus)]) == 2
+    assert main(["telemetry", "export", str(bogus)]) == 2
     assert "cannot read telemetry log" in capsys.readouterr().err
 
 
@@ -443,7 +475,6 @@ def test_telemetry_rejects_non_telemetry_file(tmp_path, capsys):
         ["report"],
         ["telemetry", "tail"],
         ["telemetry", "tail", "--follow", "--poll-s", "0"],
-        ["telemetry", "summary"],
         ["telemetry", "export"],
     ],
 )
