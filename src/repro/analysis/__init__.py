@@ -4,8 +4,8 @@ Four invariants make this repro trustworthy — explicit seeding,
 clock-free deterministic paths, pure process-boundary values, and
 unit-suffixed quantities — and none of them is checkable by ruff or
 mypy.  This package checks them: a per-file plugin rule protocol, an
-AST runner with content-hash result caching, a baseline mechanism for
-grandfathering, and both human and JSON reporting.  See
+AST runner with content-hash result caching, and human, JSON and SARIF
+reporting.  See
 README's "Static analysis" section for the workflow and DESIGN.md for
 the module map.
 """
@@ -18,9 +18,7 @@ from repro.analysis.engine import (
     Rule,
     SourceFile,
     discover_files,
-    load_baseline,
     rules_fingerprint,
-    write_baseline,
 )
 from repro.analysis.rules import default_rules
 
@@ -33,7 +31,5 @@ __all__ = [
     "SourceFile",
     "default_rules",
     "discover_files",
-    "load_baseline",
     "rules_fingerprint",
-    "write_baseline",
 ]

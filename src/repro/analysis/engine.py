@@ -18,9 +18,9 @@ Architecture:
   suppression, per-file result caching keyed on content hash (a cached
   entry holds the file's kept findings and its suppressed count; the
   cache artifact carries the shared :mod:`repro.formats` header, like
-  every other on-disk artifact in the repo), and baseline subtraction.
+  every other on-disk artifact in the repo).
 * :class:`LintReport` — the scored result, renderable as a fixed-width
-  human table or the ``--json`` machine format.
+  human table or the ``--format json`` machine format.
 
 Exit semantics mirror the CLI contract: error-tier findings fail the
 build, warn-tier findings inform.  Directories named ``fixtures`` are
@@ -39,13 +39,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.formats import UnsupportedFormatError, check_header, format_header
+from repro.formats import check_header, format_header
 
 #: Bump to invalidate every cached lint result at once.
 ANALYSIS_VERSION = 2
 
 CACHE_FORMAT = "lint_cache"
-BASELINE_FORMAT = "lint_baseline"
 REPORT_FORMAT = "lint_report"
 
 #: Directory names never descended into during discovery.  ``fixtures``
@@ -88,11 +87,11 @@ class Finding:
     message: str
 
     def fingerprint(self) -> str:
-        """Return the stable id baselines suppress this finding by.
+        """Return the finding's stable id (SARIF ``partialFingerprints``).
 
         Deliberately excludes the line/column so reformatting a file
-        does not churn the baseline; a moved violation is still the
-        same violation.
+        does not churn the id; a moved violation is still the same
+        violation.
         """
         raw = f"{self.rule}\x00{self.path}\x00{self.message}"
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
@@ -249,7 +248,6 @@ class LintReport:
     n_files: int = 0
     n_cached: int = 0
     n_suppressed_inline: int = 0
-    n_suppressed_baseline: int = 0
 
     @property
     def n_errors(self) -> int:
@@ -269,7 +267,7 @@ class LintReport:
         return dict(sorted(counts.items()))
 
     def to_dict(self) -> dict[str, Any]:
-        """Serialize as the ``--json`` machine format."""
+        """Serialize as the ``--format json`` machine format."""
         return {
             **format_header(REPORT_FORMAT, ANALYSIS_VERSION),
             "counts": {
@@ -278,7 +276,6 @@ class LintReport:
                 "files": self.n_files,
                 "cached_files": self.n_cached,
                 "suppressed_inline": self.n_suppressed_inline,
-                "suppressed_baseline": self.n_suppressed_baseline,
                 "by_rule": self.counts_by_rule(),
             },
             "findings": [f.to_dict() for f in self.findings],
@@ -290,11 +287,8 @@ class LintReport:
         if lines:
             lines.append("")
         suppressed = ""
-        if self.n_suppressed_inline or self.n_suppressed_baseline:
-            suppressed = (
-                f" ({self.n_suppressed_inline} inline-ignored, "
-                f"{self.n_suppressed_baseline} baselined)"
-            )
+        if self.n_suppressed_inline:
+            suppressed = f" ({self.n_suppressed_inline} inline-ignored)"
         lines.append(
             f"{self.n_errors} error(s), {self.n_warnings} warning(s) "
             f"across {self.n_files} file(s), {self.n_cached} cached"
@@ -336,29 +330,6 @@ def display_path(path: Path) -> str:
         return resolved.as_posix()
 
 
-def load_baseline(path: str | Path) -> frozenset[str]:
-    """Read a baseline file; return the suppressed fingerprints.
-
-    Raises:
-        UnsupportedFormatError: on a wrong format tag or future version.
-        OSError: when the file cannot be read.
-    """
-    payload = json.loads(Path(path).read_text())
-    check_header(payload, BASELINE_FORMAT, ANALYSIS_VERSION, source=path)
-    return frozenset(payload.get("suppressed", []))
-
-
-def write_baseline(path: str | Path, findings: Iterable[Finding]) -> int:
-    """Write the findings' fingerprints as a baseline; return the count."""
-    fingerprints = sorted({f.fingerprint() for f in findings})
-    payload = {
-        **format_header(BASELINE_FORMAT, ANALYSIS_VERSION),
-        "suppressed": fingerprints,
-    }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return len(fingerprints)
-
-
 @dataclass
 class _CacheEntry:
     """One file's lint outcome: findings left after inline ignores."""
@@ -369,20 +340,18 @@ class _CacheEntry:
 
 
 class LintEngine:
-    """Run a rule set over files, with caching and baseline subtraction.
+    """Run a rule set over files, with per-file result caching.
 
     Args:
         rules: rule instances to run (defaults to the full registry).
         cache_path: JSON file for per-file result caching; ``None``
             disables persistence (every file is re-analyzed).
-        baseline: fingerprints to suppress (see :func:`load_baseline`).
     """
 
     def __init__(
         self,
         rules: Sequence[Rule] | None = None,
         cache_path: str | Path | None = None,
-        baseline: frozenset[str] = frozenset(),
     ) -> None:
         if rules is None:
             from repro.analysis.rules import default_rules
@@ -390,7 +359,6 @@ class LintEngine:
             rules = default_rules()
         self.rules = list(rules)
         self.cache_path = Path(cache_path) if cache_path is not None else None
-        self.baseline = baseline
         self._fingerprint = rules_fingerprint(self.rules)
 
     # -- caching -----------------------------------------------------------
@@ -490,25 +458,17 @@ class LintEngine:
             report.n_suppressed_inline += entry.n_suppressed
 
         self._save_cache(fresh)
-        self._score(report, raw_findings)
+        report.findings = _in_order(raw_findings)
         return report
 
     def lint_text(
         self, text: str, display: str, in_src: bool | None = None
     ) -> list[Finding]:
-        """Analyze one in-memory snippet (no cache, no baseline)."""
+        """Analyze one in-memory snippet (no cache)."""
         entry = self._check_file(SourceFile(display, text, in_src=in_src))
-        report = LintReport(findings=[], n_files=1)
-        self._score(report, entry.findings)
-        return report.findings
+        return _in_order(entry.findings)
 
-    def _score(self, report: LintReport, raw_findings: list[Finding]) -> None:
-        """Subtract the baseline, then sort into the report."""
-        kept: list[Finding] = []
-        for finding in raw_findings:
-            if finding.fingerprint() in self.baseline:
-                report.n_suppressed_baseline += 1
-                continue
-            kept.append(finding)
-        kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        report.findings = kept
+
+def _in_order(findings: list[Finding]) -> list[Finding]:
+    """Return the findings sorted by location, then rule."""
+    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))

@@ -127,9 +127,8 @@ _WALL_CLOCK = frozenset(
 #: The only production module allowed to touch the raw clock: the
 #: injectable clock helper itself.  Everything else, the obs timers
 #: included, goes through :mod:`repro.obs.clock` so tests can freeze
-#: time.  This list is part of the rule (not the baseline file) because
-#: it is an architectural statement, not a grandfathered violation —
-#: the shipped baseline stays empty.
+#: time.  This list is part of the rule because it is an architectural
+#: statement, not a grandfathered violation.
 DET002_ALLOWED_MODULES = ("repro/obs/clock.py",)
 
 

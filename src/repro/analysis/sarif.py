@@ -4,9 +4,8 @@
 scanning ingests: one run, one tool driver listing every rule that was
 active (so the UI can show rule metadata even for clean runs), one
 result per finding with a physical location and the engine's stable
-fingerprint under ``partialFingerprints`` — the same fingerprint the
-baseline mechanism keys on, so alert identity survives reformatting on
-both surfaces.
+fingerprint under ``partialFingerprints``, which leaves out the line and
+column, so alert identity survives reformatting.
 """
 
 from __future__ import annotations

@@ -40,9 +40,9 @@ Commands mirror the paper's workflow:
     Run the fault-matrix resilience experiment: one clean baseline walk
     plus one walk per scheme with that scheme at 100% failure, printing
     whether UniLoc2 still beats the best surviving single scheme (see
-    README "Fault injection & resilience").  ``--kind hang`` exits 2:
-    with no scheme timeout its rows would equal the baseline.
-``lint [paths] [--rule ID] [--format text|json|sarif] [--baseline [FILE]]``
+    README "Fault injection & resilience").  ``--kind`` is one of
+    ``crash``, ``drop``, ``nan`` or ``garbage``.
+``lint [paths] [--rule ID] [--format text|json|sarif]``
     Run the repo-specific static-analysis rules over the tree: the
     syntactic set (unseeded randomness, wall-clock reads,
     process-boundary purity, unit suffixes) plus the dataflow-aware
@@ -57,12 +57,13 @@ Commands mirror the paper's workflow:
 ``bench run|compare|trend``
     ``bench run`` times the radio, map-constraint and BMA hot paths
     against their scalar baselines on one place and writes a versioned
-    ``BENCH_<date>.json`` report; ``bench compare BASELINE CURRENT``
-    diffs two reports, exits 1 when a speedup regressed past the
-    threshold, and names the benches the baseline lacks on an
-    ``ungated:`` line; ``bench trend FILES...`` computes per-benchmark
-    speedup trajectories across a whole report history and flags
-    best-ever regressions (see README "Performance").
+    ``BENCH_<date>.json`` report (an ``--out`` that is a directory, or
+    whose directory is missing, exits 2 before any timing); ``bench
+    compare BASELINE CURRENT`` diffs two reports, exits 1 when a speedup
+    regressed past the threshold, and names the benches the baseline
+    lacks on an ``ungated:`` line; ``bench trend FILES...`` computes
+    per-benchmark speedup trajectories across a whole report history and
+    flags best-ever regressions (see README "Performance").
 
 Both forms of ``run``, and ``chaos``, accept ``--telemetry LOG``, which
 streams the live ``uniloc_telemetry`` event log (job/step/span/fault/
@@ -197,6 +198,17 @@ def _check_target(place: str, path: str | None = None) -> None:
             raise _ExitError(
                 f"unknown path {path!r}; this place has: " + ", ".join(paths)
             )
+
+
+def _check_out_file(path: str) -> None:
+    """Exit 2 unless ``path`` can be written as a file: checked before work."""
+    from pathlib import Path
+
+    out = Path(path)
+    if out.is_dir():
+        raise _ExitError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise _ExitError(f"--out {path}: no directory {out.parent}")
 
 
 def _experiment(args: argparse.Namespace, name: str) -> Experiment:
@@ -365,15 +377,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the single-scheme-outage resilience matrix and report it."""
     import json
 
-    from repro.faults.chaos import chaos_matrix, check_chaos_kind
+    from repro.faults.chaos import chaos_matrix
     from repro.fleet import set_default_cache
     from repro.obs import MetricsRegistry
 
     _check_target(args.place, args.path)
-    try:
-        check_chaos_kind(args.kind)
-    except ValueError as exc:
-        raise _ExitError(str(exc)) from exc
     if args.cache_dir:
         set_default_cache(_cache(args))
     metrics = MetricsRegistry()
@@ -481,10 +489,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Where ``repro lint`` looks for a baseline when ``--baseline`` is
-#: given without a path, and where ``--write-baseline`` writes one.
-DEFAULT_BASELINE = "lint-baseline.json"
-
 #: Default per-file result cache (keyed on content + rule versions).
 DEFAULT_LINT_CACHE = ".repro-cache/lint-cache.json"
 
@@ -493,7 +497,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static-analysis rules; exit 1 on error-tier findings."""
     import json
 
-    from repro.analysis import LintEngine, default_rules, load_baseline, write_baseline
+    from repro.analysis import LintEngine, default_rules
 
     rules = default_rules()
     if args.rule:
@@ -509,21 +513,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
             return 2
         rules = [rule for rule in rules if rule.id in wanted]
 
-    baseline: frozenset[str] = frozenset()
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            print(f"no baseline at {args.baseline}", file=sys.stderr)
-            return 2
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-
     engine = LintEngine(
-        rules=rules,
-        cache_path=None if args.no_cache else args.cache_path,
-        baseline=baseline,
+        rules=rules, cache_path=None if args.no_cache else args.cache_path
     )
     try:
         report = engine.lint_paths(args.paths)
@@ -531,16 +522,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline is not None:
-        n = write_baseline(args.write_baseline, report.findings)
-        print(
-            f"wrote baseline with {n} fingerprint(s) to {args.write_baseline}"
-        )
-        return 0
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-    elif fmt == "sarif":
+    elif args.format == "sarif":
         from repro.analysis.sarif import to_sarif
 
         print(json.dumps(to_sarif(report, rules), indent=1, sort_keys=True))
@@ -578,6 +562,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.formats import UnsupportedFormatError
 
     if args.bench_command == "run":
+        if args.out:
+            _check_out_file(args.out)
         report = run_benches(
             place_name=args.place,
             seed=args.seed,
@@ -876,29 +862,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="only run this rule (repeatable, e.g. --rule DET001)",
     )
     p_lint.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable report (same as --format json)",
-    )
-    p_lint.add_argument(
         "--format",
         choices=["text", "json", "sarif"],
         default="text",
         help="output format; sarif targets GitHub code scanning "
         "(default: text)",
-    )
-    p_lint.add_argument(
-        "--baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        help=f"suppress findings recorded in FILE (default: {DEFAULT_BASELINE})",
-    )
-    p_lint.add_argument(
-        "--write-baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        metavar="FILE",
-        help="record current findings as the baseline and exit 0",
     )
     p_lint.add_argument(
         "--cache-path",

@@ -25,10 +25,9 @@ Beyond unavailability, the framework degrades gracefully under scheme
 diversity claim must survive:
 
 * a scheme that raises is caught and excluded for the step;
-* a scheme whose ``estimate()`` exceeds the optional per-step timeout
-  budget has its output discarded;
 * non-finite outputs (NaN/Inf position, spread, particle samples or
-  sample weights) are rejected before they can poison the BMA mixture;
+  sample weights) and implausible ones (far outside the place) are
+  rejected before they can poison the BMA mixture;
 * schemes that fail repeatedly are quarantined — skipped entirely — for
   an exponentially growing number of steps (:class:`SchemeHealth`), and
   probed again when the backoff expires;
@@ -37,7 +36,10 @@ diversity claim must survive:
   dominate the ensemble.
 
 Every failure, quarantine entry, and skipped step is counted in the
-attached metrics registry.
+attached metrics registry.  The policy is fixed: its numbers are the
+module constants next to :class:`SchemeHealth`.  A scheme that hangs is
+not contained: that needs pre-emption, not a stopwatch read after
+``estimate()`` returns.
 
 Every step is also timed, stage by stage, with plain
 :func:`repro.obs.clock.monotonic_s` reads into
@@ -82,17 +84,37 @@ class SchemeBundle:
     extractor: FeatureExtractor
 
 
+#: Consecutive failures before a scheme is quarantined.
+QUARANTINE_THRESHOLD = 3
+#: Length of the first quarantine; each re-quarantine while the scheme
+#: keeps failing doubles it, up to :data:`QUARANTINE_MAX_STEPS`.
+QUARANTINE_BASE_STEPS = 8
+QUARANTINE_MAX_STEPS = 256
+#: Healthy steps over which a recently faulty scheme's confidence ramps
+#: back to full weight.
+CONFIDENCE_DECAY_STEPS = 5
+#: Estimates farther than this outside the place's bounding box are
+#: ``implausible`` failures: a finite but wildly wrong coordinate (a
+#: garbage scheme output) is as poisonous to the BMA mixture as a NaN.
+#: Far beyond any honest scheme's worst-case error.
+IMPLAUSIBLE_MARGIN_M = 500.0
+#: The bundle name the §IV-C GPS duty-cycling policy applies to.
+GPS_SCHEME = "gps"
+
+
 @dataclass
 class SchemeHealth:
     """Failure tracking and quarantine state for one scheme.
 
-    The framework treats *failures* (exceptions, timeouts, non-finite
-    outputs) differently from plain unavailability (a ``None`` output):
-    unavailability is the paper's normal §IV-A regime, while repeated
-    failures indicate a broken scheme that should stop being called.
-    After ``threshold`` consecutive failures the scheme is quarantined
-    for ``base_steps`` steps; every re-quarantine while still failing
-    doubles the backoff (capped), and one healthy probe resets it.
+    The framework treats *failures* (exceptions, non-finite and
+    implausible outputs) differently from plain unavailability (a
+    ``None`` output): unavailability is the paper's normal §IV-A regime,
+    while repeated failures indicate a broken scheme that should stop
+    being called.  After :data:`QUARANTINE_THRESHOLD` consecutive
+    failures the scheme is quarantined for :data:`QUARANTINE_BASE_STEPS`
+    steps; every re-quarantine while still failing doubles the backoff
+    (capped at :data:`QUARANTINE_MAX_STEPS`), and one healthy probe
+    resets it.
     """
 
     consecutive_failures: int = 0
@@ -111,33 +133,33 @@ class SchemeHealth:
         self.consecutive_failures = 0
         self.quarantines = 0
 
-    def note_failure(
-        self, step: int, threshold: int, base_steps: int, max_steps: int
-    ) -> bool:
+    def note_failure(self, step: int) -> bool:
         """Record one failure; return True when it (re-)enters quarantine."""
         self.consecutive_failures += 1
         self.total_failures += 1
         self.last_failure_step = step
-        if self.consecutive_failures < threshold:
+        if self.consecutive_failures < QUARANTINE_THRESHOLD:
             return False
-        backoff = min(base_steps * (2**self.quarantines), max_steps)
+        backoff = min(
+            QUARANTINE_BASE_STEPS * (2**self.quarantines), QUARANTINE_MAX_STEPS
+        )
         self.quarantined_until = step + 1 + backoff
         self.quarantines += 1
         return True
 
-    def recovery_factor(self, step: int, decay_steps: int) -> float:
+    def recovery_factor(self, step: int) -> float:
         """Return the confidence multiplier after recent failures.
 
         Ramps linearly from 0 at the failure step back to 1 after
-        ``decay_steps`` healthy steps; 1.0 for never-failed schemes, so
-        the clean path is numerically untouched.
+        :data:`CONFIDENCE_DECAY_STEPS` healthy steps; 1.0 for
+        never-failed schemes, so the clean path is numerically untouched.
         """
-        if self.last_failure_step is None or decay_steps <= 0:
+        if self.last_failure_step is None:
             return 1.0
         since = step - self.last_failure_step
-        if since >= decay_steps:
+        if since >= CONFIDENCE_DECAY_STEPS:
             return 1.0
-        return max(since, 0) / decay_steps
+        return max(since, 0) / CONFIDENCE_DECAY_STEPS
 
 
 @dataclass
@@ -154,8 +176,8 @@ class StepDecision:
     uniloc1_position: Point | None
     uniloc2_position: Point | None
     gps_enabled: bool
-    #: Schemes that *failed* this step (exception / timeout / non-finite
-    #: output), mapped to the failure kind.  Distinct from plain
+    #: Schemes that *failed* this step (``exception``, ``nonfinite`` or
+    #: ``implausible``), mapped to the failure kind.  Distinct from plain
     #: unavailability, which is a ``None`` output with no entry here.
     failures: dict[str, str] = field(default_factory=dict)
     #: Schemes skipped this step because they are serving a quarantine.
@@ -175,10 +197,12 @@ class UniLocFramework:
         bundles: scheme name -> bundle; any scheme can be added, which is
             the framework's "General" design goal.
         grid_cell_m: BMA grid resolution.
-        gps_scheme: name of the GPS bundle for duty-cycling (None
-            disables the energy policy).
-        gps_duty_cycling: only power GPS when it is predicted to be the
-            most accurate scheme.
+        gps_duty_cycling: only power the :data:`GPS_SCHEME` bundle when
+            it is predicted to be the most accurate scheme (§IV-C).
+        iodetector: the indoor/outdoor classifier.
+        location_predictor: trajectory predictor with
+            ``observe``/``predict``/``reset`` (None: the second-order
+            HMM over the BMA grid).
         metrics: optional registry accumulating step counters (scheme
             selections, GPS powering, indoor steps, per-scheme failures
             and quarantines) and the stage clock's histograms
@@ -188,45 +212,20 @@ class UniLocFramework:
             events with scheme and step IDs) for the cross-process
             telemetry stream.  The default no-op sink keeps the clean
             hot path at one attribute lookup.
-        scheme_timeout_ms: per-step wall-time budget for one scheme's
-            ``estimate()``; outputs that arrive later are discarded and
-            counted as a ``timeout`` failure (None disables the budget).
-        quarantine_threshold: consecutive failures before a scheme is
-            quarantined.
-        quarantine_base_steps: length of the first quarantine; each
-            re-quarantine while the scheme keeps failing doubles it.
-        quarantine_max_steps: backoff cap.
-        confidence_decay_steps: healthy steps over which a recently
-            faulty scheme's confidence ramps back to full weight.
-        implausible_margin_m: estimates farther than this outside the
-            place's bounding box are discarded as ``implausible``
-            failures before they can reach the BMA mixture — a finite
-            but wildly wrong coordinate (a garbage scheme output) is as
-            poisonous as a NaN.  The default is far beyond any honest
-            scheme's worst-case error; None disables the gate.
     """
 
     place: Place
     bundles: dict[str, SchemeBundle]
     grid_cell_m: float = 2.0
-    gps_scheme: str | None = "gps"
     gps_duty_cycling: bool = True
     iodetector: IODetector = field(default_factory=IODetector)
     location_predictor: object | None = None
     metrics: MetricsRegistry | None = None
     telemetry: EventSinkLike = NOOP_EMITTER
-    scheme_timeout_ms: float | None = None
-    quarantine_threshold: int = 3
-    quarantine_base_steps: int = 8
-    quarantine_max_steps: int = 256
-    confidence_decay_steps: int = 5
-    implausible_margin_m: float | None = 500.0
 
     def __post_init__(self) -> None:
         if not self.bundles:
             raise ValueError("UniLoc needs at least one scheme")
-        if self.quarantine_threshold < 1:
-            raise ValueError("quarantine_threshold must be >= 1")
         self._grid: Grid = self.place.grid(self.grid_cell_m)
         # Any object with observe/predict/reset works (second-order HMM by
         # default; a Kalman predictor is the paper-sanctioned alternative).
@@ -372,9 +371,7 @@ class UniLocFramework:
         """
         decayed: dict[str, float] = {}
         for name, value in confidences.items():
-            factor = self._health[name].recovery_factor(
-                self._step_index, self.confidence_decay_steps
-            )
+            factor = self._health[name].recovery_factor(self._step_index)
             decayed[name] = value if factor == 1.0 else value * factor
         return decayed
 
@@ -418,7 +415,7 @@ class UniLocFramework:
         failures: dict[str, str] = {}
         skipped: list[str] = []
         for name, bundle in self.bundles.items():
-            if name == self.gps_scheme and self.gps_duty_cycling:
+            if name == GPS_SCHEME and self.gps_duty_cycling:
                 continue  # decided after the other schemes' errors are known
             outputs[name] = self._run_scheme(
                 name, bundle.scheme, snapshot, failures, skipped
@@ -431,8 +428,8 @@ class UniLocFramework:
         )
         self.stage_ms["hmm"] = (predicted - mark) * 1e3
         self.stage_ms["error_prediction"] = (monotonic_s() - predicted) * 1e3
-        if self.gps_scheme in self.bundles and self.gps_duty_cycling:
-            outputs[self.gps_scheme] = self._gps_policy_output(
+        if GPS_SCHEME in self.bundles and self.gps_duty_cycling:
+            outputs[GPS_SCHEME] = self._gps_policy_output(
                 snapshot, outputs, predicted_errors, indoor, failures, skipped
             )
         return outputs, predicted_errors, failures, tuple(skipped)
@@ -481,9 +478,9 @@ class UniLocFramework:
         """Run one scheme defensively; returns ``(output, failure_kind)``.
 
         Catches any exception (schemes are black boxes — §III-A says the
-        framework must not trust them), enforces the optional per-step
-        timeout budget against the stage clock's ``scheme.<name>``
-        reading, and rejects non-finite and implausible outputs.  Every
+        framework must not trust them), times ``estimate()`` into the
+        stage clock's ``scheme.<name>`` entry, and rejects non-finite and
+        implausible outputs.  Every
         scheme of every walker runs through here, so a raising scheme is
         charged to its own walker and never escapes :meth:`step`.
         """
@@ -493,11 +490,7 @@ class UniLocFramework:
         except Exception:  # noqa: BLE001 — black-box scheme
             self.stage_ms[f"scheme.{name}"] = (monotonic_s() - start) * 1e3
             return None, "exception"
-        elapsed_ms = (monotonic_s() - start) * 1e3
-        self.stage_ms[f"scheme.{name}"] = elapsed_ms
-        budget = self.scheme_timeout_ms
-        if budget is not None and elapsed_ms > budget:
-            return None, "timeout"
+        self.stage_ms[f"scheme.{name}"] = (monotonic_s() - start) * 1e3
         if output is not None and not output.is_finite():
             return None, "nonfinite"
         if output is not None and not self._plausible(output.position):
@@ -506,9 +499,7 @@ class UniLocFramework:
 
     def _plausible(self, position: Point) -> bool:
         """True when an estimate lies within the place plus a wide margin."""
-        margin = self.implausible_margin_m
-        if margin is None:
-            return True
+        margin = IMPLAUSIBLE_MARGIN_M
         min_x, min_y, max_x, max_y = self._bounds
         return (
             min_x - margin <= position.x <= max_x + margin
@@ -517,12 +508,7 @@ class UniLocFramework:
 
     def _note_failure(self, name: str, health: SchemeHealth, kind: str) -> None:
         """Update health tracking and metrics after one scheme failure."""
-        entered = health.note_failure(
-            self._step_index,
-            self.quarantine_threshold,
-            self.quarantine_base_steps,
-            self.quarantine_max_steps,
-        )
+        entered = health.note_failure(self._step_index)
         if self.telemetry.enabled:
             self.telemetry.emit(
                 "fault",
@@ -566,29 +552,23 @@ class UniLocFramework:
         """
         if indoor:
             return None
-        gps_error = predicted_errors.get(self.gps_scheme)
+        gps_error = predicted_errors.get(GPS_SCHEME)
         if gps_error is None:
             return None  # no fitted outdoor GPS model: never predicted best
         competitors = [
             err
             for name, err in predicted_errors.items()
-            if name != self.gps_scheme and outputs.get(name) is not None
+            if name != GPS_SCHEME and outputs.get(name) is not None
         ]
         if competitors and gps_error >= min(competitors):
             return None
         return self._run_scheme(
-            self.gps_scheme,
-            self.bundles[self.gps_scheme].scheme,
-            snapshot,
-            failures,
-            skipped,
+            GPS_SCHEME, self.bundles[GPS_SCHEME].scheme, snapshot, failures, skipped
         )
 
     def _gps_ran(self, outputs: dict[str, SchemeOutput | None]) -> bool:
         """Return True if the GPS chip was powered this step."""
-        if self.gps_scheme is None or self.gps_scheme not in outputs:
-            return False
-        return outputs[self.gps_scheme] is not None
+        return outputs.get(GPS_SCHEME) is not None
 
     def _predicted_location(
         self, outputs: dict[str, SchemeOutput | None]

@@ -1,8 +1,8 @@
 """Deterministic fault injection for UniLoc resilience experiments.
 
 ``repro.faults`` describes failures as data: a :class:`FaultPlan` is a
-frozen, seedable value object listing scheme faults (crash, drop, hang,
-NaN, garbage output), sensor faults (stale GPS, radio blackout, IMU
+frozen, seedable value object listing scheme faults (crash, drop, NaN,
+garbage output), sensor faults (stale GPS, radio blackout, IMU
 dropout), and an optional one-shot worker death.  Plans wrap schemes
 and corrupt sensor snapshots *without modifying their code*, every
 stochastic draw is a stateless function of ``(plan seed, fault index,
@@ -11,8 +11,9 @@ the same casualties — faults are as reproducible as everything else in
 the repo.
 
 The matching graceful-degradation machinery lives in
-:mod:`repro.core.framework` (exception containment, quarantine with
-exponential backoff, non-finite rejection, confidence decay) and in
+:mod:`repro.core.framework` (exception containment, non-finite and
+implausible-output rejection, quarantine with exponential backoff,
+confidence decay) and in
 :mod:`repro.fleet.executor` (worker-crash retry).  The
 :func:`chaos_matrix` experiment ties the two together.  It and the
 injectors are resolved on first access (:data:`_LAZY`), so importing a

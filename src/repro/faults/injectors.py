@@ -3,7 +3,7 @@
 Two injection surfaces, matching the two ways a real deployment fails:
 
 * :class:`FaultyScheme` wraps a registered scheme and misbehaves on the
-  plan's schedule — raising, hanging, returning ``None``, or emitting
+  plan's schedule — raising, returning ``None``, or emitting
   NaN/garbage outputs.  The wrapper honors the black-box contract
   (§III-A): the inner scheme's code and state are untouched, and on
   steps where no fault fires the call passes straight through.
@@ -18,7 +18,6 @@ Both surfaces are deterministic given the plan (see
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 import numpy as np
@@ -44,9 +43,7 @@ class FaultyScheme(LocalizationScheme):
     """A scheme wrapper that fails on the fault plan's schedule.
 
     The wrapper evaluates its faults in plan order at every call; the
-    first fault that fires decides the step's outcome (``hang`` is the
-    exception — it delays, then keeps evaluating, so a plan can model a
-    scheme that is both slow *and* wrong).
+    first fault that fires decides the step's outcome.
     """
 
     def __init__(
@@ -60,8 +57,8 @@ class FaultyScheme(LocalizationScheme):
         self.name = inner.name
         self.plan = plan
         self.faults = faults
-        #: Sink for ``fault/inject`` events (every fired fault, hangs
-        #: included) so a chaos run is replayable from the event log.
+        #: Sink for ``fault/inject`` events (every fired fault) so a
+        #: chaos run is replayable from the event log.
         self.telemetry = telemetry
         #: How many calls a fault decided (for assertions and reports).
         self.n_injected = 0
@@ -79,9 +76,6 @@ class FaultyScheme(LocalizationScheme):
                     step=step,
                     fault_kind=fault.kind,
                 )
-            if fault.kind == "hang":
-                time.sleep(fault.delay_ms / 1e3)
-                continue
             self.n_injected += 1
             if fault.kind == "crash":
                 raise InjectedFault(

@@ -3,7 +3,7 @@
 UniLoc's central claim is that scheme diversity masks the failure of any
 single scheme (paper §IV).  A :class:`FaultPlan` turns that claim into a
 testable input: it describes *what goes wrong, where, and how often* —
-schemes that crash or hang, sensors that go dark for a stretch of the
+schemes that crash or emit garbage, sensors that go dark for a stretch of the
 walk, workers that die mid-job — without modifying a single line of the
 scheme or sensor code.  Plans are pure frozen values, so they ride on a
 :class:`~repro.fleet.executor.WalkJob` across process boundaries, and
@@ -37,11 +37,9 @@ if TYPE_CHECKING:
 #:
 #: ``crash``    raise :class:`~repro.faults.injectors.InjectedFault`
 #: ``drop``     return ``None`` (scheme reports itself unavailable)
-#: ``hang``     sleep ``delay_ms`` before answering (trips the
-#:              framework's per-step timeout budget when one is set)
 #: ``nan``      return a ``SchemeOutput`` whose position/spread are NaN
 #: ``garbage``  return a finite but absurd position kilometers away
-SCHEME_FAULT_KINDS = ("crash", "drop", "hang", "nan", "garbage")
+SCHEME_FAULT_KINDS = ("crash", "drop", "nan", "garbage")
 
 #: What a sensor fault does to the snapshots inside its step window.
 #:
@@ -72,7 +70,6 @@ class SchemeFault:
         start_step: first step index the fault can fire at.
         end_step: first step index past the window (``None`` = to the
             end of the walk).
-        delay_ms: sleep duration for ``kind="hang"``.
     """
 
     scheme: str
@@ -80,7 +77,6 @@ class SchemeFault:
     probability: float = 1.0
     start_step: int = 0
     end_step: int | None = None
-    delay_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_FAULT_KINDS:
@@ -90,8 +86,6 @@ class SchemeFault:
             )
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        if self.delay_ms < 0.0:
-            raise ValueError(f"delay_ms must be >= 0, got {self.delay_ms}")
         _check_window(self.start_step, self.end_step)
 
     def in_window(self, step: int) -> bool:

@@ -19,7 +19,7 @@ through this module instead of calling :func:`time.time` or
 ``now_s()`` is the wall clock (Unix epoch seconds — for display and
 file-age arithmetic only, never for seeding or keys); ``monotonic_s()``
 is the high-resolution monotonic clock used for all duration
-measurement (spans, timers, timeout budgets).
+measurement (spans, timers, the framework's stage clock).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ def test_error_findings_exit_1(bad_file, capsys):
 
 
 def test_json_report(bad_file, capsys):
-    assert main(["lint", str(bad_file), "--no-cache", "--json"]) == 1
+    assert main(["lint", str(bad_file), "--no-cache", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["format"] == "lint_report"
     assert payload["counts"]["errors"] == 1
@@ -49,34 +49,16 @@ def test_missing_path_is_usage_error(tmp_path, capsys):
     assert "lint:" in capsys.readouterr().err
 
 
-def test_write_then_use_baseline(bad_file, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert (
-        main(
-            [
-                "lint",
-                str(bad_file),
-                "--no-cache",
-                "--write-baseline",
-                str(baseline),
-            ]
-        )
-        == 0
-    )
-    assert "1 fingerprint(s)" in capsys.readouterr().out
-    assert (
-        main(["lint", str(bad_file), "--no-cache", "--baseline", str(baseline)])
-        == 0
-    )
-    assert "1 baselined" in capsys.readouterr().out
-
-
-def test_missing_baseline_is_usage_error(bad_file, tmp_path, capsys):
-    code = main(
-        ["lint", str(bad_file), "--baseline", str(tmp_path / "nope.json")]
-    )
-    assert code == 2
-    assert "no baseline" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag",
+    [["--json"], ["--baseline", "b.json"], ["--write-baseline", "b.json"]],
+    ids=["json", "baseline", "write-baseline"],
+)
+def test_json_alias_and_baseline_flags_are_gone(bad_file, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", str(bad_file), "--no-cache", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_result_cache_round_trip(bad_file, tmp_path, capsys):
@@ -91,12 +73,12 @@ def test_result_cache_round_trip(bad_file, tmp_path, capsys):
 def test_whole_tree_is_clean(capsys, monkeypatch):
     """The dogfooding gate: ``repro lint src tests`` reports nothing.
 
-    Every rule runs over the real tree with no baseline; a finding here
+    Every rule runs over the real tree; a finding here
     means a violation was introduced (fix it) or a rule regressed into
     false positives (fix the rule).  This mirrors the CI lint step.
     """
     monkeypatch.chdir(REPO_ROOT)
-    code = main(["lint", "src", "tests", "--no-cache", "--json"])
+    code = main(["lint", "src", "tests", "--no-cache", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"] == []
     assert payload["counts"]["errors"] == 0

@@ -1,4 +1,4 @@
-"""Engine behavior: discovery, caching, baselines, inline suppression."""
+"""Engine behavior: discovery, caching, inline suppression."""
 
 import json
 
@@ -9,10 +9,7 @@ from repro.analysis import (
     Finding,
     LintEngine,
     discover_files,
-    load_baseline,
-    write_baseline,
 )
-from repro.formats import UnsupportedFormatError
 
 BAD = "from numpy.random import default_rng\nrng = default_rng()\n"
 
@@ -141,25 +138,6 @@ class TestSuppression:
             assert report.n_cached == expected_cached
             assert report.findings == []
             assert report.n_suppressed_inline == 1
-
-    def test_baseline_roundtrip_suppresses_known_findings(self, tmp_path):
-        pkg = make_tree(tmp_path)
-        report = LintEngine(cache_path=None).lint_paths([pkg])
-        baseline_path = tmp_path / "baseline.json"
-        n = write_baseline(baseline_path, report.findings)
-        assert n == 1
-        engine = LintEngine(
-            cache_path=None, baseline=load_baseline(baseline_path)
-        )
-        suppressed = engine.lint_paths([pkg])
-        assert suppressed.findings == []
-        assert suppressed.n_suppressed_baseline == 1
-
-    def test_baseline_rejects_foreign_format(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"format": "step_trace", "version": 1}))
-        with pytest.raises(UnsupportedFormatError):
-            load_baseline(path)
 
 
 class TestFindings:

@@ -290,31 +290,6 @@ def test_stage_clock_reads_a_fixed_number_of_times(framework, office_system):
                 assert framework.stage_ms[f"scheme.{name}"] == pytest.approx(1e-3)
 
 
-def test_ramp_tick_over_the_budget_times_out_every_scheme(office_system):
-    """The timeout budget reads the same stage clock: a tick longer than
-    ``scheme_timeout_ms`` charges every scheme that ran as a timeout."""
-    from repro.obs import MetricsRegistry, clock
-
-    framework = build_framework(
-        office_system["setup"],
-        office_system["models"],
-        office_system["walk"].moments[0].position,
-        scheme_seed=9,
-        gps_duty_cycling=False,
-    )
-    framework.scheme_timeout_ms = 5.0
-    framework.metrics = MetricsRegistry()
-    read, _ = _counting_ramp(0.01)  # 10 ms per read
-    with clock.override(monotonic=read):
-        decision = framework.step(office_system["snaps"][1])
-    assert set(decision.failures) == set(framework.bundles)
-    assert set(decision.failures.values()) == {"timeout"}
-    assert decision.selected is None
-    for name in framework.bundles:
-        assert framework.stage_ms[f"scheme.{name}"] == pytest.approx(10.0)
-        assert framework.metrics.counter(f"uniloc.faults.{name}.timeout").value == 1
-
-
 def test_run_walk_integration(framework, office_system):
     setup, walk, snaps = (
         office_system["setup"],

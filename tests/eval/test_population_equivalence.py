@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.framework import QUARANTINE_THRESHOLD
 from repro.core.population import PopulationFramework
 from repro.eval import build_framework
 from repro.eval.experiments import shared_models
@@ -138,7 +139,7 @@ def test_raising_unwrapped_scheme_is_contained_in_population(warm_cache, scheme)
     """One lane's unwrapped scheme raises every step inside a 3-lane batch.
 
     The raise is charged to that lane and scheme as an ``exception``,
-    quarantines it after ``quarantine_threshold`` raises, and leaves the
+    quarantines it after ``QUARANTINE_THRESHOLD`` raises, and leaves the
     other lanes byte-identical to stepping them alone.
     """
     setup = warm_cache.place_setup("office", 3)
@@ -152,7 +153,7 @@ def test_raising_unwrapped_scheme_is_contained_in_population(warm_cache, scheme)
     else:
         faulty.bundles["wifi"].scheme._candidate_entries = _matcher_failure
     population = PopulationFramework([fw for fw, _ in lanes])
-    threshold = faulty.quarantine_threshold
+    threshold = QUARANTINE_THRESHOLD
     n_steps = min(len(snaps) for _, snaps in lanes)
     assert n_steps > threshold
     for step in range(n_steps):

@@ -97,10 +97,11 @@ def test_describe_renders_the_verdict(chaos):
     assert "uniloc2" in line and "beats" in line and "quarantine" in line
 
 
+
+
 def test_hang_matrix_is_refused():
-    """Every hang row would equal the baseline: no engine framework has a
-    scheme timeout and the outage hang sleeps 0 ms."""
+    """``hang`` is not a fault kind: the matrix refuses it before a walk runs."""
     from repro.faults.chaos import chaos_matrix
 
-    with pytest.raises(ValueError, match="no scheme timeout"):
+    with pytest.raises(ValueError, match="unknown scheme fault kind 'hang'"):
         chaos_matrix(kind="hang")

@@ -86,12 +86,6 @@ class TestFaultyScheme:
         assert inner.calls == 1
         assert faulty.n_injected == 0
 
-    def test_hang_delays_then_passes_through(self):
-        inner, faulty = _wrap("hang", delay_ms=1.0)
-        output = faulty.estimate(FakeSnapshot(0))
-        assert output is not None  # hang alone never decides the outcome
-        assert inner.calls == 1
-
     def test_reset_delegates_and_keeps_name(self):
         inner, faulty = _wrap("crash")
         assert faulty.name == "stub"

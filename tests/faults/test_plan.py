@@ -14,9 +14,10 @@ class TestSchemeFaultValidation:
         with pytest.raises(ValueError, match="probability"):
             SchemeFault(scheme="wifi", probability=1.5)
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError, match="delay_ms"):
-            SchemeFault(scheme="wifi", kind="hang", delay_ms=-1.0)
+    def test_hang_is_not_a_kind(self):
+        known = "known: crash, drop, nan, garbage"
+        with pytest.raises(ValueError, match=f"unknown scheme fault kind 'hang'; {known}"):
+            SchemeFault(scheme="wifi", kind="hang")
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="empty fault window"):

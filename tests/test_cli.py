@@ -364,10 +364,12 @@ def test_chaos_unknown_place_leaves_no_telemetry_log(tmp_path, capsys):
 
 
 def test_chaos_hang_exits_2_before_the_log_opens(tmp_path, capsys):
-    """A hang outage sleeps 0 ms with no scheme timeout, so it tests nothing."""
+    """``hang`` is not a fault kind: argparse refuses it before any log opens."""
     log = tmp_path / "chaos.jsonl"
-    assert main(["chaos", "--kind", "hang", "--telemetry", str(log)]) == 2
-    assert "chaos kind 'hang' tests nothing" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "--kind", "hang", "--telemetry", str(log)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'hang'" in capsys.readouterr().err
     assert not log.exists()
 
 
@@ -585,3 +587,20 @@ def test_bench_compare_names_ungated_benches(tmp_path, capsys):
     assert "no regressions" in out
     assert main(["bench", "compare", base, base]) == 0
     assert "ungated" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("out", ["a_dir", "missing/BENCH_x.json"])
+def test_bench_run_checks_out_before_timing(tmp_path, monkeypatch, capsys, out):
+    """An ``--out`` that is a directory, or has no directory, exits 2
+    with one line before a single bench is timed."""
+    import repro.bench
+
+    def no_timing(**kwargs):
+        raise AssertionError("run_benches ran before --out was checked")
+
+    monkeypatch.setattr(repro.bench, "run_benches", no_timing)
+    (tmp_path / "a_dir").mkdir()
+    path = str(tmp_path / out)
+    assert main(["bench", "run", "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"--out {path}") and err.count("\n") == 1
