@@ -10,15 +10,21 @@ on identical inputs (the pre-rewrite baselines live in
 must keep >= 2x over the full per-primitive test on the clouds of
 office's first 60 survey steps, and the BMA readout (mixture plus
 Eq. 4 mean) >= 1.2x over its ``(I, 2)`` reference on office's 448-cell
-grid.  ``repro bench run`` records the same numbers into a versioned
-``BENCH_<date>.json`` for CI comparison.
+grid.  The sensor trace's two place queries, over office's first 120
+survey moments, must keep >= 2x over the full region loop (the
+box-culled ``Place.environment_at``) and >= 4x over one single-ray call
+per AP (the batched ``FloorPlan.walls_crossed``).
+``repro bench run`` records the same numbers into a versioned
+``BENCH_<date>.json`` for CI comparison.  Each bench times its two
+variants interleaved, so host drift lands on both alike.
 
 The floors are deliberately below the observed speedups (~7x,
-2.9-4.7x over ten runs, 2.3-5.6x and ~1.5x on a 2-vCPU dev host) so
-they fail on a real regression — a database silently falling back to a
-Python loop, a wave bank redrawn per call, a cull that keeps every
-primitive, a readout back on ``(I, 2)`` temporaries — not on scheduler
-noise.
+2.9-4.7x over ten runs, 2.3-5.6x, ~1.5x, 3.15 +- 0.12x and 7.3 +- 0.5x
+on a 2-vCPU dev host) so they fail on a real regression — a database
+silently falling back to a Python loop, a wave bank redrawn per call, a
+cull that keeps every primitive, a readout back on ``(I, 2)``
+temporaries, a lookup testing every region, a count back to one call
+per AP — not on scheduler noise.
 """
 
 import pytest
@@ -30,6 +36,8 @@ MIN_NEAREST_SPEEDUP = 5.0
 MIN_SHADOWING_POINT_SPEEDUP = 2.0
 MIN_MAP_CONSTRAINT_SPEEDUP = 2.0
 MIN_BMA_READOUT_SPEEDUP = 1.2
+MIN_ENVIRONMENT_AT_SPEEDUP = 2.0
+MIN_WALL_COUNT_SPEEDUP = 4.0
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +52,8 @@ def test_all_benches_ran(bench_report):
         "fingerprint_nearest",
         "map_constraint",
         "bma_readout",
+        "environment_at",
+        "wall_count",
     ):
         assert f"{bench}.scalar" in bench_report.results
         assert f"{bench}.kernel" in bench_report.results
@@ -75,6 +85,18 @@ def test_bma_readout_speedup(bench_report):
     speedup = bench_report.speedups()["bma_readout"]
     print(f"BMA readout: {speedup:.1f}x over the (I, 2) reference")
     assert speedup >= MIN_BMA_READOUT_SPEEDUP
+
+
+def test_environment_at_cull_speedup(bench_report):
+    speedup = bench_report.speedups()["environment_at"]
+    print(f"environment_at: {speedup:.1f}x over the full region loop")
+    assert speedup >= MIN_ENVIRONMENT_AT_SPEEDUP
+
+
+def test_wall_count_batch_speedup(bench_report):
+    speedup = bench_report.speedups()["wall_count"]
+    print(f"wall_count: {speedup:.1f}x over one single-ray call per AP")
+    assert speedup >= MIN_WALL_COUNT_SPEEDUP
 
 
 def test_report_roundtrips_through_disk(bench_report, tmp_path):

@@ -1,7 +1,7 @@
 """Microbenchmarks: kernel hot paths timed against scalar baselines.
 
-The radio, map-constraint and BMA hot paths were each rewritten for
-speed, and speed claims rot silently.  This package keeps them honest:
+The radio, map-constraint, BMA and sensor-trace place-query hot paths
+were each rewritten for speed, and speed claims rot silently.  This package keeps them honest:
 
 * :mod:`repro.bench.baselines` — verbatim pre-rewrite scalar
   implementations of those hot paths (the golden references).
@@ -28,6 +28,7 @@ from repro.bench.runner import (
     load_report,
     run_benches,
     time_callable,
+    time_interleaved,
     ungated_benches,
 )
 from repro.bench.trend import (
@@ -57,5 +58,6 @@ __all__ = [
     "render_markdown",
     "run_benches",
     "time_callable",
+    "time_interleaved",
     "ungated_benches",
 ]

@@ -1,18 +1,23 @@
-"""Reference implementations of the radio, map-constraint and BMA hot paths.
+"""Reference implementations of the radio, map-constraint, BMA and place hot paths.
 
 These are verbatim copies of the scalar algorithms the radio stack used
 before its fingerprint databases went dense and its shadowing wave
 banks were cached, of the particle map constraint before its
-bounding-box cull, and of the BMA readout's grid rasterizers, mixture
-and Eq. 4 mean before they dropped their ``(I, 2)`` temporaries.  They
-serve two purposes:
+bounding-box cull, of the BMA readout's grid rasterizers, mixture
+and Eq. 4 mean before they dropped their ``(I, 2)`` temporaries, and of
+the sensor trace's two place queries before the compiled place index:
+the region loop of ``Place.environment_at`` without its box cull, and
+the one-ray-per-call ``FloorPlan.walls_crossed``.  They serve two
+purposes:
 
 * **Golden equivalence** — the dense fingerprint databases must agree
   with them to 1e-9 (:mod:`tests.radio.test_kernel_equivalence` pins
-  this), and shadowing, the culled map constraint and the BMA readout
-  must agree bit-for-bit (:mod:`tests.radio.test_kernel_equivalence`,
+  this), and shadowing, the culled map constraint, the BMA readout,
+  the culled environment lookup and the batched wall count must agree
+  bit-for-bit (:mod:`tests.radio.test_kernel_equivalence`,
   :mod:`tests.schemes.test_particle_filter`,
-  :mod:`tests.geometry.test_grid_equivalence`).
+  :mod:`tests.geometry.test_grid_equivalence`,
+  :mod:`tests.world.test_place_index`).
 * **Honest speedups** — the microbench suite (``repro bench``) times the
   code that runs against these baselines on the same inputs, so the
   recorded speedups measure it, not a strawman.
@@ -28,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.geometry import Grid, Point
+from repro.geometry import Grid, Point, Segment
 from repro.radio.fingerprint import MISSING_RSSI_DBM, Fingerprint
 from repro.radio.gaussian_fingerprint import (
     DEFAULT_STD_DB,
@@ -36,12 +41,8 @@ from repro.radio.gaussian_fingerprint import (
     GaussianFingerprint,
 )
 from repro.schemes.base import SchemeOutput
-from repro.schemes.particle_filter import (
-    _corridor_arrays,
-    _indoor_region_arrays,
-    _wall_arrays,
-)
-from repro.world import Place
+from repro.schemes.particle_filter import _corridor_arrays, _indoor_region_arrays
+from repro.world import EnvironmentType, Place
 
 
 def shadowing_db_reference(
@@ -142,6 +143,50 @@ def gaussian_log_likelihood_reference(
     return total
 
 
+def environment_at_reference(place: Place, point: Point) -> EnvironmentType:
+    """Pre-index environment lookup: ``Polygon.contains`` on every region."""
+    for region in place.regions:
+        if region.polygon.contains(point):
+            return region.env_type
+    return place.default_env
+
+
+def walls_crossed_reference(
+    walls: list[Segment],
+    wall_arrays: tuple[np.ndarray, np.ndarray] | None,
+    a: Point,
+    b: Point,
+) -> int:
+    """Pre-index wall count: one ray against every wall per call.
+
+    ``wall_arrays`` is the ``(starts, ends)`` pair the plan used to
+    cache (:attr:`MapArrays.walls`), so the reference pays no packing.
+    """
+    if wall_arrays is None:
+        return 0
+    starts, ends = wall_arrays
+    p = np.array([a.x, a.y])
+    r = np.array([b.x - a.x, b.y - a.y])
+    s = ends - starts
+    qp = starts - p
+    r_cross_s = r[0] * s[:, 1] - r[1] * s[:, 0]
+    qp_cross_r = qp[:, 0] * r[1] - qp[:, 1] * r[0]
+    qp_cross_s = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
+    nonparallel = np.abs(r_cross_s) > 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(nonparallel, qp_cross_s / r_cross_s, np.nan)
+        u = np.where(nonparallel, qp_cross_r / r_cross_s, np.nan)
+    hits = nonparallel & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
+    count = int(hits.sum())
+    parallel = ~nonparallel
+    if parallel.any() and np.any(np.abs(qp_cross_r[parallel]) < 1e-9):
+        ray = Segment(a, b)
+        for idx in np.nonzero(parallel)[0]:
+            if abs(qp_cross_r[idx]) < 1e-9 and ray.intersects(walls[idx]):
+                count += 1
+    return count
+
+
 class MapArrays(NamedTuple):
     """A place's raw corridor, indoor-region and wall arrays."""
 
@@ -156,8 +201,15 @@ def map_arrays(place: Place) -> MapArrays:
     Region normals point inward; the references' two-sided side test
     gives the same answer for either orientation (negation is exact).
     """
+    walls = place.floorplan.walls
+    wall_arrays = None
+    if walls:
+        wall_arrays = (
+            np.array([[w.start.x, w.start.y] for w in walls]),
+            np.array([[w.end.x, w.end.y] for w in walls]),
+        )
     return MapArrays(
-        _corridor_arrays(place), _indoor_region_arrays(place), _wall_arrays(place)
+        _corridor_arrays(place), _indoor_region_arrays(place), wall_arrays
     )
 
 

@@ -1,14 +1,18 @@
 """The microbench runner behind ``repro bench``.
 
-Each bench times one radio hot path, the particle map constraint, or
-the BMA readout, in two variants on identical inputs: ``scalar`` (the
-reference from :mod:`repro.bench.baselines`) and ``kernel`` (the code
-that runs: the cached-bank ``PropagationModel.shadowing_db``, the dense
+Each bench times one radio hot path, the particle map constraint, the
+BMA readout, or one of the sensor trace's place queries, in two
+variants on identical inputs: ``scalar`` (the reference from
+:mod:`repro.bench.baselines`) and ``kernel`` (the code that runs: the
+cached-bank ``PropagationModel.shadowing_db``, the dense
 ``FingerprintDatabase.nearest``, the compiled
-:class:`~repro.schemes.particle_filter.MapConstraint`, or the
-temporary-free :class:`~repro.geometry.Grid` readout).  The ``walk_step``
-bench has no scalar twin — it times the full ``UniLocFramework.step``
-as shipped, as an end-to-end canary.
+:class:`~repro.schemes.particle_filter.MapConstraint`, the
+temporary-free :class:`~repro.geometry.Grid` readout, the box-culled
+``Place.environment_at`` or the batched ``FloorPlan.walls_crossed``).
+The two variants are timed interleaved (:func:`time_interleaved`), so
+host drift during a run moves both alike, not their ratio.  The
+``walk_step`` bench has no scalar twin — it times the full
+``UniLocFramework.step`` as shipped, as an end-to-end canary.
 
 Reports are schema-versioned JSON (``format: "bench"``) so CI can
 compare a fresh run against a committed baseline.  Cross-machine
@@ -22,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -61,26 +65,42 @@ class Timing:
         )
 
 
-def time_callable(fn: Callable[[], object], repeats: int = 20) -> Timing:
-    """Time ``fn`` ``repeats`` times and summarize as p50/p90 (ms).
+def time_interleaved(
+    fns: Sequence[Callable[[], object]], repeats: int = 20
+) -> list[Timing]:
+    """Time each of ``fns`` ``repeats`` times, round-robin, as p50/p90 (ms).
 
-    One untimed warmup call precedes the loop so lazy caches (wave
-    banks, density buckets) are charged to setup, not to the first
-    sample.
+    One untimed warmup call of each precedes the loop so lazy caches
+    (wave banks, density buckets) are charged to setup, not to the first
+    sample.  Each round times every function once, starting one later
+    each round, so the variants of a bench see the same host moments and
+    neither always runs first: drift in host speed lands on every
+    variant alike instead of in the ratio between them.
     """
     if repeats <= 0:
         raise ValueError("repeats must be positive")
-    fn()
-    samples = np.empty(repeats)
-    for i in range(repeats):
-        start = monotonic_s()
+    for fn in fns:
         fn()
-        samples[i] = (monotonic_s() - start) * 1e3
-    return Timing(
-        p50_ms=float(np.percentile(samples, 50)),
-        p90_ms=float(np.percentile(samples, 90)),
-        n_iterations=repeats,
-    )
+    samples = np.empty((len(fns), repeats))
+    for i in range(repeats):
+        for k in range(len(fns)):
+            j = (i + k) % len(fns)
+            start = monotonic_s()
+            fns[j]()
+            samples[j, i] = (monotonic_s() - start) * 1e3
+    return [
+        Timing(
+            p50_ms=float(np.percentile(row, 50)),
+            p90_ms=float(np.percentile(row, 90)),
+            n_iterations=repeats,
+        )
+        for row in samples
+    ]
+
+
+def time_callable(fn: Callable[[], object], repeats: int = 20) -> Timing:
+    """Time ``fn`` alone (:func:`time_interleaved` with one function)."""
+    return time_interleaved([fn], repeats)[0]
 
 
 @dataclass
@@ -236,6 +256,17 @@ def ungated_benches(
 # -- the bench workloads ---------------------------------------------------
 
 
+def _pair(
+    bench: str,
+    scalar: Callable[[], object],
+    kernel: Callable[[], object],
+    repeats: int,
+) -> dict[str, Timing]:
+    """Time a bench's reference and shipped variants, interleaved."""
+    scalar_timing, kernel_timing = time_interleaved([scalar, kernel], repeats)
+    return {f"{bench}.scalar": scalar_timing, f"{bench}.kernel": kernel_timing}
+
+
 def _shadowing_bench(setup: Any, seed: int, repeats: int) -> dict[str, Timing]:
     """Per-point shadowing: the cached-bank model vs the redrawing reference."""
     from repro.bench import baselines
@@ -263,10 +294,7 @@ def _shadowing_bench(setup: Any, seed: int, repeats: int) -> dict[str, Timing]:
             for p in points:
                 model.shadowing_db(p, tx_seed)
 
-    return {
-        "shadowing_point.scalar": time_callable(scalar, repeats),
-        "shadowing_point.kernel": time_callable(kernel, repeats),
-    }
+    return _pair("shadowing_point", scalar, kernel, repeats)
 
 
 def _fingerprint_bench(
@@ -286,10 +314,7 @@ def _fingerprint_bench(
         for scan in scans:
             database.nearest(scan, k=3)
 
-    return {
-        "fingerprint_nearest.scalar": time_callable(scalar, repeats),
-        "fingerprint_nearest.kernel": time_callable(kernel, repeats),
-    }
+    return _pair("fingerprint_nearest", scalar, kernel, repeats)
 
 
 def _map_constraint_bench(
@@ -336,10 +361,7 @@ def _map_constraint_bench(
         for columns in calls:
             constraint.allows(*columns)
 
-    return {
-        "map_constraint.scalar": time_callable(scalar, repeats),
-        "map_constraint.kernel": time_callable(kernel, repeats),
-    }
+    return _pair("map_constraint", scalar, kernel, repeats)
 
 
 def _bma_readout_bench(
@@ -368,9 +390,49 @@ def _bma_readout_bench(
     def kernel() -> None:
         grid.expected_point(bma_mixture(grid, outputs, weights))
 
+    return _pair("bma_readout", scalar, kernel, repeats)
+
+
+def _place_query_benches(setup: Any, walk: Any, repeats: int) -> dict[str, Timing]:
+    """The sensor trace's two place queries, over the walk's first 120 moments.
+
+    ``environment_at`` looks each moment's environment up: the box-culled
+    ``Place.environment_at`` against the full region loop.
+    ``wall_count`` counts the walls between every AP and each moment:
+    one batched ``FloorPlan.walls_crossed`` per moment against one
+    single-ray reference call per AP, as ``wifi_mean_rssi`` used to make.
+    """
+    from repro.bench import baselines
+    from repro.world.place import compile_place_index
+
+    place = setup.place
+    points = [moment.position for moment in walk.moments[:120]]
+    aps = [ap.position for ap in setup.radio.access_points]
+    ap_xy = np.array([[p.x, p.y] for p in aps]).reshape(-1, 2)
+    plan = place.floorplan
+    packed = compile_place_index(place).walls
+    wall_arrays = baselines.map_arrays(place).walls
+
+    def env_scalar() -> None:
+        for p in points:
+            baselines.environment_at_reference(place, p)
+
+    def env_kernel() -> None:
+        for p in points:
+            place.environment_at(p)
+
+    def walls_scalar() -> None:
+        for p in points:
+            for ap in aps:
+                baselines.walls_crossed_reference(plan.walls, wall_arrays, ap, p)
+
+    def walls_kernel() -> None:
+        for p in points:
+            plan.walls_crossed(packed, ap_xy, p)
+
     return {
-        "bma_readout.scalar": time_callable(scalar, repeats),
-        "bma_readout.kernel": time_callable(kernel, repeats),
+        **_pair("environment_at", env_scalar, env_kernel, repeats),
+        **_pair("wall_count", walls_scalar, walls_kernel, repeats),
     }
 
 
@@ -426,6 +488,7 @@ def run_benches(
     results.update(_fingerprint_bench(setup, scans, repeats))
     results.update(_map_constraint_bench(setup, walk, seed, repeats))
     results.update(_bma_readout_bench(setup, walk, snapshots, seed, repeats))
+    results.update(_place_query_benches(setup, walk, repeats))
     if include_walk_step:
         models = cache.error_models(seed)
         framework = build_framework(setup, models, walk.moments[0].position)

@@ -5,16 +5,20 @@ questions at any map point:
 
 * what Wi-Fi RSSI vector does a phone measure there,
 * what cellular RSSI vector does it measure, and
-* which GPS satellites does it see, with what HDOP.
+* which GPS satellites does it see.
 
 All answers depend on the environment at the point (AP density, wall
 obstructions, cellular attenuation, sky view), which is what produces the
-scheme diversity UniLoc exploits.
+scheme diversity UniLoc exploits.  Each query takes the point's
+:class:`~repro.world.EnvironmentProfile`, so a caller asking several of
+them about one point (a recorded moment, a survey point) looks the
+environment up once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,12 +37,22 @@ from repro.radio.transmitters import (
     deploy_access_points,
     deploy_cell_towers,
 )
-from repro.world import Place, profile_of
+from repro.world import EnvironmentProfile, Place, profile_of
+from repro.world.place import compile_place_index
+
+if TYPE_CHECKING:
+    from repro.radio.gaussian_fingerprint import GaussianFingerprintDatabase
 
 
 @dataclass
 class RadioEnvironment:
-    """All radio infrastructure deployed over one place."""
+    """All radio infrastructure deployed over one place.
+
+    The Wi-Fi queries count the walls between every AP and the receiver
+    in one :meth:`~repro.world.FloorPlan.walls_crossed` call against the
+    place's compiled walls (:func:`~repro.world.place.compile_place_index`);
+    the AP positions are packed once, at construction.
+    """
 
     place: Place
     access_points: list[Transmitter]
@@ -46,6 +60,12 @@ class RadioEnvironment:
     constellation: Constellation
     wifi_model: PropagationModel = field(default=WIFI_MODEL)
     cell_model: PropagationModel = field(default=CELLULAR_MODEL)
+    _ap_positions: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._ap_positions = np.array(
+            [[ap.position.x, ap.position.y] for ap in self.access_points]
+        ).reshape(-1, 2)
 
     @classmethod
     def deploy(cls, place: Place, seed: int = 0) -> "RadioEnvironment":
@@ -60,22 +80,25 @@ class RadioEnvironment:
 
     # ----- Wi-Fi ---------------------------------------------------------
 
-    def wifi_mean_rssi(self, point: Point) -> dict[str, float]:
+    def wifi_mean_rssi(
+        self, point: Point, profile: EnvironmentProfile
+    ) -> dict[str, float]:
         """Return the noise-free audible Wi-Fi RSSI vector at ``point``.
 
-        The receiver's environment charges a bulk penetration loss on top
-        of per-wall attenuation, which is what makes deep basements
+        ``profile`` is the environment profile at ``point``.  The
+        receiver's environment charges a bulk penetration loss on top of
+        per-wall attenuation, which is what makes deep basements
         Wi-Fi-dead (the paper's basement segment hears no usable AP).
         """
-        attenuation = profile_of(
-            self.place.environment_at(point)
-        ).wifi_attenuation_db
+        attenuation = profile.wifi_attenuation_db
+        walls = self.place.floorplan.walls_crossed(
+            compile_place_index(self.place).walls, self._ap_positions, point
+        ).tolist()
         readings = {}
-        for ap in self.access_points:
-            walls = self.place.floorplan.walls_crossed(ap.position, point)
+        for ap, n_walls in zip(self.access_points, walls):
             rssi = (
                 self.wifi_model.mean_rssi_dbm(
-                    ap.position, point, walls=walls, tx_seed=ap.seed
+                    ap.position, point, walls=n_walls, tx_seed=ap.seed
                 )
                 - attenuation
             )
@@ -83,17 +106,19 @@ class RadioEnvironment:
                 readings[ap.identifier] = rssi
         return readings
 
-    def wifi_rssi(self, point: Point, rng: np.random.Generator) -> dict[str, float]:
-        """Return one noisy Wi-Fi scan at ``point``.
+    def wifi_rssi(
+        self, point: Point, profile: EnvironmentProfile, rng: np.random.Generator
+    ) -> dict[str, float]:
+        """Return one noisy Wi-Fi scan at ``point`` (environment ``profile``).
 
         Temporal noise std-dev comes from the environment profile (higher
         interference in crowded / basement environments), and readings
         pushed below sensitivity by noise drop out of the scan — audible
         AP sets therefore flicker at the coverage edge, as in reality.
         """
-        noise_db = profile_of(self.place.environment_at(point)).wifi_noise_db
+        noise_db = profile.wifi_noise_db
         scan = {}
-        for identifier, mean in self.wifi_mean_rssi(point).items():
+        for identifier, mean in self.wifi_mean_rssi(point, profile).items():
             value = mean + rng.normal(0.0, noise_db)
             if value >= WIFI_SENSITIVITY_DBM:
                 scan[identifier] = value
@@ -101,14 +126,16 @@ class RadioEnvironment:
 
     # ----- Cellular ------------------------------------------------------
 
-    def cell_mean_rssi(self, point: Point) -> dict[str, float]:
+    def cell_mean_rssi(
+        self, point: Point, profile: EnvironmentProfile
+    ) -> dict[str, float]:
         """Return the noise-free audible cellular RSSI vector at ``point``.
 
-        The environment charges a bulk attenuation (building penetration
+        ``profile`` is the environment profile at ``point``.  The
+        environment charges a bulk attenuation (building penetration
         loss) and caps the number of audible towers — basements hear ~2
         towers, reproducing the paper's mall observation.
         """
-        profile = profile_of(self.place.environment_at(point))
         readings = {}
         for tower in self.cell_towers:
             rssi = (
@@ -122,11 +149,13 @@ class RadioEnvironment:
         strongest = sorted(readings.items(), key=lambda kv: kv[1], reverse=True)
         return dict(strongest[: profile.audible_towers_cap])
 
-    def cell_rssi(self, point: Point, rng: np.random.Generator) -> dict[str, float]:
-        """Return one noisy cellular scan at ``point``."""
+    def cell_rssi(
+        self, point: Point, profile: EnvironmentProfile, rng: np.random.Generator
+    ) -> dict[str, float]:
+        """Return one noisy cellular scan at ``point`` (environment ``profile``)."""
         noise_db = 3.5
         scan = {}
-        for identifier, mean in self.cell_mean_rssi(point).items():
+        for identifier, mean in self.cell_mean_rssi(point, profile).items():
             value = mean + rng.normal(0.0, noise_db)
             if value >= CELL_SENSITIVITY_DBM:
                 scan[identifier] = value
@@ -134,14 +163,9 @@ class RadioEnvironment:
 
     # ----- GPS -----------------------------------------------------------
 
-    def visible_satellites(self, point: Point) -> list[Satellite]:
-        """Return the GPS satellites visible at ``point``."""
-        sky_view = profile_of(self.place.environment_at(point)).sky_view
-        return self.constellation.visible(sky_view)
-
-    def hdop(self, point: Point) -> float:
-        """Return the HDOP of the satellite set visible at ``point``."""
-        return Constellation.hdop(self.visible_satellites(point))
+    def visible_satellites(self, profile: EnvironmentProfile) -> list[Satellite]:
+        """Return the GPS satellites visible under ``profile``'s sky view."""
+        return self.constellation.visible(profile.sky_view)
 
     # ----- Surveys -------------------------------------------------------
 
@@ -156,7 +180,8 @@ class RadioEnvironment:
         """
         entries = []
         for point in points:
-            scan = self.wifi_rssi(point, rng)
+            profile = profile_of(self.place.environment_at(point))
+            scan = self.wifi_rssi(point, profile, rng)
             if scan:
                 entries.append(Fingerprint(point, scan))
         if not entries:
@@ -169,7 +194,8 @@ class RadioEnvironment:
         """Collect a cellular fingerprint database at the survey points."""
         entries = []
         for point in points:
-            scan = self.cell_rssi(point, rng)
+            profile = profile_of(self.place.environment_at(point))
+            scan = self.cell_rssi(point, profile, rng)
             if scan:
                 entries.append(Fingerprint(point, scan))
         if not entries:
@@ -181,7 +207,7 @@ class RadioEnvironment:
         points: list[Point],
         rng: np.random.Generator,
         samples_per_point: int = 20,
-    ):
+    ) -> GaussianFingerprintDatabase:
         """Collect a Horus-style multi-sample Wi-Fi survey.
 
         Takes ``samples_per_point`` scans at every survey point — the
@@ -198,8 +224,9 @@ class RadioEnvironment:
             raise ValueError("samples_per_point must be positive")
         surveys = []
         for point in points:
+            profile = profile_of(self.place.environment_at(point))
             scans = [
-                self.wifi_rssi(point, rng) for _ in range(samples_per_point)
+                self.wifi_rssi(point, profile, rng) for _ in range(samples_per_point)
             ]
             surveys.append((point, [s for s in scans if s]))
         return GaussianFingerprintDatabase.from_samples(surveys)

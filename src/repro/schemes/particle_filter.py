@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.geometry import Point
 from repro.world import Place
+from repro.world.place import compile_place_index
 
 #: Padding (m) of every broad-phase box.  It only has to exceed how far
 #: the 1e-9 side tolerance and float rounding reach outside a primitive
@@ -150,16 +151,6 @@ def _indoor_region_arrays(
     return np.concatenate(verts), np.concatenate(normals), np.array(offsets)
 
 
-def _wall_arrays(place: Place) -> tuple[np.ndarray, np.ndarray] | None:
-    """Return wall segment arrays ``(starts, ends)``."""
-    walls = place.floorplan.walls
-    if not walls:
-        return None
-    starts = np.array([[w.start.x, w.start.y] for w in walls])
-    ends = np.array([[w.end.x, w.end.y] for w in walls])
-    return starts, ends
-
-
 class MapConstraint:
     """A place's corridors, indoor regions and walls, packed for predict.
 
@@ -170,7 +161,9 @@ class MapConstraint:
         regions: ``(4, R, K)`` vertex x, vertex y and inward normal x,
             y of each region's edges, padded to ``K`` edges by
             repeating its last edge; None when the walkable test is off.
-        walls: ``(4, W)`` start x, start y and direction x, y; None
+        walls: ``(4, W)`` start x, start y and direction x, y, the
+            place index's packed walls
+            (:func:`~repro.world.place.compile_place_index`); None
             without walls.
         boxes: ``(C + R + W, 4)`` padded boxes (:func:`_padded_boxes`)
             of the corridors, then the regions, then the walls.
@@ -182,7 +175,7 @@ class MapConstraint:
     def __init__(self, place: Place) -> None:
         corridors = _corridor_arrays(place)
         regions = _indoor_region_arrays(place)
-        walls = _wall_arrays(place)
+        walls = compile_place_index(place).walls
         self.corridors: np.ndarray | None = None
         self.regions: np.ndarray | None = None
         self.walls: np.ndarray | None = None
@@ -213,9 +206,10 @@ class MapConstraint:
                     np.maximum.reduceat(verts, offsets, axis=0),
                 )
             )
-        if walls is not None:
-            starts, ends = walls
-            self.walls = np.vstack([starts.T, (ends - starts).T])
+        if walls.shape[1]:
+            self.walls = walls
+            starts = walls[:2].T
+            ends = np.array([[w.end.x, w.end.y] for w in place.floorplan.walls])
             boxes.append(
                 _padded_boxes(np.minimum(starts, ends), np.maximum(starts, ends))
             )

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.geometry import Point
 from repro.radio import MIN_SATELLITES_FOR_FIX, RadioEnvironment
+from repro.world.environment import EnvironmentProfile
 from repro.world.geodesy import GeoPoint, LocalTangentPlane
 
 #: The paper's reliability gate: fixes with HDOP above this are discarded.
@@ -59,13 +60,14 @@ class GpsReceiver:
     frame: LocalTangentPlane
     rng: np.random.Generator
 
-    def observe(self, true_position: Point) -> GpsStatus:
+    def observe(self, true_position: Point, profile: EnvironmentProfile) -> GpsStatus:
         """Return the chip's report at the walker's true position.
 
+        ``profile`` is the environment profile at ``true_position``.
         Indoors the sky view is (near) zero, so no satellites are visible
         and no fix is produced; outdoors the fix error scales with HDOP.
         """
-        satellites = self.radio.visible_satellites(true_position)
+        satellites = self.radio.visible_satellites(profile)
         n = len(satellites)
         hdop = self.radio.constellation.hdop(satellites)
         if n < MIN_SATELLITES_FOR_FIX or hdop > HDOP_GATE:

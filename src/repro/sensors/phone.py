@@ -42,6 +42,12 @@ class Smartphone:
         non-reference device produces offset readings until some consumer
         applies online calibration (Fig. 8d).
 
+        Each moment looks its environment up once
+        (:meth:`~repro.world.Place.environment_at`) and hands the profile
+        to the Wi-Fi, cellular and GPS models.  Every draw comes from one
+        generator, in a fixed order per moment: Wi-Fi noise, cellular
+        noise, light, landmark detections, the GPS fix, the IMU.
+
         Args:
             walk: the ground-truth walk to sense.
             seed: RNG seed for this recording session.
@@ -55,9 +61,14 @@ class Smartphone:
         place = self.radio.place
         snapshots = []
         for moment in walk.moments:
-            env_profile = profile_of(place.environment_at(moment.position))
-            wifi = self.device.apply_to_scan(self.radio.wifi_rssi(moment.position, rng))
-            cell = self.device.apply_to_scan(self.radio.cell_rssi(moment.position, rng))
+            position = moment.position
+            env_profile = profile_of(place.environment_at(position))
+            wifi = self.device.apply_to_scan(
+                self.radio.wifi_rssi(position, env_profile, rng)
+            )
+            cell = self.device.apply_to_scan(
+                self.radio.cell_rssi(position, env_profile, rng)
+            )
             light = max(
                 0.0,
                 float(
@@ -69,7 +80,7 @@ class Smartphone:
             )
             detected = tuple(
                 lm
-                for lm in place.floorplan.detectable_landmarks(moment.position)
+                for lm in place.floorplan.detectable_landmarks(position)
                 if rng.random() < LANDMARK_DETECTION_PROB
             )
             snapshots.append(
@@ -78,7 +89,7 @@ class Smartphone:
                     time_s=moment.time_s,
                     wifi_scan=wifi,
                     cell_scan=cell,
-                    gps=gps.observe(moment.position),
+                    gps=gps.observe(position, env_profile),
                     imu=imu.sense(moment, env_profile.magnetic_sigma_ut),
                     light_lux=light,
                     detected_landmarks=detected,

@@ -10,9 +10,25 @@ list feeds the radio propagation model's obstruction count.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.geometry import Point, Segment
+
+
+def pack_walls(walls: Sequence[Segment]) -> np.ndarray:
+    """Return ``walls`` as a read-only ``(4, W)`` array.
+
+    Rows are start x, start y, direction x and direction y (end minus
+    start); a plan without walls packs to ``(4, 0)``.
+    """
+    starts = np.array([[w.start.x, w.start.y] for w in walls]).reshape(-1, 2)
+    ends = np.array([[w.end.x, w.end.y] for w in walls]).reshape(-1, 2)
+    packed = np.vstack([starts.T, (ends - starts).T])
+    packed.setflags(write=False)
+    return packed
 
 
 @dataclass(frozen=True)
@@ -103,47 +119,56 @@ class FloorPlan:
         nearest = min(self.corridors, key=lambda c: c.distance_to(point))
         return nearest.width
 
-    def walls_crossed(self, a: Point, b: Point) -> int:
-        """Return how many walls the straight ray from ``a`` to ``b`` crosses.
+    def walls_crossed(
+        self, walls: np.ndarray, starts: np.ndarray, end: Point
+    ) -> np.ndarray:
+        """Return how many walls each ray from ``starts`` to ``end`` crosses.
 
         The propagation model charges a per-wall attenuation for each
-        crossing (multi-wall COST-231 style).  The test is vectorized over
-        the wall list with the standard orientation predicate; collinear
-        touches fall back to the exact segment routine.
-        """
-        if not self.walls:
-            return 0
-        import numpy as np
+        crossing (multi-wall COST-231 style); one call counts every AP of
+        a moment against every wall in one numpy pass.  The test is the
+        standard orientation predicate, each ``(wall, ray)`` element doing
+        the arithmetic of a single-ray test; collinear touches fall back
+        to the exact :meth:`Segment.intersects`, so an endpoint touch or
+        an overlap counts as a crossing.
 
-        arrays = getattr(self, "_wall_arrays", None)
-        if arrays is None or arrays[0].shape[0] != len(self.walls):
-            starts = np.array([[w.start.x, w.start.y] for w in self.walls])
-            ends = np.array([[w.end.x, w.end.y] for w in self.walls])
-            arrays = (starts, ends)
-            self._wall_arrays = arrays
-        starts, ends = arrays
-        p = np.array([a.x, a.y])
-        r = np.array([b.x - a.x, b.y - a.y])
-        s = ends - starts
-        qp = starts - p
-        r_cross_s = r[0] * s[:, 1] - r[1] * s[:, 0]
-        qp_cross_r = qp[:, 0] * r[1] - qp[:, 1] * r[0]
-        qp_cross_s = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
+        Args:
+            walls: this plan's walls packed by :func:`pack_walls`, as
+                :class:`~repro.world.place.PlaceIndex` caches them.
+            starts: ``(n, 2)`` ray starts (the transmitters).
+            end: the common ray end (the receiver).
+
+        Returns:
+            ``(n,)`` integer crossing counts.
+        """
+        if walls.shape[1] == 0:
+            return np.zeros(len(starts), dtype=np.int64)
+        # Rays p + t r against walls q + u s, as in Segment.intersects.
+        q_x, q_y, s_x, s_y = walls[:, :, None]
+        p_x, p_y = starts[:, 0], starts[:, 1]
+        r_x = end.x - p_x  # (n,)
+        r_y = end.y - p_y
+        qp_x = q_x - p_x  # (w, n)
+        qp_y = q_y - p_y
+        r_cross_s = r_x * s_y - r_y * s_x
+        qp_cross_r = qp_x * r_y - qp_y * r_x
+        qp_cross_s = qp_x * s_y - qp_y * s_x
         nonparallel = np.abs(r_cross_s) > 1e-12
+        # Parallel pairs divide by ~0, but ``nonparallel`` masks them.
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(nonparallel, qp_cross_s / r_cross_s, np.nan)
-            u = np.where(nonparallel, qp_cross_r / r_cross_s, np.nan)
-        hits = nonparallel & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-        count = int(hits.sum())
+            t = qp_cross_s / r_cross_s
+            u = qp_cross_r / r_cross_s
+        # min/max propagate NaN, so a NaN t or u is no hit, as with four tests.
+        hits = (np.minimum(t, u) >= 0.0) & (np.maximum(t, u) <= 1.0) & nonparallel
+        counts = hits.sum(axis=0)
         # Parallel walls are almost never collinear with a radio ray, but
         # stay exact for the ones that are.
-        parallel = ~nonparallel
-        if parallel.any() and np.any(np.abs(qp_cross_r[parallel]) < 1e-9):
-            ray = Segment(a, b)
-            for idx in np.nonzero(parallel)[0]:
-                if abs(qp_cross_r[idx]) < 1e-9 and ray.intersects(self.walls[idx]):
-                    count += 1
-        return count
+        collinear = ~nonparallel & (np.abs(qp_cross_r) < 1e-9)
+        for wall, ray in zip(*np.nonzero(collinear)):
+            start = Point(float(p_x[ray]), float(p_y[ray]))
+            if Segment(start, end).intersects(self.walls[wall]):
+                counts[ray] += 1
+        return counts
 
     def nearest_landmark(self, point: Point) -> Landmark | None:
         """Return the landmark closest to ``point``, or None if there are none."""

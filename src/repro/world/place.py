@@ -12,14 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.geometry import Grid, Point, Polygon, Polyline
 from repro.world.environment import EnvironmentType, is_indoor, profile_of
-from repro.world.floorplan import FloorPlan
+from repro.world.floorplan import FloorPlan, pack_walls
 
 
 # Bound on memoized corridor-width entries before the memo resets; walk
 # queries are grid-snapped so real populations stay far below this.
 _WIDTH_MEMO_MAX = 100_000
+
+#: Padding (m) of every region's bounding box in the place index.  A
+#: point this far outside a polygon's vertex box is farther than the
+#: 1e-9 on-boundary tolerance of :meth:`Polygon.contains` from every
+#: edge, and no edge straddles its ray, so the region cannot contain it.
+REGION_BOX_PAD_M = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,18 @@ class Place:
     )
 
     def environment_at(self, point: Point) -> EnvironmentType:
-        """Return the environment label at ``point``."""
-        for region in self.regions:
+        """Return the environment label at ``point``.
+
+        The first region containing ``point`` wins.  A region whose
+        padded box (:class:`PlaceIndex`) the point lies outside is skipped
+        without its ``Polygon.contains`` test, which is exact: such a
+        region cannot contain the point.  A NaN coordinate fails every
+        box comparison, so it falls through to the full test.
+        """
+        x, y = point.x, point.y
+        for x_lo, y_lo, x_hi, y_hi, region in compile_place_index(self).regions:
+            if x < x_lo or y < y_lo or x > x_hi or y > y_hi:
+                continue
             if region.polygon.contains(point):
                 return region.env_type
         return self.default_env
@@ -137,3 +155,41 @@ class Place:
                 last_env = env
             s += spacing_m
         return breakpoints
+
+
+class PlaceIndex:
+    """A place's region boxes and walls, compiled once for the sensor trace.
+
+    Attributes:
+        regions: one ``(x_lo, y_lo, x_hi, y_hi, region)`` row per region,
+            in the place's order, the box being the region's vertex box
+            padded by :data:`REGION_BOX_PAD_M`.
+        walls: ``(4, W)`` read-only wall start x, start y and direction
+            x, y (:func:`~repro.world.floorplan.pack_walls`), shared by
+            :meth:`FloorPlan.walls_crossed` and the particle map
+            constraint.
+    """
+
+    def __init__(self, place: Place) -> None:
+        pad = REGION_BOX_PAD_M
+        rows = []
+        for region in place.regions:
+            x_lo, y_lo, x_hi, y_hi = region.polygon.bounding_box()
+            rows.append((x_lo - pad, y_lo - pad, x_hi + pad, y_hi + pad, region))
+        self.regions: tuple[
+            tuple[float, float, float, float, EnvironmentRegion], ...
+        ] = tuple(rows)
+        self.walls: np.ndarray = pack_walls(place.floorplan.walls)
+
+
+def compile_place_index(place: Place) -> PlaceIndex:
+    """Return the compiled index of ``place`` (cached on it).
+
+    Compilation snapshots the regions and walls; places are treated as
+    immutable once queried, as every caller in the repo uses them.
+    """
+    cached = place.__dict__.get("_place_index")
+    if cached is None:
+        cached = place.__dict__["_place_index"] = PlaceIndex(place)
+    index: PlaceIndex = cached
+    return index

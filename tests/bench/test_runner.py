@@ -14,6 +14,7 @@ from repro.bench import (
     default_bench_filename,
     load_report,
     time_callable,
+    time_interleaved,
     ungated_benches,
 )
 from repro.formats import UnsupportedFormatError
@@ -45,6 +46,54 @@ class TestTimeCallable:
     def test_rejects_nonpositive_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
             time_callable(lambda: None, repeats=0)
+
+
+class TestTimeInterleaved:
+    def test_variants_alternate_and_keep_their_own_samples(self):
+        # Each variant advances a fake clock by its own cost; rounds
+        # alternate which variant goes first, after one warmup of each.
+        now = [0.0]
+        order = []
+
+        def variant(name, cost_s):
+            def run():
+                order.append(name)
+                now[0] += cost_s
+
+            return run
+
+        with clock.override(monotonic=lambda: now[0]):
+            scalar, kernel = time_interleaved(
+                [variant("s", 3e-3), variant("k", 1e-3)], repeats=4
+            )
+        assert order == ["s", "k", "s", "k", "k", "s", "s", "k", "k", "s"]
+        assert scalar.p50_ms == pytest.approx(3.0)
+        assert kernel.p50_ms == pytest.approx(1.0)
+        assert scalar.n_iterations == kernel.n_iterations == 4
+
+    def test_host_drift_cancels_in_the_ratio(self):
+        # The host slows 10% after every timed call.  Timed in blocks,
+        # the later variant would absorb the slowdown; interleaved,
+        # both see it alike and the 2x ratio survives.
+        now = [0.0]
+        speed = [1.0]
+
+        def variant(cost_s):
+            def run():
+                now[0] += cost_s * speed[0]
+                speed[0] *= 1.1
+
+            return run
+
+        with clock.override(monotonic=lambda: now[0]):
+            scalar, kernel = time_interleaved(
+                [variant(2e-3), variant(1e-3)], repeats=10
+            )
+        assert scalar.p50_ms / kernel.p50_ms == pytest.approx(2.0, rel=0.15)
+
+    def test_rejects_nonpositive_repeats(self):
+        with pytest.raises(ValueError, match="repeats"):
+            time_interleaved([lambda: None], repeats=0)
 
 
 class TestReportFormat:

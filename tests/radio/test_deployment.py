@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.radio import RadioEnvironment
+from repro.radio import Constellation, RadioEnvironment
 from repro.world import EnvironmentType as Env
-from repro.world import build_daily_path_place
+from repro.world import build_daily_path_place, profile_of
 
 
 @pytest.fixture(scope="module")
@@ -24,40 +24,46 @@ def _point_in(radio, env):
     raise AssertionError(f"no point found in {env}")
 
 
+def _profile(radio, point):
+    return profile_of(radio.place.environment_at(point))
+
+
 def test_office_hears_several_aps(radio):
     p = _point_in(radio, Env.OFFICE)
-    assert len(radio.wifi_mean_rssi(p)) >= 2
+    assert len(radio.wifi_mean_rssi(p, _profile(radio, p))) >= 2
 
 
 def test_basement_hears_no_wifi(radio):
     p = _point_in(radio, Env.BASEMENT)
-    assert radio.wifi_mean_rssi(p) == {}
+    assert radio.wifi_mean_rssi(p, _profile(radio, p)) == {}
 
 
 def test_basement_tower_cap(radio):
     p = _point_in(radio, Env.BASEMENT)
-    assert 0 < len(radio.cell_mean_rssi(p)) <= 2
+    assert 0 < len(radio.cell_mean_rssi(p, _profile(radio, p))) <= 2
 
 
 def test_open_space_hears_many_towers(radio):
     p = _point_in(radio, Env.OPEN_SPACE)
-    assert len(radio.cell_mean_rssi(p)) >= 5
+    assert len(radio.cell_mean_rssi(p, _profile(radio, p))) >= 5
 
 
 def test_gps_visibility_indoor_vs_outdoor(radio):
     indoor = _point_in(radio, Env.OFFICE)
     outdoor = _point_in(radio, Env.OPEN_SPACE)
-    assert radio.visible_satellites(indoor) == []
-    assert len(radio.visible_satellites(outdoor)) >= 9
-    assert radio.hdop(outdoor) < 2.0
-    assert radio.hdop(indoor) == float("inf")
+    indoor_sats = radio.visible_satellites(_profile(radio, indoor))
+    outdoor_sats = radio.visible_satellites(_profile(radio, outdoor))
+    assert indoor_sats == []
+    assert len(outdoor_sats) >= 9
+    assert Constellation.hdop(outdoor_sats) < 2.0
+    assert Constellation.hdop(indoor_sats) == float("inf")
 
 
 def test_noisy_scan_differs_from_mean(radio):
     p = _point_in(radio, Env.OFFICE)
     rng = np.random.default_rng(0)
-    scan = radio.wifi_rssi(p, rng)
-    mean = radio.wifi_mean_rssi(p)
+    scan = radio.wifi_rssi(p, _profile(radio, p), rng)
+    mean = radio.wifi_mean_rssi(p, _profile(radio, p))
     assert any(abs(scan[k] - mean[k]) > 0.01 for k in scan if k in mean)
 
 

@@ -5,7 +5,17 @@ import pytest
 
 from repro.radio import RadioEnvironment
 from repro.sensors import GpsReceiver
-from repro.world import NTU_FRAME, build_daily_path_place, build_open_space_place
+from repro.world import (
+    NTU_FRAME,
+    build_daily_path_place,
+    build_open_space_place,
+    profile_of,
+)
+
+
+def _observe(receiver, point):
+    profile = profile_of(receiver.radio.place.environment_at(point))
+    return receiver.observe(point, profile)
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +29,7 @@ def test_no_fix_indoors():
     receiver = GpsReceiver(radio=radio, frame=NTU_FRAME, rng=np.random.default_rng(0))
     path = radio.place.paths["path1"]
     indoor_point = path.polyline.point_at_distance(10.0)  # office
-    status = receiver.observe(indoor_point)
+    status = _observe(receiver, indoor_point)
     assert not status.has_fix
     assert status.n_satellites == 0
 
@@ -27,7 +37,7 @@ def test_no_fix_indoors():
 def test_outdoor_fix_reports_satellites(outdoor_receiver):
     path = outdoor_receiver.radio.place.paths["survey"]
     point = path.polyline.point_at_distance(50.0)
-    status = outdoor_receiver.observe(point)
+    status = _observe(outdoor_receiver, point)
     assert status.has_fix
     assert status.n_satellites >= 9
     assert status.hdop < 2.0
@@ -39,7 +49,7 @@ def test_outdoor_error_matches_paper_distribution(outdoor_receiver):
     point = path.polyline.point_at_distance(50.0)
     errors = []
     for _ in range(400):
-        status = outdoor_receiver.observe(point)
+        status = _observe(outdoor_receiver, point)
         fix = outdoor_receiver.frame.to_map(status.fix)
         errors.append(fix.distance_to(point))
     assert np.mean(errors) == pytest.approx(13.5, rel=0.2)
@@ -52,6 +62,6 @@ def test_fix_position_is_geodetic():
     receiver = GpsReceiver(radio=radio, frame=NTU_FRAME, rng=np.random.default_rng(1))
     path = radio.place.paths["survey"]
     point = path.polyline.point_at_distance(20.0)
-    status = receiver.observe(point)
+    status = _observe(receiver, point)
     assert status.fix is not None
     assert status.fix.latitude == pytest.approx(NTU_FRAME.origin.latitude, abs=0.01)

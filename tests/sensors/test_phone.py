@@ -76,3 +76,22 @@ def test_gps_only_outdoors(fixture):
     for m, s in zip(walk.moments, snaps):
         if s.gps.has_fix:
             assert not place.is_indoor_at(m.position)
+
+
+def test_one_environment_lookup_per_moment(fixture, monkeypatch):
+    """The recorder looks each moment's environment up once and hands the
+    profile to the Wi-Fi, cellular and GPS models."""
+    from repro.world import Place
+
+    _, radio, walk = fixture
+    calls = []
+    original = Place.environment_at
+
+    def spy(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(Place, "environment_at", spy)
+    snaps = Smartphone(radio, NEXUS_5X).record_walk(walk, seed=5)
+    assert len(snaps) == len(walk.moments)
+    assert calls == [m.position for m in walk.moments]

@@ -2,8 +2,18 @@
 
 import pytest
 
+import numpy as np
+
 from repro.geometry import Point, Segment
 from repro.world import Corridor, FloorPlan, Landmark, LandmarkKind
+from repro.world.floorplan import pack_walls
+
+
+def crossings(plan, a, b):
+    """Walls crossed by the one ray ``a -> b``."""
+    counts = plan.walls_crossed(pack_walls(plan.walls), np.array([[a.x, a.y]]), b)
+    assert counts.shape == (1,)
+    return int(counts[0])
 
 
 @pytest.fixture
@@ -56,28 +66,26 @@ class TestCorridorWidth:
 
 class TestWallsCrossed:
     def test_ray_through_both_walls(self, plan):
-        assert plan.walls_crossed(Point(10, -5), Point(10, 5)) == 2
+        assert crossings(plan, Point(10, -5), Point(10, 5)) == 2
 
     def test_ray_inside_corridor_crosses_none(self, plan):
-        assert plan.walls_crossed(Point(1, 0), Point(19, 0)) == 0
+        assert crossings(plan, Point(1, 0), Point(19, 0)) == 0
 
     def test_ray_through_one_wall(self, plan):
-        assert plan.walls_crossed(Point(10, 0), Point(10, 5)) == 1
+        assert crossings(plan, Point(10, 0), Point(10, 5)) == 1
 
     def test_no_walls(self):
         plan = FloorPlan(corridors=[], walls=[], landmarks=[])
-        assert plan.walls_crossed(Point(0, 0), Point(10, 10)) == 0
+        assert crossings(plan, Point(0, 0), Point(10, 10)) == 0
 
     def test_matches_exact_segment_test(self, plan):
         """The vectorized routine agrees with Segment.intersects."""
-        import numpy as np
-
         rng = np.random.default_rng(3)
         for _ in range(50):
             a = Point(float(rng.uniform(-5, 25)), float(rng.uniform(-6, 6)))
             b = Point(float(rng.uniform(-5, 25)), float(rng.uniform(-6, 6)))
             exact = sum(1 for w in plan.walls if Segment(a, b).intersects(w))
-            assert plan.walls_crossed(a, b) == exact
+            assert crossings(plan, a, b) == exact
 
 
 class TestLandmarks:
