@@ -1,20 +1,23 @@
 """Reference implementations of the radio, map-constraint, BMA and place hot paths.
 
 These are verbatim copies of the scalar algorithms the radio stack used
-before its fingerprint databases went dense and its shadowing wave
-banks were cached, of the particle map constraint before its
-bounding-box cull, of the BMA readout's grid rasterizers, mixture
-and Eq. 4 mean before they dropped their ``(I, 2)`` temporaries, and of
-the sensor trace's two place queries before the compiled place index:
-the region loop of ``Place.environment_at`` without its box cull, and
+before its fingerprint databases went dense, its shadowing wave banks
+were cached and its radio moment was batched (one transmitter per call,
+the satellite geometry solved on every moment); of the particle map
+constraint before its bounding-box cull; of the BMA readout's grid
+rasterizers, mixture and Eq. 4 mean before they dropped their
+``(I, 2)`` temporaries; and of the sensor trace's place queries before
+the compiled place index: the region loop of ``Place.environment_at``
+without its box cull, the ``Segment``-based ``Polygon.contains``, and
 the one-ray-per-call ``FloorPlan.walls_crossed``.  They serve two
 purposes:
 
 * **Golden equivalence** — the dense fingerprint databases must agree
   with them to 1e-9 (:mod:`tests.radio.test_kernel_equivalence` pins
-  this), and shadowing, the culled map constraint, the BMA readout,
-  the culled environment lookup and the batched wall count must agree
-  bit-for-bit (:mod:`tests.radio.test_kernel_equivalence`,
+  this), and shadowing, the batched radio moment, the culled map
+  constraint, the BMA readout, the culled environment lookup and the
+  batched wall count must agree bit-for-bit
+  (:mod:`tests.radio.test_kernel_equivalence`,
   :mod:`tests.schemes.test_particle_filter`,
   :mod:`tests.geometry.test_grid_equivalence`,
   :mod:`tests.world.test_place_index`).
@@ -33,16 +36,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.geometry import Grid, Point, Segment
+from repro.geometry import Grid, Point, Polygon, Segment
+from repro.radio import (
+    CELL_SENSITIVITY_DBM,
+    WIFI_SENSITIVITY_DBM,
+    Constellation,
+    PropagationModel,
+    RadioEnvironment,
+)
 from repro.radio.fingerprint import MISSING_RSSI_DBM, Fingerprint
 from repro.radio.gaussian_fingerprint import (
     DEFAULT_STD_DB,
     LOG_LIKELIHOOD_FLOOR,
     GaussianFingerprint,
 )
+from repro.radio.propagation import N_SHADOWING_WAVES, wave_bank
 from repro.schemes.base import SchemeOutput
 from repro.schemes.particle_filter import _corridor_arrays, _indoor_region_arrays
-from repro.world import EnvironmentType, Place
+from repro.world import EnvironmentProfile, EnvironmentType, Place
+from repro.world.place import compile_place_index
 
 
 def shadowing_db_reference(
@@ -64,6 +76,84 @@ def shadowing_db_reference(
         for a, ph in zip(angles, phases)
     )
     return shadowing_sigma_db * value / math.sqrt(n_waves / 2.0)
+
+
+def mean_rssi_reference(
+    model: PropagationModel, tx: Point, rx: Point, walls: int = 0, tx_seed: int = 0
+) -> float:
+    """Pre-batch noise-free RSSI of one transmitter at ``rx``.
+
+    Path loss through ``Point`` distances plus one cached wave bank's
+    shadowing, evaluated for this transmitter alone.
+    """
+    shadowing = 0.0
+    if model.shadowing_sigma_db > 0.0:
+        bank = wave_bank(tx_seed)
+        wavenumber = 2.0 * math.pi / model.shadowing_scale_m
+        arg = (
+            wavenumber * (rx.x * bank.cos_angles + rx.y * bank.sin_angles)
+            + bank.phases
+        )
+        total = float(np.sin(arg).sum())
+        shadowing = (
+            model.shadowing_sigma_db * total / math.sqrt(N_SHADOWING_WAVES / 2.0)
+        )
+    return (
+        model.tx_power_dbm - model.path_loss_db(tx.distance_to(rx), walls) - shadowing
+    )
+
+
+class RadioMoment(NamedTuple):
+    """What the radio answers at one recorded moment, before noise."""
+
+    wifi: dict[str, float]
+    cell: dict[str, float]
+    sky: tuple[int, float]
+
+
+def radio_moment_reference(
+    radio: RadioEnvironment,
+    ap_positions: np.ndarray,
+    point: Point,
+    profile: EnvironmentProfile,
+) -> RadioMoment:
+    """Pre-batch radio moment: one :func:`mean_rssi_reference` call per AP
+    and per tower, and the satellite geometry solved afresh.
+
+    ``ap_positions`` is the ``(T, 2)`` AP array the environment used to
+    pack at construction; the walls are counted in one batched call, as
+    before.
+    """
+    walls = radio.place.floorplan.walls_crossed(
+        compile_place_index(radio.place).walls, ap_positions, point
+    ).tolist()
+    wifi: dict[str, float] = {}
+    for ap, n_walls in zip(radio.access_points, walls):
+        rssi = (
+            mean_rssi_reference(
+                radio.wifi_model, ap.position, point, walls=n_walls, tx_seed=ap.seed
+            )
+            - profile.wifi_attenuation_db
+        )
+        if rssi >= WIFI_SENSITIVITY_DBM:
+            wifi[ap.identifier] = rssi
+    cell: dict[str, float] = {}
+    for tower in radio.cell_towers:
+        rssi = (
+            mean_rssi_reference(
+                radio.cell_model, tower.position, point, walls=0, tx_seed=tower.seed
+            )
+            - profile.cell_attenuation_db
+        )
+        if rssi >= CELL_SENSITIVITY_DBM:
+            cell[tower.identifier] = rssi
+    strongest = sorted(cell.items(), key=lambda kv: kv[1], reverse=True)
+    visible = radio.constellation.visible(profile.sky_view)
+    return RadioMoment(
+        wifi,
+        dict(strongest[: profile.audible_towers_cap]),
+        (len(visible), Constellation.hdop(visible)),
+    )
 
 
 def rssi_distance_reference(a: dict[str, float], b: dict[str, float]) -> float:
@@ -149,6 +239,27 @@ def environment_at_reference(place: Place, point: Point) -> EnvironmentType:
         if region.polygon.contains(point):
             return region.env_type
     return place.default_env
+
+
+def polygon_contains_reference(polygon: Polygon, point: Point) -> bool:
+    """Pre-float ``Polygon.contains``: a ``Segment`` per edge for the
+    boundary test, then a separate ray-casting pass."""
+    for edge in polygon.edges():
+        if edge.distance_to_point(point) < 1e-9:
+            return True
+    inside = False
+    x, y = point.x, point.y
+    verts = polygon.vertices
+    j = len(verts) - 1
+    for i in range(len(verts)):
+        xi, yi = verts[i].x, verts[i].y
+        xj, yj = verts[j].x, verts[j].y
+        if (yi > y) != (yj > y):
+            x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
+            if x < x_cross:
+                inside = not inside
+        j = i
+    return inside
 
 
 def walls_crossed_reference(

@@ -1,14 +1,14 @@
 """The microbench runner behind ``repro bench``.
 
 Each bench times one radio hot path, the particle map constraint, the
-BMA readout, or one of the sensor trace's place queries, in two
-variants on identical inputs: ``scalar`` (the reference from
+BMA readout, or one of the sensor trace's queries, in two variants on
+identical inputs: ``scalar`` (the reference from
 :mod:`repro.bench.baselines`) and ``kernel`` (the code that runs: the
-cached-bank ``PropagationModel.shadowing_db``, the dense
-``FingerprintDatabase.nearest``, the compiled
+dense ``FingerprintDatabase.nearest``, the compiled
 :class:`~repro.schemes.particle_filter.MapConstraint`, the
 temporary-free :class:`~repro.geometry.Grid` readout, the box-culled
-``Place.environment_at`` or the batched ``FloorPlan.walls_crossed``).
+``Place.environment_at``, the batched ``FloorPlan.walls_crossed``, or
+the batched radio moment of :class:`~repro.radio.RadioEnvironment`).
 The two variants are timed interleaved (:func:`time_interleaved`), so
 host drift during a run moves both alike, not their ratio.  The
 ``walk_step`` bench has no scalar twin — it times the full
@@ -110,7 +110,7 @@ class BenchReport:
     place: str
     seed: int
     created_at: float
-    #: ``"<bench>.<variant>"`` -> timing, e.g. ``"shadowing_point.kernel"``.
+    #: ``"<bench>.<variant>"`` -> timing, e.g. ``"radio_moment.kernel"``.
     results: dict[str, Timing] = field(default_factory=dict)
 
     def speedups(self) -> dict[str, float]:
@@ -267,36 +267,6 @@ def _pair(
     return {f"{bench}.scalar": scalar_timing, f"{bench}.kernel": kernel_timing}
 
 
-def _shadowing_bench(setup: Any, seed: int, repeats: int) -> dict[str, Timing]:
-    """Per-point shadowing: the cached-bank model vs the redrawing reference."""
-    from repro.bench import baselines
-    from repro.geometry import Point
-
-    model = setup.radio.wifi_model
-    tx_seeds = tuple(ap.seed for ap in setup.radio.access_points[:8])
-    rng = np.random.default_rng(seed + 41)
-    points = [
-        Point(float(x), float(y)) for x, y in rng.uniform(0.0, 120.0, size=(256, 2))
-    ]
-
-    def scalar() -> None:
-        for tx_seed in tx_seeds:
-            for p in points:
-                baselines.shadowing_db_reference(
-                    model.shadowing_sigma_db,
-                    model.shadowing_scale_m,
-                    p,
-                    tx_seed,
-                )
-
-    def kernel() -> None:
-        for tx_seed in tx_seeds:
-            for p in points:
-                model.shadowing_db(p, tx_seed)
-
-    return _pair("shadowing_point", scalar, kernel, repeats)
-
-
 def _fingerprint_bench(
     setup: Any, scans: list[dict[str, float]], repeats: int
 ) -> dict[str, Timing]:
@@ -436,6 +406,39 @@ def _place_query_benches(setup: Any, walk: Any, repeats: int) -> dict[str, Timin
     }
 
 
+def _radio_moment_bench(setup: Any, walk: Any, repeats: int) -> dict[str, Timing]:
+    """The radio part of a recorded moment, over the walk's first 120 moments.
+
+    Each moment asks for the Wi-Fi and cellular mean RSSI vectors and the
+    satellite geometry: one batched pass per technology plus the
+    sky-view memo, against one reference call per AP and per tower plus
+    a fresh ``(H^T H)^{-1}`` solve, as ``record_walk`` used to make.
+    Both count walls in the same batched call.
+    """
+    from repro.bench import baselines
+    from repro.world import profile_of
+
+    radio = setup.radio
+    points = [moment.position for moment in walk.moments[:120]]
+    profiles = [profile_of(setup.place.environment_at(p)) for p in points]
+    moments = list(zip(points, profiles))
+    ap_xy = np.array(
+        [[ap.position.x, ap.position.y] for ap in radio.access_points]
+    ).reshape(-1, 2)
+
+    def scalar() -> None:
+        for p, profile in moments:
+            baselines.radio_moment_reference(radio, ap_xy, p, profile)
+
+    def kernel() -> None:
+        for p, profile in moments:
+            radio.wifi_mean_rssi(p, profile)
+            radio.cell_mean_rssi(p, profile)
+            radio.sky_geometry(profile)
+
+    return _pair("radio_moment", scalar, kernel, repeats)
+
+
 def _walk_step_bench(
     setup: Any, snapshots: list[Any], framework: Any, repeats: int
 ) -> dict[str, Timing]:
@@ -484,11 +487,11 @@ def run_benches(
     scans = [s.wifi_scan for s in snapshots if s.wifi_scan][:32]
 
     results: dict[str, Timing] = {}
-    results.update(_shadowing_bench(setup, seed, repeats))
     results.update(_fingerprint_bench(setup, scans, repeats))
     results.update(_map_constraint_bench(setup, walk, seed, repeats))
     results.update(_bma_readout_bench(setup, walk, snapshots, seed, repeats))
     results.update(_place_query_benches(setup, walk, repeats))
+    results.update(_radio_moment_bench(setup, walk, repeats))
     if include_walk_step:
         models = cache.error_models(seed)
         framework = build_framework(setup, models, walk.moments[0].position)

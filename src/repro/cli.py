@@ -57,11 +57,12 @@ Commands mirror the paper's workflow:
 ``bench run|compare|trend``
     ``bench run`` times the radio, map-constraint and BMA hot paths
     against their scalar baselines on one place and writes a versioned
-    ``BENCH_<date>.json`` report (an ``--out`` that is a directory, or
-    whose directory is missing, exits 2 before any timing); ``bench
-    compare BASELINE CURRENT`` diffs two reports, exits 1 when a speedup
-    regressed past the threshold, and names the benches the baseline
-    lacks on an ``ungated:`` line; ``bench trend FILES...`` computes
+    ``BENCH_<date>.json`` report (an unknown ``--place``, a ``--repeats``
+    below 1, or an ``--out`` that is a directory or whose directory is
+    missing, exits 2 before any timing); ``bench compare BASELINE
+    CURRENT`` diffs two reports, exits 1 when a speedup regressed past
+    the threshold, and names the benches the baseline lacks on an
+    ``ungated:`` line; ``bench trend FILES...`` computes
     per-benchmark speedup trajectories across a whole report history and
     flags best-ever regressions (see README "Performance").
 
@@ -562,6 +563,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.formats import UnsupportedFormatError
 
     if args.bench_command == "run":
+        _check_target(args.place)
+        if args.repeats <= 0:
+            raise _ExitError(f"--repeats must be positive, got {args.repeats}")
         if args.out:
             _check_out_file(args.out)
         report = run_benches(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.geometry.point import Point
@@ -71,23 +72,29 @@ class Polygon:
 
         Uses the even-odd ray-casting rule with an explicit on-boundary
         check so environment classification is stable for points that sit
-        exactly on a region border.
+        exactly on a region border.  The boundary check is
+        :meth:`Segment.distance_to_point` < 1e-9 against each edge, its
+        arithmetic (projection, clamp, lerp, ``hypot``) done on plain
+        floats; one pass over the edges runs both tests.
         """
-        for edge in self.edges():
-            if edge.distance_to_point(point) < 1e-9:
-                return True
-        inside = False
         x, y = point.x, point.y
+        inside = False
         verts = self.vertices
-        j = len(verts) - 1
-        for i in range(len(verts)):
-            xi, yi = verts[i].x, verts[i].y
-            xj, yj = verts[j].x, verts[j].y
-            if (yi > y) != (yj > y):
-                x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
+        a = verts[-1]
+        for b in verts:
+            ax, ay = a.x, a.y
+            bx, by = b.x, b.y
+            dx, dy = bx - ax, by - ay
+            denom = dx * dx + dy * dy
+            t = 0.0 if denom == 0.0 else ((x - ax) * dx + (y - ay) * dy) / denom
+            t = min(1.0, max(0.0, t))
+            if math.hypot(ax + dx * t - x, ay + dy * t - y) < 1e-9:
+                return True
+            if (by > y) != (ay > y):
+                x_cross = (ax - bx) * (y - by) / (ay - by) + bx
                 if x < x_cross:
                     inside = not inside
-            j = i
+            a = b
         return inside
 
     def bounding_box(self) -> tuple[float, float, float, float]:

@@ -3,8 +3,9 @@
 Each fingerprint database flavour is one class that lowers its survey
 to dense numpy matrices at construction and answers queries through
 the :class:`~repro.radio.index.FingerprintIndex` protocol.
-``PropagationModel`` evaluates one transmitter at one point, reading
-each transmitter's shadowing wave bank from a per-seed cache.
+``PropagationModel`` evaluates every transmitter of a
+``TransmitterField`` (one technology's deployment, packed once) at a
+point in one numpy pass.
 """
 
 from repro.radio.deployment import RadioEnvironment
@@ -21,6 +22,7 @@ from repro.radio.propagation import (
     WIFI_MODEL,
     WIFI_SENSITIVITY_DBM,
     PropagationModel,
+    TransmitterField,
 )
 from repro.radio.satellites import (
     ELEVATION_MASK_DEG,
@@ -54,6 +56,7 @@ __all__ = [
     "RadioEnvironment",
     "Satellite",
     "Transmitter",
+    "TransmitterField",
     "deploy_access_points",
     "deploy_cell_towers",
 ]

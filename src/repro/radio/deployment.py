@@ -5,7 +5,7 @@ questions at any map point:
 
 * what Wi-Fi RSSI vector does a phone measure there,
 * what cellular RSSI vector does it measure, and
-* which GPS satellites does it see.
+* how many GPS satellites does it see, and with what HDOP.
 
 All answers depend on the environment at the point (AP density, wall
 obstructions, cellular attenuation, sky view), which is what produces the
@@ -30,8 +30,9 @@ from repro.radio.propagation import (
     WIFI_MODEL,
     WIFI_SENSITIVITY_DBM,
     PropagationModel,
+    TransmitterField,
 )
-from repro.radio.satellites import Constellation, Satellite
+from repro.radio.satellites import Constellation
 from repro.radio.transmitters import (
     Transmitter,
     deploy_access_points,
@@ -43,15 +44,43 @@ from repro.world.place import compile_place_index
 if TYPE_CHECKING:
     from repro.radio.gaussian_fingerprint import GaussianFingerprintDatabase
 
+#: Temporal noise std-dev of one cellular reading, dB.
+CELL_NOISE_DB = 3.5
+
+
+def _noisy_scan(
+    means: dict[str, float],
+    noise_db: float,
+    sensitivity_dbm: float,
+    rng: np.random.Generator,
+) -> dict[str, float]:
+    """Return one scan: each mean plus noise, dropping what falls below
+    ``sensitivity_dbm``.
+
+    The noise is one ``rng.normal`` call of ``len(means)`` draws: the same
+    stream, in the same order, as one scalar draw per reading.
+    """
+    noise = rng.normal(0.0, noise_db, size=len(means)).tolist()
+    scan: dict[str, float] = {}
+    for (identifier, mean), delta in zip(means.items(), noise):
+        value = mean + delta
+        if value >= sensitivity_dbm:
+            scan[identifier] = value
+    return scan
+
 
 @dataclass
 class RadioEnvironment:
     """All radio infrastructure deployed over one place.
 
-    The Wi-Fi queries count the walls between every AP and the receiver
-    in one :meth:`~repro.world.FloorPlan.walls_crossed` call against the
-    place's compiled walls (:func:`~repro.world.place.compile_place_index`);
-    the AP positions are packed once, at construction.
+    Each technology's transmitters are packed once, at construction,
+    into a :class:`~repro.radio.propagation.TransmitterField`, so one
+    query is one numpy pass over all of them.  The Wi-Fi queries count
+    the walls between every AP and the receiver in one
+    :meth:`~repro.world.FloorPlan.walls_crossed` call against the
+    place's compiled walls (:func:`~repro.world.place.compile_place_index`).
+    The GPS geometry depends only on an environment's sky view, so it
+    is solved once per sky view (at most one per environment type).
     """
 
     place: Place
@@ -60,12 +89,15 @@ class RadioEnvironment:
     constellation: Constellation
     wifi_model: PropagationModel = field(default=WIFI_MODEL)
     cell_model: PropagationModel = field(default=CELLULAR_MODEL)
-    _ap_positions: np.ndarray = field(init=False, repr=False, compare=False)
+    _wifi: TransmitterField = field(init=False, repr=False, compare=False)
+    _cell: TransmitterField = field(init=False, repr=False, compare=False)
+    _sky: dict[float, tuple[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self._ap_positions = np.array(
-            [[ap.position.x, ap.position.y] for ap in self.access_points]
-        ).reshape(-1, 2)
+        self._wifi = TransmitterField.pack(self.access_points)
+        self._cell = TransmitterField.pack(self.cell_towers)
 
     @classmethod
     def deploy(cls, place: Place, seed: int = 0) -> "RadioEnvironment":
@@ -90,21 +122,19 @@ class RadioEnvironment:
         per-wall attenuation, which is what makes deep basements
         Wi-Fi-dead (the paper's basement segment hears no usable AP).
         """
-        attenuation = profile.wifi_attenuation_db
+        aps = self._wifi
         walls = self.place.floorplan.walls_crossed(
-            compile_place_index(self.place).walls, self._ap_positions, point
-        ).tolist()
-        readings = {}
-        for ap, n_walls in zip(self.access_points, walls):
-            rssi = (
-                self.wifi_model.mean_rssi_dbm(
-                    ap.position, point, walls=n_walls, tx_seed=ap.seed
-                )
-                - attenuation
-            )
-            if rssi >= WIFI_SENSITIVITY_DBM:
-                readings[ap.identifier] = rssi
-        return readings
+            compile_place_index(self.place).walls, aps.positions, point
+        )
+        rssi = (
+            self.wifi_model.mean_rssi_dbm(point.x, point.y, aps, walls)
+            - profile.wifi_attenuation_db
+        )
+        return {
+            identifier: value
+            for identifier, value in zip(aps.identifiers, rssi.tolist())
+            if value >= WIFI_SENSITIVITY_DBM
+        }
 
     def wifi_rssi(
         self, point: Point, profile: EnvironmentProfile, rng: np.random.Generator
@@ -116,13 +146,12 @@ class RadioEnvironment:
         pushed below sensitivity by noise drop out of the scan — audible
         AP sets therefore flicker at the coverage edge, as in reality.
         """
-        noise_db = profile.wifi_noise_db
-        scan = {}
-        for identifier, mean in self.wifi_mean_rssi(point, profile).items():
-            value = mean + rng.normal(0.0, noise_db)
-            if value >= WIFI_SENSITIVITY_DBM:
-                scan[identifier] = value
-        return scan
+        return _noisy_scan(
+            self.wifi_mean_rssi(point, profile),
+            profile.wifi_noise_db,
+            WIFI_SENSITIVITY_DBM,
+            rng,
+        )
 
     # ----- Cellular ------------------------------------------------------
 
@@ -136,36 +165,46 @@ class RadioEnvironment:
         loss) and caps the number of audible towers — basements hear ~2
         towers, reproducing the paper's mall observation.
         """
-        readings = {}
-        for tower in self.cell_towers:
-            rssi = (
-                self.cell_model.mean_rssi_dbm(
-                    tower.position, point, walls=0, tx_seed=tower.seed
-                )
-                - profile.cell_attenuation_db
-            )
-            if rssi >= CELL_SENSITIVITY_DBM:
-                readings[tower.identifier] = rssi
-        strongest = sorted(readings.items(), key=lambda kv: kv[1], reverse=True)
-        return dict(strongest[: profile.audible_towers_cap])
+        towers = self._cell
+        rssi = (
+            self.cell_model.mean_rssi_dbm(point.x, point.y, towers)
+            - profile.cell_attenuation_db
+        )
+        readings = [
+            (identifier, value)
+            for identifier, value in zip(towers.identifiers, rssi.tolist())
+            if value >= CELL_SENSITIVITY_DBM
+        ]
+        readings.sort(key=lambda kv: kv[1], reverse=True)
+        return dict(readings[: profile.audible_towers_cap])
 
     def cell_rssi(
         self, point: Point, profile: EnvironmentProfile, rng: np.random.Generator
     ) -> dict[str, float]:
         """Return one noisy cellular scan at ``point`` (environment ``profile``)."""
-        noise_db = 3.5
-        scan = {}
-        for identifier, mean in self.cell_mean_rssi(point, profile).items():
-            value = mean + rng.normal(0.0, noise_db)
-            if value >= CELL_SENSITIVITY_DBM:
-                scan[identifier] = value
-        return scan
+        return _noisy_scan(
+            self.cell_mean_rssi(point, profile),
+            CELL_NOISE_DB,
+            CELL_SENSITIVITY_DBM,
+            rng,
+        )
 
     # ----- GPS -----------------------------------------------------------
 
-    def visible_satellites(self, profile: EnvironmentProfile) -> list[Satellite]:
-        """Return the GPS satellites visible under ``profile``'s sky view."""
-        return self.constellation.visible(profile.sky_view)
+    def sky_geometry(self, profile: EnvironmentProfile) -> tuple[int, float]:
+        """Return ``(n_satellites, hdop)`` under ``profile``'s sky view.
+
+        The visible set and its ``(H^T H)^{-1}`` solve depend only on the
+        sky view, so each sky view is solved once and memoized; there is
+        at most one entry per environment type.
+        """
+        sky_view = profile.sky_view
+        geometry = self._sky.get(sky_view)
+        if geometry is None:
+            visible = self.constellation.visible(sky_view)
+            geometry = (len(visible), Constellation.hdop(visible))
+            self._sky[sky_view] = geometry
+        return geometry
 
     # ----- Surveys -------------------------------------------------------
 

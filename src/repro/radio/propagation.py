@@ -22,15 +22,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.geometry import Point
+from repro.radio.transmitters import Transmitter
 
 __all__ = [
     "REFERENCE_DISTANCE_M",
     "wave_bank",
     "PropagationModel",
+    "TransmitterField",
     "WIFI_MODEL",
     "CELLULAR_MODEL",
     "WIFI_SENSITIVITY_DBM",
@@ -68,7 +70,8 @@ def wave_bank(tx_seed: int) -> WaveBank:
     A fresh ``default_rng(tx_seed)`` yields the wave angles, then the
     phases, each uniform over ``[0, 2*pi)``: the same draws
     :func:`repro.bench.baselines.shadowing_db_reference` makes on every
-    call, made here once per seed.
+    call, made here once per seed.  :meth:`TransmitterField.pack` stacks
+    the banks of a deployment.
     """
     rng = np.random.default_rng(tx_seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=N_SHADOWING_WAVES)
@@ -79,6 +82,51 @@ def wave_bank(tx_seed: int) -> WaveBank:
     cos_angles.setflags(write=False)
     sin_angles.setflags(write=False)
     return WaveBank(cos_angles=cos_angles, sin_angles=sin_angles, phases=phases)
+
+
+def _rows(rows: list[Any], width: int) -> np.ndarray:
+    """Return ``rows`` as a read-only ``(len(rows), width)`` array."""
+    packed = np.array(rows, dtype=float).reshape(-1, width)
+    packed.setflags(write=False)
+    return packed
+
+
+@dataclass(frozen=True)
+class TransmitterField:
+    """One technology's transmitters, packed for one numpy pass per point.
+
+    Row ``t`` of every array belongs to ``identifiers[t]``; the wave
+    arrays are ``(T, N_SHADOWING_WAVES)``, row ``t`` being the
+    :func:`wave_bank` of that transmitter's seed.  All arrays are
+    read-only.
+
+    Attributes:
+        identifiers: transmitter identifiers, in deployment order.
+        positions: ``(T, 2)`` transmitter coordinates.
+        cos_angles, sin_angles: wave direction vectors.
+        phases: wave phase offsets, radians.
+    """
+
+    identifiers: tuple[str, ...]
+    positions: np.ndarray
+    cos_angles: np.ndarray
+    sin_angles: np.ndarray
+    phases: np.ndarray
+
+    @classmethod
+    def pack(cls, transmitters: Sequence[Transmitter]) -> "TransmitterField":
+        """Pack ``transmitters`` (any number, none included)."""
+        banks = [wave_bank(tx.seed) for tx in transmitters]
+        return cls(
+            identifiers=tuple(tx.identifier for tx in transmitters),
+            positions=_rows([[tx.position.x, tx.position.y] for tx in transmitters], 2),
+            cos_angles=_rows([b.cos_angles for b in banks], N_SHADOWING_WAVES),
+            sin_angles=_rows([b.sin_angles for b in banks], N_SHADOWING_WAVES),
+            phases=_rows([b.phases for b in banks], N_SHADOWING_WAVES),
+        )
+
+    def __len__(self) -> int:
+        return len(self.identifiers)
 
 
 @dataclass(frozen=True)
@@ -111,37 +159,47 @@ class PropagationModel:
         )
 
     def mean_rssi_dbm(
-        self, tx: Point, rx: Point, walls: int = 0, tx_seed: int = 0
-    ) -> float:
-        """Return the noise-free RSSI at ``rx`` from a transmitter at ``tx``."""
-        distance = tx.distance_to(rx)
-        return (
-            self.tx_power_dbm
-            - self.path_loss_db(distance, walls)
-            - self.shadowing_db(rx, tx_seed)
+        self,
+        x: float,
+        y: float,
+        field: TransmitterField,
+        walls: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Return the noise-free RSSI at ``(x, y)`` of every transmitter.
+
+        ``walls`` holds the walls crossed by each transmitter's ray
+        (none when omitted).  Path loss runs per transmitter on plain
+        floats: ``math.hypot`` and ``math.log10`` round differently from
+        their numpy twins on a small share of inputs, so a vectorized
+        form would not reproduce the recorded traces.
+        """
+        n_walls = walls.tolist() if walls is not None else [0] * len(field)
+        loss = np.array(
+            [
+                self.path_loss_db(math.hypot(tx_x - x, tx_y - y), w)
+                for (tx_x, tx_y), w in zip(field.positions.tolist(), n_walls)
+            ]
         )
+        return self.tx_power_dbm - loss - self.shadowing_db(x, y, field)
 
-    def shadowing_db(self, rx: Point, tx_seed: int) -> float:
-        """Return the static shadowing value at ``rx`` for one transmitter.
+    def shadowing_db(self, x: float, y: float, field: TransmitterField) -> np.ndarray:
+        """Return the static shadowing at ``(x, y)`` of every transmitter.
 
-        A per-transmitter RNG seeds the phases and direction vectors of a
-        small bank of plane-wave sinusoids.  The result is smooth over
-        ``shadowing_scale_m`` and reproducible for any query point, which
-        is what fingerprinting needs (the field is the fingerprint).
-
-        The bank comes from the per-seed :func:`wave_bank` cache; the
-        value is bit-identical to drawing it afresh on every call.
+        Each transmitter's seed fixes the phases and direction vectors of
+        a small bank of plane-wave sinusoids (:func:`wave_bank`).  The
+        result is smooth over ``shadowing_scale_m`` and reproducible for
+        any query point, which is what fingerprinting needs (the field is
+        the fingerprint).  One numpy pass covers all ``T`` banks; each
+        row sums its waves in the same order as a single bank would.
         """
         if self.shadowing_sigma_db <= 0.0:
-            return 0.0
-        bank = wave_bank(tx_seed)
+            return np.zeros(len(field))
         wavenumber = 2.0 * math.pi / self.shadowing_scale_m
         arg = (
-            wavenumber * (rx.x * bank.cos_angles + rx.y * bank.sin_angles)
-            + bank.phases
+            wavenumber * (x * field.cos_angles + y * field.sin_angles)
+            + field.phases
         )
-        total = float(np.sin(arg).sum())
-        return self.shadowing_sigma_db * total / _WAVE_NORM
+        return self.shadowing_sigma_db * np.sin(arg).sum(axis=1) / _WAVE_NORM
 
     def distance_for_rssi(self, rssi_dbm: float) -> float:
         """Invert the deterministic model: distance implied by an RSSI.

@@ -63,17 +63,16 @@ class GpsReceiver:
     def observe(self, true_position: Point, profile: EnvironmentProfile) -> GpsStatus:
         """Return the chip's report at the walker's true position.
 
-        ``profile`` is the environment profile at ``true_position``.
-        Indoors the sky view is (near) zero, so no satellites are visible
-        and no fix is produced; outdoors the fix error scales with HDOP.
+        ``profile`` is the environment profile at ``true_position``; the
+        satellite count and HDOP come from its sky view
+        (:meth:`~repro.radio.RadioEnvironment.sky_geometry`).  Indoors the
+        sky view is (near) zero, so no satellites are visible and no fix
+        is produced; outdoors the fix error scales with HDOP.
         """
-        satellites = self.radio.visible_satellites(profile)
-        n = len(satellites)
-        hdop = self.radio.constellation.hdop(satellites)
+        n, hdop = self.radio.sky_geometry(profile)
         if n < MIN_SATELLITES_FOR_FIX or hdop > HDOP_GATE:
             return GpsStatus(n_satellites=n, hdop=hdop, fix=None)
-        scale = np.clip(hdop / REFERENCE_HDOP, 0.5, 4.0)
-        sigma = BASE_SIGMA_M * float(scale)
+        sigma = BASE_SIGMA_M * min(max(hdop / REFERENCE_HDOP, 0.5), 4.0)
         error = Point(
             float(self.rng.normal(0.0, sigma)), float(self.rng.normal(0.0, sigma))
         )

@@ -44,9 +44,13 @@ class Smartphone:
 
         Each moment looks its environment up once
         (:meth:`~repro.world.Place.environment_at`) and hands the profile
-        to the Wi-Fi, cellular and GPS models.  Every draw comes from one
-        generator, in a fixed order per moment: Wi-Fi noise, cellular
-        noise, light, landmark detections, the GPS fix, the IMU.
+        to the Wi-Fi, cellular and GPS models.  Each radio technology is
+        one numpy pass over all its transmitters, and the GPS satellite
+        count and HDOP come from the environment's memoized sky view
+        (:class:`~repro.radio.RadioEnvironment`).  Every draw comes from
+        one generator, in a fixed order per moment: Wi-Fi noise (one
+        vector draw), cellular noise (one vector draw), light, landmark
+        detections, the GPS fix, the IMU.
 
         Args:
             walk: the ground-truth walk to sense.

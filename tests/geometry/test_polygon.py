@@ -1,6 +1,10 @@
 """Unit tests for repro.geometry.polygon."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Point, Polygon
 
@@ -65,3 +69,72 @@ class TestContainment:
     def test_bounding_box(self):
         poly = Polygon.from_coords([(1, 2), (5, -1), (3, 7)])
         assert poly.bounding_box() == (1, -1, 5, 7)
+
+
+#: A clockwise polygon, one with a zero-length edge, and an oblique triangle.
+AWKWARD_POLYGONS = (
+    Polygon.from_coords([(0, 0), (0, 3), (4, 3), (4, 0)]),
+    Polygon.from_coords([(0, 0), (5, 0), (5, 0), (5, 4), (0, 4)]),
+    Polygon.from_coords([(0.1, 0.2), (7.3, 1.1), (2.9, 6.7)]),
+)
+
+
+def _equivalence_polygons():
+    """Every builder place's boundary and region polygons, and the
+    awkward ones."""
+    from repro.fleet import place_builders
+
+    polygons = list(AWKWARD_POLYGONS)
+    for build in place_builders().values():
+        place = build()
+        polygons.append(place.boundary)
+        polygons.extend(region.polygon for region in place.regions)
+    return polygons
+
+
+def _probes(polygon):
+    """Every vertex and edge midpoint, nudged by +-1e-9 and +-1e-10 on
+    each axis, plus non-finite coordinates."""
+    vertices = polygon.vertices
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        for x, y in ((a.x, a.y), ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)):
+            yield x, y
+            for delta in (1e-9, -1e-9, 1e-10, -1e-10):
+                yield x + delta, y
+                yield x, y + delta
+            for bad in (math.nan, math.inf, -math.inf):
+                yield bad, y
+                yield x, bad
+    yield math.nan, math.nan
+    yield math.inf, -math.inf
+
+
+class TestContainsMatchesSegmentLoop:
+    """The float-only boundary test answers as ``Segment.distance_to_point``."""
+
+    def test_every_probe_of_every_polygon(self):
+        from repro.bench.baselines import polygon_contains_reference
+
+        n = 0
+        for polygon in _equivalence_polygons():
+            for x, y in _probes(polygon):
+                point = Point(x, y)
+                assert polygon.contains(point) is polygon_contains_reference(
+                    polygon, point
+                ), (polygon, x, y)
+                n += 1
+        assert n > 1000
+
+    @given(
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.floats(-10.0, 10.0, allow_nan=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_points(self, x, y):
+        from repro.bench.baselines import polygon_contains_reference
+
+        for polygon in AWKWARD_POLYGONS:
+            point = Point(x, y)
+            assert polygon.contains(point) is polygon_contains_reference(
+                polygon, point
+            )

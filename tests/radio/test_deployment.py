@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.radio import Constellation, RadioEnvironment
+from repro.radio import RadioEnvironment
 from repro.world import EnvironmentType as Env
 from repro.world import build_daily_path_place, profile_of
 
@@ -51,12 +51,12 @@ def test_open_space_hears_many_towers(radio):
 def test_gps_visibility_indoor_vs_outdoor(radio):
     indoor = _point_in(radio, Env.OFFICE)
     outdoor = _point_in(radio, Env.OPEN_SPACE)
-    indoor_sats = radio.visible_satellites(_profile(radio, indoor))
-    outdoor_sats = radio.visible_satellites(_profile(radio, outdoor))
-    assert indoor_sats == []
-    assert len(outdoor_sats) >= 9
-    assert Constellation.hdop(outdoor_sats) < 2.0
-    assert Constellation.hdop(indoor_sats) == float("inf")
+    indoor_n, indoor_hdop = radio.sky_geometry(_profile(radio, indoor))
+    outdoor_n, outdoor_hdop = radio.sky_geometry(_profile(radio, outdoor))
+    assert indoor_n == 0
+    assert outdoor_n >= 9
+    assert outdoor_hdop < 2.0
+    assert indoor_hdop == float("inf")
 
 
 def test_noisy_scan_differs_from_mean(radio):

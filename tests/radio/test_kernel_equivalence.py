@@ -4,7 +4,9 @@ The dense fingerprint databases and the cached shadowing wave banks
 replaced per-entry/per-call scalar implementations (preserved verbatim
 in :mod:`repro.bench.baselines`).  The contract is numerical:
 
-* shadowing agrees **bit-for-bit** (same wave bank, same sin/sum order);
+* shadowing agrees **bit-for-bit** (same wave bank, same sin/sum order;
+  :mod:`tests.radio.test_radio_moment` checks every deployed
+  transmitter of every builder place);
 * fingerprint distances, Gaussian log-likelihoods and both `beta`
   features (candidate deviation, spatial density) agree to 1e-9;
 * nearest-k returns the same entries in the same order;
@@ -31,6 +33,8 @@ from repro.radio import (
     GaussianFingerprint,
     GaussianFingerprintDatabase,
     GaussianReading,
+    Transmitter,
+    TransmitterField,
     WIFI_MODEL,
 )
 
@@ -70,7 +74,9 @@ class TestShadowing:
                 point,
                 seed,
             )
-            assert WIFI_MODEL.shadowing_db(point, seed) == expected
+            field = TransmitterField.pack([Transmitter("tx", point, seed)])
+            shadowing = WIFI_MODEL.shadowing_db(point.x, point.y, field)
+            assert shadowing.tolist() == [expected]
 
 
 class TestFingerprintMatching:

@@ -4,7 +4,22 @@
 import pytest
 
 from repro.geometry import Point
-from repro.radio import CELLULAR_MODEL, WIFI_MODEL, PropagationModel
+from repro.radio import (
+    CELLULAR_MODEL,
+    WIFI_MODEL,
+    PropagationModel,
+    Transmitter,
+    TransmitterField,
+)
+
+
+def one_field(seed, at=Point(0.0, 0.0)):
+    """A one-transmitter field (the ``T = 1`` case of the batched model)."""
+    return TransmitterField.pack([Transmitter("tx", at, seed)])
+
+
+def shadowing(model, p, seed):
+    return float(model.shadowing_db(p.x, p.y, one_field(seed))[0])
 
 
 @pytest.fixture
@@ -41,28 +56,30 @@ class TestPathLoss:
 class TestShadowing:
     def test_deterministic_per_seed(self, model):
         p = Point(3.3, 4.4)
-        assert model.shadowing_db(p, 42) == model.shadowing_db(p, 42)
+        assert shadowing(model, p, 42) == shadowing(model, p, 42)
 
     def test_different_seeds_differ(self, model):
         p = Point(3.3, 4.4)
-        assert model.shadowing_db(p, 1) != model.shadowing_db(p, 2)
+        assert shadowing(model, p, 1) != shadowing(model, p, 2)
 
     def test_spatially_smooth(self, model):
-        a = model.shadowing_db(Point(5, 5), 7)
-        b = model.shadowing_db(Point(5.1, 5), 7)
+        a = shadowing(model, Point(5, 5), 7)
+        b = shadowing(model, Point(5.1, 5), 7)
         assert abs(a - b) < 0.5  # a 10 cm move cannot jump the field
 
     def test_varies_over_correlation_length(self, model):
-        values = {round(model.shadowing_db(Point(x, 0.0), 7), 3) for x in range(0, 100, 7)}
+        values = {
+            round(shadowing(model, Point(x, 0.0), 7), 3) for x in range(0, 100, 7)
+        }
         assert len(values) > 5
 
     def test_zero_sigma_disables(self):
         flat = PropagationModel(20, 40, 3.0, 5.0, 0.0, 10.0)
-        assert flat.shadowing_db(Point(1, 2), 9) == 0.0
+        assert shadowing(flat, Point(1, 2), 9) == 0.0
 
     def test_amplitude_bounded(self, model):
         worst = max(
-            abs(model.shadowing_db(Point(x * 0.37, x * 0.71), 5)) for x in range(200)
+            abs(shadowing(model, Point(x * 0.37, x * 0.71), 5)) for x in range(200)
         )
         # Six unit sinusoids scaled by sigma/sqrt(3): bounded by ~3.5 sigma.
         assert worst < 3.5 * model.shadowing_sigma_db
@@ -72,7 +89,7 @@ class TestInversion:
     def test_distance_for_rssi_inverts_mean(self, model):
         flat = PropagationModel(20, 40, 3.0, 5.0, 0.0, 10.0)
         for d in [2.0, 10.0, 50.0]:
-            rssi = flat.mean_rssi_dbm(Point(0, 0), Point(d, 0))
+            rssi = float(flat.mean_rssi_dbm(d, 0.0, one_field(0))[0])
             assert flat.distance_for_rssi(rssi) == pytest.approx(d, rel=1e-6)
 
 

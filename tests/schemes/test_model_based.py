@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry import Point
-from repro.radio import Transmitter, PropagationModel
+from repro.radio import PropagationModel, Transmitter, TransmitterField
 from repro.schemes import ModelBasedScheme
 from repro.sensors.gps import GpsStatus
 from repro.sensors.imu import ImuReading
@@ -11,6 +11,12 @@ from repro.sensors.snapshot import SensorSnapshot
 
 #: Noise-free model for exact-inversion tests.
 CLEAN = PropagationModel(18.0, 40.0, 2.8, 5.0, 0.0, 12.0)
+
+
+def clean_rssi(aps, truth):
+    """Every AP's noise-free RSSI at ``truth`` under ``CLEAN``."""
+    rssi = CLEAN.mean_rssi_dbm(truth.x, truth.y, TransmitterField.pack(aps))
+    return dict(zip((ap.identifier for ap in aps), rssi.tolist()))
 
 
 def make_snapshot(wifi):
@@ -38,9 +44,7 @@ def aps():
 def test_exact_trilateration_with_clean_rssi(aps):
     scheme = ModelBasedScheme(aps, model=CLEAN)
     truth = Point(13.0, 22.0)
-    scan = {
-        ap.identifier: CLEAN.mean_rssi_dbm(ap.position, truth) for ap in aps
-    }
+    scan = clean_rssi(aps, truth)
     out = scheme.estimate(make_snapshot(scan))
     assert out.position.distance_to(truth) < 0.5
 
@@ -61,8 +65,10 @@ def test_residual_reported(aps):
     scheme = ModelBasedScheme(aps, model=CLEAN)
     truth = Point(20.0, 20.0)
     scan = {
-        ap.identifier: CLEAN.mean_rssi_dbm(ap.position, truth) + offset
-        for ap, offset in zip(aps, (3.0, -3.0, 2.0, -2.0))
+        identifier: rssi + offset
+        for (identifier, rssi), offset in zip(
+            clean_rssi(aps, truth).items(), (3.0, -3.0, 2.0, -2.0)
+        )
     }
     out = scheme.estimate(make_snapshot(scan))
     assert out.quality["range_residual"] > 0.0

@@ -604,3 +604,25 @@ def test_bench_run_checks_out_before_timing(tmp_path, monkeypatch, capsys, out):
     assert main(["bench", "run", "--out", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"--out {path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--place", "atlantis"], "unknown place 'atlantis'"),
+        (["--repeats", "0"], "--repeats must be positive"),
+        (["--repeats", "-3"], "--repeats must be positive"),
+    ],
+)
+def test_bench_run_checks_arguments_before_work(monkeypatch, capsys, argv, message):
+    """An unknown ``--place`` or a ``--repeats`` below 1 exits 2 with one
+    line before any place is set up or bench timed."""
+    import repro.bench
+
+    def no_work(**kwargs):
+        raise AssertionError("run_benches ran before its arguments were checked")
+
+    monkeypatch.setattr(repro.bench, "run_benches", no_work)
+    assert main(["bench", "run", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
