@@ -13,19 +13,23 @@ moments, must keep >= 2x over the full region loop (the box-culled
 ``Place.environment_at``), >= 4x over one single-ray call per AP (the
 batched ``FloorPlan.walls_crossed``) and >= 1.5x over one call per AP
 and tower plus a fresh satellite solve (the batched radio moment:
-``wifi_mean_rssi``, ``cell_mean_rssi`` and ``sky_geometry``).
+``wifi_mean_rssi``, ``cell_mean_rssi`` and ``sky_geometry``).  The
+fusion scheme's box-culled nearest-fingerprint lookup must keep >= 1.1x
+over one SciPy ``cKDTree`` query on the clouds of office's first 60
+survey steps.
 ``repro bench run`` records the same numbers into a versioned
 ``BENCH_<date>.json`` for CI comparison.  Each bench times its two
 variants interleaved, so host drift lands on both alike.
 
 The floors are deliberately below the observed speedups (mean +- std
 over ten runs on a 2-vCPU dev host: 7.1 +- 0.7x, 3.3 +- 0.1x,
-1.48 +- 0.04x, 2.86 +- 0.10x, 6.9 +- 0.2x and 1.97 +- 0.07x) so they
-fail on a real regression — a database silently falling back to a
-Python loop, a cull that keeps every primitive, a readout back on
-``(I, 2)`` temporaries, a lookup testing every region, a count back to
-one call per AP, a radio moment back to one call per transmitter — not
-on scheduler noise.
+1.48 +- 0.04x, 2.86 +- 0.10x, 6.9 +- 0.2x, 1.97 +- 0.07x and
+1.42 +- 0.10x) so they fail on a real regression — a database
+silently falling back to a Python loop, a cull that keeps every
+primitive, a readout back on ``(I, 2)`` temporaries, a lookup testing
+every region, a count back to one call per AP, a radio moment back to
+one call per transmitter, a nearest-fingerprint lookup slower than the
+tree it replaced — not on scheduler noise.
 """
 
 import pytest
@@ -39,6 +43,7 @@ MIN_BMA_READOUT_SPEEDUP = 1.2
 MIN_ENVIRONMENT_AT_SPEEDUP = 2.0
 MIN_WALL_COUNT_SPEEDUP = 4.0
 MIN_RADIO_MOMENT_SPEEDUP = 1.5
+MIN_NEAREST_FINGERPRINT_SPEEDUP = 1.1
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +60,7 @@ def test_all_benches_ran(bench_report):
         "environment_at",
         "wall_count",
         "radio_moment",
+        "nearest_fingerprint",
     ):
         assert f"{bench}.scalar" in bench_report.results
         assert f"{bench}.kernel" in bench_report.results
@@ -98,6 +104,12 @@ def test_radio_moment_batch_speedup(bench_report):
     speedup = bench_report.speedups()["radio_moment"]
     print(f"radio_moment: {speedup:.1f}x over one call per transmitter")
     assert speedup >= MIN_RADIO_MOMENT_SPEEDUP
+
+
+def test_nearest_fingerprint_speedup(bench_report):
+    speedup = bench_report.speedups()["nearest_fingerprint"]
+    print(f"nearest_fingerprint: {speedup:.2f}x over one cKDTree query")
+    assert speedup >= MIN_NEAREST_FINGERPRINT_SPEEDUP
 
 
 def test_report_roundtrips_through_disk(bench_report, tmp_path):

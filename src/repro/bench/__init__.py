@@ -1,7 +1,8 @@
 """Microbenchmarks: kernel hot paths timed against scalar baselines.
 
-The radio, map-constraint, BMA and sensor-trace place-query hot paths
-were each rewritten for speed, and speed claims rot silently.  This package keeps them honest:
+The radio, map-constraint, BMA, sensor-trace place-query and fusion
+nearest-fingerprint hot paths were each rewritten for speed, and speed
+claims rot silently.  This package keeps them honest:
 
 * :mod:`repro.bench.baselines` — verbatim pre-rewrite scalar
   implementations of those hot paths (the golden references).

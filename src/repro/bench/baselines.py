@@ -6,21 +6,25 @@ were cached and its radio moment was batched (one transmitter per call,
 the satellite geometry solved on every moment); of the particle map
 constraint before its bounding-box cull; of the BMA readout's grid
 rasterizers, mixture and Eq. 4 mean before they dropped their
-``(I, 2)`` temporaries; and of the sensor trace's place queries before
+``(I, 2)`` temporaries; of the sensor trace's place queries before
 the compiled place index: the region loop of ``Place.environment_at``
 without its box cull, the ``Segment``-based ``Polygon.contains``, and
-the one-ray-per-call ``FloorPlan.walls_crossed``.  They serve two
-purposes:
+the one-ray-per-call ``FloorPlan.walls_crossed``; and of the fusion
+scheme's nearest-fingerprint lookup before it dropped SciPy's
+``cKDTree``.  They serve two purposes:
 
 * **Golden equivalence** — the dense fingerprint databases must agree
   with them to 1e-9 (:mod:`tests.radio.test_kernel_equivalence` pins
   this), and shadowing, the batched radio moment, the culled map
-  constraint, the BMA readout, the culled environment lookup and the
-  batched wall count must agree bit-for-bit
+  constraint, the BMA readout, the culled environment lookup, the
+  batched wall count and the box-culled nearest-fingerprint lookup
+  (its distances, and its surveyed spots wherever the nearest is
+  unique) must agree bit-for-bit
   (:mod:`tests.radio.test_kernel_equivalence`,
   :mod:`tests.schemes.test_particle_filter`,
   :mod:`tests.geometry.test_grid_equivalence`,
-  :mod:`tests.world.test_place_index`).
+  :mod:`tests.world.test_place_index`,
+  :mod:`tests.schemes.test_nearest_fingerprint`).
 * **Honest speedups** — the microbench suite (``repro bench``) times the
   code that runs against these baselines on the same inputs, so the
   recorded speedups measure it, not a strawman.
@@ -32,7 +36,7 @@ from the production path.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -180,6 +184,27 @@ def nearest_reference(
     ]
     scored.sort(key=lambda pair: pair[1])
     return scored[:k]
+
+
+def nearest_fingerprint_reference(
+    fingerprints: np.ndarray,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Pre-numpy fusion lookup: one ``cKDTree`` per scheme, one query per step.
+
+    Takes the ``(F, 2)`` fingerprint positions and returns the query:
+    ``(N, 2)`` points to their nearest fingerprints' ``(N,)`` indices and
+    ``(N,)`` Euclidean distances.  SciPy is imported here, so only the
+    reference needs it.
+    """
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(fingerprints)
+
+    def query(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        distances, indices = tree.query(points)
+        return indices, distances
+
+    return query
 
 
 def spatial_density_reference(

@@ -1,14 +1,16 @@
 """The microbench runner behind ``repro bench``.
 
 Each bench times one radio hot path, the particle map constraint, the
-BMA readout, or one of the sensor trace's queries, in two variants on
-identical inputs: ``scalar`` (the reference from
-:mod:`repro.bench.baselines`) and ``kernel`` (the code that runs: the
-dense ``FingerprintDatabase.nearest``, the compiled
+BMA readout, one of the sensor trace's queries, or the fusion scheme's
+nearest-fingerprint lookup, in two variants on identical inputs:
+``scalar`` (the reference from :mod:`repro.bench.baselines`) and
+``kernel`` (the code that runs: the dense
+``FingerprintDatabase.nearest``, the compiled
 :class:`~repro.schemes.particle_filter.MapConstraint`, the
 temporary-free :class:`~repro.geometry.Grid` readout, the box-culled
-``Place.environment_at``, the batched ``FloorPlan.walls_crossed``, or
-the batched radio moment of :class:`~repro.radio.RadioEnvironment`).
+``Place.environment_at``, the batched ``FloorPlan.walls_crossed``, the
+batched radio moment of :class:`~repro.radio.RadioEnvironment`, or the
+box-culled :func:`~repro.schemes.fusion.nearest_fingerprint`).
 The two variants are timed interleaved (:func:`time_interleaved`), so
 host drift during a run moves both alike, not their ratio.  The
 ``walk_step`` bench has no scalar twin — it times the full
@@ -439,6 +441,36 @@ def _radio_moment_bench(setup: Any, walk: Any, repeats: int) -> dict[str, Timing
     return _pair("radio_moment", scalar, kernel, repeats)
 
 
+def _nearest_fingerprint_bench(
+    setup: Any, walk: Any, snapshots: list[Any], seed: int, repeats: int
+) -> dict[str, Timing]:
+    """Fusion's box-culled nearest-fingerprint lookup vs one ``cKDTree`` query.
+
+    Both variants look up the clouds a fusion scheme holds over the
+    walk's first 60 steps, the kernel over the surveyed spots as the
+    scheme does; the reference's tree is built once, outside the
+    timing, as the scheme built it.
+    """
+    from repro.bench import baselines
+    from repro.schemes.fusion import nearest_fingerprint, surveyed_spots
+
+    fusion = setup.make_schemes(walk.moments[0].position, scheme_seed=seed)["fusion"]
+    clouds = [fusion.estimate(snapshot).samples for snapshot in snapshots[:60]]
+    positions = setup.wifi_db.positions()
+    query = baselines.nearest_fingerprint_reference(positions)
+    spots_xy, _ = surveyed_spots(positions)
+
+    def scalar() -> None:
+        for cloud in clouds:
+            query(cloud)
+
+    def kernel() -> None:
+        for cloud in clouds:
+            nearest_fingerprint(spots_xy, cloud)
+
+    return _pair("nearest_fingerprint", scalar, kernel, repeats)
+
+
 def _walk_step_bench(
     setup: Any, snapshots: list[Any], framework: Any, repeats: int
 ) -> dict[str, Timing]:
@@ -492,6 +524,7 @@ def run_benches(
     results.update(_bma_readout_bench(setup, walk, snapshots, seed, repeats))
     results.update(_place_query_benches(setup, walk, repeats))
     results.update(_radio_moment_bench(setup, walk, repeats))
+    results.update(_nearest_fingerprint_bench(setup, walk, snapshots, seed, repeats))
     if include_walk_step:
         models = cache.error_models(seed)
         framework = build_framework(setup, models, walk.moments[0].position)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,10 @@ class LinearErrorModel:
         dof = max(n - p, 1)
         sigma2 = float(residuals @ residuals) / dof
         if p > 0:
+            # Only fitting needs SciPy: walkers load fitted models and
+            # step on numpy alone.
+            from scipy import stats
+
             xtx_inv = np.linalg.pinv(x.T @ x)
             se = np.sqrt(np.maximum(np.diag(xtx_inv) * sigma2, 1e-24))
             t_stats = beta / se

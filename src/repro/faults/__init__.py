@@ -31,9 +31,10 @@ from repro.faults.plan import (
     SensorFault,
 )
 
-#: Names resolved on first access: the injectors import the schemes
-#: (and with them scipy), which a fault plan alone does not need, and
-#: chaos imports eval/fleet, which import this package.
+#: Names resolved on first access: the injectors import the schemes,
+#: which a fault plan or the CLI's list of fault kinds does not need and
+#: which would add their import time to every CLI start, and chaos
+#: imports eval/fleet, which import this package.
 _LAZY = {
     "GARBAGE_RADIUS_M": "injectors",
     "FaultyScheme": "injectors",

@@ -36,6 +36,20 @@ class TestFit:
         assert summary.p_values[0] < 0.001
         assert summary.p_values[1] > 0.05
 
+    def test_p_values_are_pinned(self):
+        """SciPy's t-test is imported inside ``fit``; the values are
+        those of the module-level import it replaced."""
+        x, y = make_data([3.0, 0.0], n=500, seed=1)
+        summary = LinearErrorModel(("real", "junk")).fit(x, y)
+        assert summary.p_values == (0.0, 0.3630361592971971)
+        x, y = make_data([0.2, 0.05], n=40, noise=3.0, seed=4, intercept=1.0)
+        summary = LinearErrorModel(("a", "b"), fit_intercept=True).fit(x, y)
+        assert summary.p_values == (
+            0.35309549723053735,
+            0.5411496100951836,
+            0.18699788220259322,
+        )
+
     def test_r_squared_high_for_clean_data(self):
         x, y = make_data([2.0], noise=0.01)
         model = LinearErrorModel(("a",))
