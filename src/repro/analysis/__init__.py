@@ -4,8 +4,8 @@ Four invariants make this repro trustworthy — explicit seeding,
 clock-free deterministic paths, pure process-boundary values, and
 unit-suffixed quantities — and none of them is checkable by ruff or
 mypy.  This package checks them: a per-file plugin rule protocol, an
-AST runner with content-hash result caching, and human, JSON and SARIF
-reporting.  See
+AST runner that parses, walks and binds each file once and shares those
+facts with every rule, and human, JSON and SARIF reporting.  See
 README's "Static analysis" section for the workflow and DESIGN.md for
 the module map.
 """
@@ -18,7 +18,6 @@ from repro.analysis.engine import (
     Rule,
     SourceFile,
     discover_files,
-    rules_fingerprint,
 )
 from repro.analysis.rules import default_rules
 
@@ -31,5 +30,4 @@ __all__ = [
     "SourceFile",
     "default_rules",
     "discover_files",
-    "rules_fingerprint",
 ]

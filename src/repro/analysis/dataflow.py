@@ -1,6 +1,6 @@
 """Intraprocedural dataflow IR for the flow-sensitive lint rules.
 
-The PR-4 rules are syntactic: they match one AST node at a time, so a
+The syntactic rules match one AST node at a time, so a
 ``default_rng(s)`` whose ``s`` was assigned three lines earlier from a
 wall-clock read, or a lambda smuggled into a ``WalkJob`` through a
 local, sails straight past them.  This module adds the missing layer —
@@ -19,7 +19,10 @@ compiler:
   parameter's default, and locally-defined functions, then answers
   ``origins(expr)``: the set of ultimate origins an expression's value
   can have, resolved through local aliases with arithmetic, tuple
-  packing, and f-strings treated as lineage-preserving.
+  packing, and f-strings treated as lineage-preserving.  Rules do not
+  build one themselves: :meth:`repro.analysis.engine.SourceFile.dataflow`
+  builds each function's map once, on first use, and every rule shares
+  it.
 * :func:`module_global_assigns` — the module-level assignments, so a
   rule can resolve a name to a module constant.
 

@@ -11,14 +11,17 @@ reproducing.
 
 Architecture:
 
+* :class:`SourceFile` — one file read, decoded, parsed, walked and
+  bound once: its node list, parent map, import bindings, functions
+  (innermost first), the calls inside them and one
+  :class:`~repro.analysis.dataflow.FunctionDataflow` per function are
+  facts every rule reads instead of re-deriving.
 * :class:`Rule` — the plugin protocol.  A rule inspects one parsed
   :class:`SourceFile` at a time (``check``) and returns its findings;
   no rule sees more than one file.
-* :class:`LintEngine` — file discovery, inline ``lint: ignore[RULE]``
-  suppression, per-file result caching keyed on content hash (a cached
-  entry holds the file's kept findings and its suppressed count; the
-  cache artifact carries the shared :mod:`repro.formats` header, like
-  every other on-disk artifact in the repo).
+* :class:`LintEngine` — file discovery and inline ``lint: ignore[RULE]``
+  suppression; every file takes one path to its findings
+  (``_check_file``).
 * :class:`LintReport` — the scored result, renderable as a fixed-width
   human table or the ``--format json`` machine format.
 
@@ -32,20 +35,24 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import inspect
-import json
+import io
 import os
+import tokenize
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.formats import check_header, format_header
+from repro.analysis.dataflow import FunctionDataflow
+from repro.analysis.names import canonical_call, import_bindings
+from repro.formats import format_header
 
-#: Bump to invalidate every cached lint result at once.
-ANALYSIS_VERSION = 2
+#: Version of the ``--format json`` report (its shared header).
+ANALYSIS_VERSION = 3
 
-CACHE_FORMAT = "lint_cache"
 REPORT_FORMAT = "lint_report"
+
+FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
 #: Directory names never descended into during discovery.  ``fixtures``
 #: is deliberate: the analyzer's own test fixtures are known-bad
@@ -104,7 +111,7 @@ class Finding:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """Serialize for the ``--json`` report and the result cache."""
+        """Serialize for the ``--format json`` report."""
         return {
             "rule": self.rule,
             "tier": self.tier,
@@ -115,21 +122,16 @@ class Finding:
             "fingerprint": self.fingerprint(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Finding":
-        """Rebuild a finding from its serialized form."""
-        return cls(
-            rule=data["rule"],
-            tier=data["tier"],
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            message=data["message"],
-        )
-
 
 class SourceFile:
-    """One parsed file plus the path-derived scopes the rules key on."""
+    """One parsed file, the path-derived scopes the rules key on, and
+    the per-file facts every rule reads.
+
+    The tree is walked once, at construction; the import bindings, the
+    functions, the calls inside them and each function's dataflow are
+    derived from that walk on first use and shared by every rule.  A
+    rule reads these facts and never walks from the root again.
+    """
 
     def __init__(
         self, display: str, text: str, in_src: bool | None = None
@@ -146,21 +148,81 @@ class SourceFile:
             else ("src/repro/" in display or display.startswith("repro/"))
         )
         self.tree: ast.AST = ast.parse(text)
-        self._parents: dict[ast.AST, ast.AST] | None = None
+        #: Every node, in ``ast.walk`` (breadth-first) order.
+        self.nodes: list[ast.AST] = [self.tree]
+        self._parents: dict[ast.AST, ast.AST] = {}
+        for parent in self.nodes:  # the list grows as it is read
+            for child in ast.iter_child_nodes(parent):
+                self._parents[child] = parent
+                self.nodes.append(child)
+        self._flows: dict[FunctionNode, FunctionDataflow] = {}
 
     @classmethod
     def load(cls, path: Path, display: str) -> "SourceFile":
-        """Read and parse one file from disk."""
-        return cls(display, path.read_text())
+        """Read, decode (honouring a PEP 263 cookie) and parse one file.
+
+        Raises:
+            SyntaxError: the file does not parse, or its encoding
+                declaration is invalid.
+            UnicodeDecodeError: the bytes do not decode in the declared
+                encoding.
+        """
+        data = path.read_bytes()
+        encoding, _ = tokenize.detect_encoding(io.BytesIO(data).readline)
+        return cls(display, data.decode(encoding))
 
     def parent_of(self, node: ast.AST) -> ast.AST | None:
-        """Return a node's syntactic parent (map built on first use)."""
-        if self._parents is None:
-            self._parents = {}
-            for parent in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(parent):
-                    self._parents[child] = parent
+        """Return a node's syntactic parent."""
         return self._parents.get(node)
+
+    @cached_property
+    def bindings(self) -> dict[str, str]:
+        """The module's import bindings (see :func:`import_bindings`)."""
+        return import_bindings(self.tree, self.nodes)
+
+    @cached_property
+    def functions(self) -> list[FunctionNode]:
+        """Every function node, nested ones included, innermost first.
+
+        Reversing the breadth-first walk yields deeper functions before
+        their enclosing ones.
+        """
+        return [
+            node
+            for node in reversed(self.nodes)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+
+    @cached_property
+    def function_calls(self) -> list[tuple[FunctionNode, ast.Call, str | None]]:
+        """Every call inside a function, with its canonical name.
+
+        Each call is attributed to the innermost function containing it
+        (its decorators and defaults included); calls at module or class
+        level are not listed.  Functions come innermost first, and each
+        function's calls in walk order.
+        """
+        owned: dict[ast.AST, list[ast.Call]] = {func: [] for func in self.functions}
+        for node in self.nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            scope = self._parents.get(node)
+            while scope is not None and scope not in owned:
+                scope = self._parents.get(scope)
+            if scope is not None:
+                owned[scope].append(node)
+        return [
+            (func, call, canonical_call(call, self.bindings))
+            for func in self.functions
+            for call in owned[func]
+        ]
+
+    def dataflow(self, func: FunctionNode) -> FunctionDataflow:
+        """Return ``func``'s def-use map, built once per file."""
+        flow = self._flows.get(func)
+        if flow is None:
+            flow = self._flows[func] = FunctionDataflow(func, self.bindings)
+        return flow
 
     def ignored_rules(self, line: int) -> frozenset[str]:
         """Return the rule IDs suppressed inline on ``line`` (1-based)."""
@@ -186,8 +248,6 @@ class Rule:
     id: str = "RULE000"
     tier: str = "error"
     title: str = ""
-    #: Bump when the rule's logic changes, to invalidate cached results.
-    version: int = 1
 
     def check(self, file: SourceFile) -> list[Finding]:
         """Inspect one file; return its findings."""
@@ -207,46 +267,12 @@ class Rule:
         )
 
 
-def _rule_source_hash(rule: Rule) -> str:
-    """Hash a rule's implementation source, falling back to its version.
-
-    The manual ``version`` attribute only invalidates the cache when an
-    author remembers to bump it; hashing the rule class's actual source
-    (via :mod:`inspect`) makes every logic edit a cache miss.  Rules
-    whose source is unavailable (REPL-defined, C extensions) degrade to
-    the declared version — no worse than the old behavior.
-    """
-    try:
-        source = inspect.getsource(type(rule))
-    except (OSError, TypeError):
-        return f"v{rule.version}"
-    return hashlib.sha256(source.encode()).hexdigest()[:16]
-
-
-def rules_fingerprint(rules: Sequence[Rule]) -> str:
-    """Hash the engine + rule identities; keys the per-file result cache.
-
-    The fingerprint folds in each rule's id, declared version, *and* a
-    hash of its class source, so editing a rule's logic (with or
-    without a version bump) invalidates previously cached results.
-    """
-    spec = {
-        "analysis_version": ANALYSIS_VERSION,
-        "rules": sorted(
-            (rule.id, rule.version, _rule_source_hash(rule)) for rule in rules
-        ),
-    }
-    raw = json.dumps(spec, sort_keys=True)
-    return hashlib.sha256(raw.encode()).hexdigest()[:12]
-
-
 @dataclass
 class LintReport:
     """The scored outcome of one lint run."""
 
     findings: list[Finding]
     n_files: int = 0
-    n_cached: int = 0
     n_suppressed_inline: int = 0
 
     @property
@@ -274,7 +300,6 @@ class LintReport:
                 "errors": self.n_errors,
                 "warnings": self.n_warnings,
                 "files": self.n_files,
-                "cached_files": self.n_cached,
                 "suppressed_inline": self.n_suppressed_inline,
                 "by_rule": self.counts_by_rule(),
             },
@@ -291,8 +316,7 @@ class LintReport:
             suppressed = f" ({self.n_suppressed_inline} inline-ignored)"
         lines.append(
             f"{self.n_errors} error(s), {self.n_warnings} warning(s) "
-            f"across {self.n_files} file(s), {self.n_cached} cached"
-            f"{suppressed}"
+            f"across {self.n_files} file(s){suppressed}"
         )
         return "\n".join(lines)
 
@@ -330,143 +354,77 @@ def display_path(path: Path) -> str:
         return resolved.as_posix()
 
 
-@dataclass
-class _CacheEntry:
-    """One file's lint outcome: findings left after inline ignores."""
-
-    sha: str
-    findings: list[Finding]
-    n_suppressed: int = 0
-
-
 class LintEngine:
-    """Run a rule set over files, with per-file result caching.
+    """Run a rule set over files, applying inline ignores.
 
     Args:
         rules: rule instances to run (defaults to the full registry).
-        cache_path: JSON file for per-file result caching; ``None``
-            disables persistence (every file is re-analyzed).
     """
 
-    def __init__(
-        self,
-        rules: Sequence[Rule] | None = None,
-        cache_path: str | Path | None = None,
-    ) -> None:
+    def __init__(self, rules: Sequence[Rule] | None = None) -> None:
         if rules is None:
             from repro.analysis.rules import default_rules
 
             rules = default_rules()
         self.rules = list(rules)
-        self.cache_path = Path(cache_path) if cache_path is not None else None
-        self._fingerprint = rules_fingerprint(self.rules)
 
-    # -- caching -----------------------------------------------------------
+    def _check_file(self, file: SourceFile) -> tuple[list[Finding], int]:
+        """Run every rule over one parsed file, applying inline ignores.
 
-    def _load_cache(self) -> dict[str, _CacheEntry]:
-        if self.cache_path is None or not self.cache_path.exists():
-            return {}
-        try:
-            payload = json.loads(self.cache_path.read_text())
-            check_header(
-                payload, CACHE_FORMAT, ANALYSIS_VERSION, source=self.cache_path
-            )
-        except (OSError, ValueError):
-            return {}  # any unreadable/foreign cache is simply cold
-        if payload.get("rules") != self._fingerprint:
-            return {}
-        entries: dict[str, _CacheEntry] = {}
-        for display, spec in payload.get("files", {}).items():
-            entries[display] = _CacheEntry(
-                sha=spec["sha"],
-                findings=[Finding.from_dict(f) for f in spec["findings"]],
-                n_suppressed=spec["suppressed"],
-            )
-        return entries
-
-    def _save_cache(self, entries: dict[str, _CacheEntry]) -> None:
-        if self.cache_path is None:
-            return
-        payload = {
-            **format_header(CACHE_FORMAT, ANALYSIS_VERSION),
-            "rules": self._fingerprint,
-            "files": {
-                display: {
-                    "sha": entry.sha,
-                    "findings": [f.to_dict() for f in entry.findings],
-                    "suppressed": entry.n_suppressed,
-                }
-                for display, entry in sorted(entries.items())
-            },
-        }
-        self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.cache_path.with_name(
-            self.cache_path.name + f".tmp{os.getpid()}"
-        )
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, self.cache_path)
-
-    # -- the run -----------------------------------------------------------
-
-    def _check_file(self, file: SourceFile) -> _CacheEntry:
-        """Run every rule over one parsed file, applying inline ignores."""
-        entry = _CacheEntry(
-            sha=hashlib.sha256(file.text.encode()).hexdigest(), findings=[]
-        )
+        Returns the kept findings and the number suppressed inline.
+        """
+        kept: list[Finding] = []
+        suppressed = 0
         for rule in self.rules:
             for finding in rule.check(file):
                 if finding.rule in file.ignored_rules(finding.line):
-                    entry.n_suppressed += 1
+                    suppressed += 1
                 else:
-                    entry.findings.append(finding)
-        return entry
+                    kept.append(finding)
+        return kept, suppressed
 
     def lint_paths(self, paths: Iterable[str | Path]) -> LintReport:
         """Discover, analyze, and score the given paths."""
         files = discover_files(paths)
-        cache = self._load_cache()
         report = LintReport(findings=[], n_files=len(files))
-        fresh: dict[str, _CacheEntry] = {}
         raw_findings: list[Finding] = []
-
         for path in files:
             display = display_path(path)
-            text = path.read_text()
-            sha = hashlib.sha256(text.encode()).hexdigest()
-            cached = cache.get(display)
-            if cached is not None and cached.sha == sha:
-                entry = cached
-                report.n_cached += 1
-            else:
-                try:
-                    source = SourceFile(display, text)
-                except SyntaxError as exc:
-                    raw_findings.append(
-                        Finding(
-                            rule="PARSE",
-                            tier="error",
-                            path=display,
-                            line=exc.lineno or 1,
-                            col=(exc.offset or 0) + 1,
-                            message=f"cannot parse: {exc.msg}",
-                        )
-                    )
-                    continue
-                entry = self._check_file(source)
-            fresh[display] = entry
-            raw_findings.extend(entry.findings)
-            report.n_suppressed_inline += entry.n_suppressed
-
-        self._save_cache(fresh)
+            try:
+                source = SourceFile.load(path, display)
+            except (SyntaxError, UnicodeDecodeError) as exc:
+                raw_findings.append(_unreadable(display, exc))
+                continue
+            kept, suppressed = self._check_file(source)
+            raw_findings.extend(kept)
+            report.n_suppressed_inline += suppressed
         report.findings = _in_order(raw_findings)
         return report
 
     def lint_text(
         self, text: str, display: str, in_src: bool | None = None
     ) -> list[Finding]:
-        """Analyze one in-memory snippet (no cache)."""
-        entry = self._check_file(SourceFile(display, text, in_src=in_src))
-        return _in_order(entry.findings)
+        """Analyze one in-memory snippet."""
+        kept, _ = self._check_file(SourceFile(display, text, in_src=in_src))
+        return _in_order(kept)
+
+
+def _unreadable(display: str, exc: SyntaxError | UnicodeDecodeError) -> Finding:
+    """Return the ``PARSE`` error for a file that cannot be decoded or parsed."""
+    if isinstance(exc, UnicodeDecodeError):
+        line = exc.object[: exc.start].count(b"\n") + 1
+        col, message = 1, f"cannot decode: {exc}"
+    else:
+        line, col = exc.lineno or 1, (exc.offset or 0) + 1
+        message = f"cannot parse: {exc.msg}"
+    return Finding(
+        rule="PARSE",
+        tier="error",
+        path=display,
+        line=line,
+        col=col,
+        message=message,
+    )
 
 
 def _in_order(findings: list[Finding]) -> list[Finding]:

@@ -20,9 +20,12 @@ escape hatch covers the exceptions.
 from __future__ import annotations
 
 import ast
+from typing import Iterable
 
 
-def import_bindings(tree: ast.AST) -> dict[str, str]:
+def import_bindings(
+    tree: ast.AST, nodes: Iterable[ast.AST] | None = None
+) -> dict[str, str]:
     """Map local names to the canonical dotted path they were bound from.
 
     ``import numpy as np`` yields ``{"np": "numpy"}``; ``from
@@ -30,10 +33,11 @@ def import_bindings(tree: ast.AST) -> dict[str, str]:
     "numpy.random.default_rng"}``.  Plain ``import numpy.random`` binds
     only the root name (``{"numpy": "numpy"}``), matching Python's
     scoping.  Relative imports are skipped — their canonical prefix is
-    unknowable without package context.
+    unknowable without package context.  A caller that has already
+    walked ``tree`` passes its ``nodes`` so the tree is not walked again.
     """
     bindings: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(tree) if nodes is None else nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:

@@ -5,10 +5,13 @@ Adding a rule is three steps: subclass
 :func:`default_rules`, and drop a known-bad fixture under
 ``tests/analysis/fixtures/`` so the rule's behavior is pinned.  A rule
 sees one file at a time and returns findings; the engine handles
-everything else (inline ignores, caching, baselining, CLI/CI wiring).
-Rules that need to reason about where a value *came from* (rather than
-what one AST node looks like) build on the dataflow IR in
-:mod:`repro.analysis.dataflow`; see DESIGN.md's rule-author guide.
+everything else (inline ignores, CLI/CI wiring).  A rule reads the
+facts its :class:`~repro.analysis.engine.SourceFile` derives once per
+file — ``nodes``, ``parent_of``, ``bindings``, ``functions``,
+``function_calls`` and ``dataflow(func)`` — and never walks from the
+root itself.  Rules that need to reason about where a value *came
+from* (rather than what one AST node looks like) use the dataflow IR
+in :mod:`repro.analysis.dataflow`; see DESIGN.md's rule-author guide.
 """
 
 from __future__ import annotations

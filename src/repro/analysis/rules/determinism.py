@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.engine import Finding, Rule, SourceFile
-from repro.analysis.names import canonicalize, dotted_name, import_bindings
+from repro.analysis.names import canonicalize, dotted_name
 
 #: ``numpy.random`` attributes that are *not* the legacy global-state
 #: API: the explicit-generator constructors and seed containers.
@@ -52,12 +52,11 @@ class UnseededRandomness(Rule):
     id = "DET001"
     tier = "error"
     title = "unseeded or global-state randomness"
-    version = 1
 
     def check(self, file: SourceFile) -> list[Finding]:
-        bindings = import_bindings(file.tree)
+        bindings = file.bindings
         findings: list[Finding] = []
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = dotted_name(node.func)
@@ -147,14 +146,13 @@ class WallClockRead(Rule):
     id = "DET002"
     tier = "error"
     title = "raw wall-clock read in deterministic path"
-    version = 1
 
     def check(self, file: SourceFile) -> list[Finding]:
         if not file.in_src or file.display.endswith(DET002_ALLOWED_MODULES):
             return []
-        bindings = import_bindings(file.tree)
+        bindings = file.bindings
         findings: list[Finding] = []
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if not isinstance(node, (ast.Attribute, ast.Name)):
                 continue
             parent = file.parent_of(node)

@@ -20,7 +20,6 @@ import ast
 
 from repro.analysis.dataflow import FunctionDataflow, Origin
 from repro.analysis.engine import Finding, Rule, SourceFile
-from repro.analysis.names import canonical_call, import_bindings
 
 #: Constructors whose result can never cross the boundary (same set
 #: PUR001 polices in dataclass defaults, applied here to dataflow).
@@ -68,37 +67,25 @@ class EscapeAnalysis(Rule):
     id = "PUR101"
     tier = "error"
     title = "impure value escapes to the process boundary via dataflow"
-    version = 1
 
     def check(self, file: SourceFile) -> list[Finding]:
         if not file.in_src:
             return []
-        bindings = import_bindings(file.tree)
         findings: list[Finding] = []
-        seen_calls: set[ast.Call] = set()
-        functions = [
-            node
-            for node in reversed(list(ast.walk(file.tree)))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for func in functions:
-            flow = FunctionDataflow(func, bindings)
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call) or node in seen_calls:
-                    continue
-                seen_calls.add(node)
-                canonical = canonical_call(node, bindings)
-                if canonical is None:
-                    continue
-                short = canonical.rpartition(".")[2]
-                if short in _EXECUTOR_SHORT_NAMES:
-                    findings.extend(
-                        self._check_sink(file, flow, node, short, fields=False)
+        for func, call, canonical in file.function_calls:
+            if canonical is None:
+                continue
+            short = canonical.rpartition(".")[2]
+            if short in _EXECUTOR_SHORT_NAMES or short in _JOB_SHORT_NAMES:
+                findings.extend(
+                    self._check_sink(
+                        file,
+                        file.dataflow(func),
+                        call,
+                        short,
+                        fields=short in _JOB_SHORT_NAMES,
                     )
-                elif short in _JOB_SHORT_NAMES:
-                    findings.extend(
-                        self._check_sink(file, flow, node, short, fields=True)
-                    )
+                )
         return findings
 
     def _check_sink(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.engine import Finding, Rule, SourceFile
-from repro.analysis.names import canonicalize, dotted_name, import_bindings
+from repro.analysis.names import canonicalize, dotted_name
 
 #: Package path fragments whose dataclasses cross the process boundary.
 _BOUNDARY_PACKAGES = ("repro/fleet/", "repro/faults/")
@@ -107,14 +107,13 @@ class ProcessBoundaryPurity(Rule):
     id = "PUR001"
     tier = "error"
     title = "impure value at the process boundary"
-    version = 1
 
     def check(self, file: SourceFile) -> list[Finding]:
         if not file.in_src:
             return []
         findings: list[Finding] = []
         if any(fragment in file.display for fragment in _BOUNDARY_PACKAGES):
-            for node in ast.walk(file.tree):
+            for node in file.nodes:
                 if isinstance(node, ast.ClassDef):
                     findings.extend(self._check_dataclass(file, node))
         findings.extend(self._check_boundary_calls(file))
@@ -166,7 +165,7 @@ class ProcessBoundaryPurity(Rule):
         default = field_node.value
         if default is None:
             return findings
-        bindings = import_bindings(file.tree)
+        bindings = file.bindings
         for sub in ast.walk(default):
             if isinstance(sub, ast.Lambda):
                 findings.append(
@@ -227,9 +226,9 @@ class ProcessBoundaryPurity(Rule):
         return []
 
     def _check_boundary_calls(self, file: SourceFile) -> list[Finding]:
-        bindings = import_bindings(file.tree)
+        bindings = file.bindings
         findings: list[Finding] = []
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = dotted_name(node.func)

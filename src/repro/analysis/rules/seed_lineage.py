@@ -30,7 +30,7 @@ from repro.analysis.dataflow import (
     module_global_assigns,
 )
 from repro.analysis.engine import Finding, Rule, SourceFile
-from repro.analysis.names import canonical_call, dotted_name, import_bindings
+from repro.analysis.names import canonical_call
 
 #: Canonical constructors whose result is an RNG stream.
 _RNG_CONSTRUCTORS = frozenset(
@@ -73,22 +73,6 @@ def _is_seed_lineage(origin: Origin) -> bool:
     return False
 
 
-def _walk_functions(
-    tree: ast.AST,
-) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Return every function node, nested ones included, innermost first.
-
-    ``ast.walk`` is breadth-first, so reversing its order yields deeper
-    functions before their enclosing ones — each call expression is
-    then attributed to the innermost scope that contains it.
-    """
-    return [
-        node
-        for node in reversed(list(ast.walk(tree)))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-
-
 class SeedLineage(Rule):
     """DET101: RNG seeds derive from seed parameters; RNGs stay local.
 
@@ -105,42 +89,31 @@ class SeedLineage(Rule):
     id = "DET101"
     tier = "error"
     title = "RNG seed with no seed-parameter lineage"
-    version = 1
 
     def check(self, file: SourceFile) -> list[Finding]:
         if not file.in_src:
             return []
-        bindings = import_bindings(file.tree)
-        findings: list[Finding] = []
-        findings.extend(self._check_module_globals(file, bindings))
-
-        seen_calls: set[ast.Call] = set()
-        for func in _walk_functions(file.tree):
-            flow = FunctionDataflow(func, bindings)
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call) or node in seen_calls:
-                    continue
-                seen_calls.add(node)
-                canonical = canonical_call(node, bindings)
-                if canonical in _RNG_CONSTRUCTORS:
-                    findings.extend(self._check_seed_expr(file, flow, node))
-                elif canonical is not None:
+        findings = self._check_module_globals(file)
+        for func, call, canonical in file.function_calls:
+            if canonical in _RNG_CONSTRUCTORS:
+                findings.extend(self._check_seed_expr(file, file.dataflow(func), call))
+            elif canonical is not None:
+                short = canonical.rpartition(".")[2]
+                if short in _BOUNDARY_SHORT_NAMES:
                     findings.extend(
                         self._check_boundary_args(
-                            file, flow, node, canonical
+                            file, file.dataflow(func), call, short
                         )
                     )
         return findings
 
-    def _check_module_globals(
-        self, file: SourceFile, bindings: dict[str, str]
-    ) -> list[Finding]:
+    def _check_module_globals(self, file: SourceFile) -> list[Finding]:
         findings: list[Finding] = []
         for names, value in module_global_assigns(file.tree):
             for sub in ast.walk(value):
                 if not isinstance(sub, ast.Call):
                     continue
-                if canonical_call(sub, bindings) in _RNG_CONSTRUCTORS:
+                if canonical_call(sub, file.bindings) in _RNG_CONSTRUCTORS:
                     findings.append(
                         self.finding(
                             file,
@@ -194,11 +167,8 @@ class SeedLineage(Rule):
         file: SourceFile,
         flow: FunctionDataflow,
         call: ast.Call,
-        canonical: str,
+        short: str,
     ) -> list[Finding]:
-        short = canonical.rpartition(".")[2]
-        if short not in _BOUNDARY_SHORT_NAMES:
-            return []
         findings: list[Finding] = []
         arguments = list(call.args) + [kw.value for kw in call.keywords]
         for argument in arguments:

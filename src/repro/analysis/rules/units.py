@@ -117,7 +117,6 @@ class UnitSuffixConvention(Rule):
     id = "UNIT001"
     tier = "warn"
     title = "missing unit suffix on physical quantity"
-    version = 2
 
     def check(self, file: SourceFile) -> list[Finding]:
         if not file.in_src or not any(
@@ -125,7 +124,7 @@ class UnitSuffixConvention(Rule):
         ):
             return []
         findings: list[Finding] = []
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 findings.extend(self._check_signature(file, node))
             elif isinstance(node, ast.ClassDef):

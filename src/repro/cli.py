@@ -46,9 +46,12 @@ Commands mirror the paper's workflow:
     Run the repo-specific static-analysis rules over the tree: the
     syntactic set (unseeded randomness, wall-clock reads,
     process-boundary purity, unit suffixes) plus the dataflow-aware
-    set (DET101 seed lineage, PUR101 escape analysis).  Exits 1 on any
-    error-tier finding; ``--format sarif`` targets GitHub code scanning
-    (see README "Static analysis").
+    set (DET101 seed lineage, PUR101 escape analysis).  Each file is
+    parsed, walked and bound once, and every run analyses every file
+    (there is no result cache).  Exits 1 on any error-tier finding; a
+    file that cannot be decoded or parsed is a ``PARSE`` error finding.
+    ``--format sarif`` targets GitHub code scanning (see README "Static
+    analysis").
 ``sanitize EXPERIMENT [--out-dir DIR] [--json]``
     Runtime determinism check: run a registered experiment twice under
     scripted clocks and a recording RNG constructor, then bisect the
@@ -490,10 +493,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default per-file result cache (keyed on content + rule versions).
-DEFAULT_LINT_CACHE = ".repro-cache/lint-cache.json"
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static-analysis rules; exit 1 on error-tier findings."""
     import json
@@ -514,11 +513,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
             return 2
         rules = [rule for rule in rules if rule.id in wanted]
 
-    engine = LintEngine(
-        rules=rules, cache_path=None if args.no_cache else args.cache_path
-    )
     try:
-        report = engine.lint_paths(args.paths)
+        report = LintEngine(rules=rules).lint_paths(args.paths)
     except FileNotFoundError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
@@ -871,14 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format; sarif targets GitHub code scanning "
         "(default: text)",
-    )
-    p_lint.add_argument(
-        "--cache-path",
-        default=DEFAULT_LINT_CACHE,
-        help=f"per-file result cache (default: {DEFAULT_LINT_CACHE})",
-    )
-    p_lint.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
     )
     p_lint.set_defaults(func=cmd_lint)
 

@@ -21,11 +21,6 @@ from repro.core.hmm import SecondOrderHmm
 from repro.core.kalman import KalmanLocationPredictor
 from repro.core.iodetector import IODetector
 from repro.core.oracle import OracleSelection, select_best
-from repro.core.smoothing import (
-    ExponentialSmoother,
-    MajorityWindow,
-    SmoothedIODetector,
-)
 from repro.core.training import ErrorModelTrainer, TrainingSample
 
 __all__ = [
@@ -39,11 +34,8 @@ __all__ = [
     "FingerprintFeatures",
     "FusionFeatures",
     "GpsFeatures",
-    "ExponentialSmoother",
     "IODetector",
     "KalmanLocationPredictor",
-    "MajorityWindow",
-    "SmoothedIODetector",
     "LinearErrorModel",
     "MotionFeatures",
     "OracleSelection",

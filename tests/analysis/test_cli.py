@@ -20,13 +20,13 @@ def bad_file(tmp_path):
 
 
 def test_error_findings_exit_1(bad_file, capsys):
-    assert main(["lint", str(bad_file), "--no-cache"]) == 1
+    assert main(["lint", str(bad_file)]) == 1
     out = capsys.readouterr().out
     assert "DET001" in out and "1 error(s)" in out
 
 
 def test_json_report(bad_file, capsys):
-    assert main(["lint", str(bad_file), "--no-cache", "--format", "json"]) == 1
+    assert main(["lint", str(bad_file), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["format"] == "lint_report"
     assert payload["counts"]["errors"] == 1
@@ -34,8 +34,8 @@ def test_json_report(bad_file, capsys):
 
 
 def test_rule_filter(bad_file, capsys):
-    assert main(["lint", str(bad_file), "--no-cache", "--rule", "UNIT001"]) == 0
-    assert main(["lint", str(bad_file), "--no-cache", "--rule", "det001"]) == 1
+    assert main(["lint", str(bad_file), "--rule", "UNIT001"]) == 0
+    assert main(["lint", str(bad_file), "--rule", "det001"]) == 1
     capsys.readouterr()
 
 
@@ -45,29 +45,26 @@ def test_unknown_rule_is_usage_error(bad_file, capsys):
 
 
 def test_missing_path_is_usage_error(tmp_path, capsys):
-    assert main(["lint", str(tmp_path / "nope"), "--no-cache"]) == 2
+    assert main(["lint", str(tmp_path / "nope")]) == 2
     assert "lint:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "flag",
-    [["--json"], ["--baseline", "b.json"], ["--write-baseline", "b.json"]],
-    ids=["json", "baseline", "write-baseline"],
+    [
+        ["--json"],
+        ["--baseline", "b.json"],
+        ["--write-baseline", "b.json"],
+        ["--no-cache"],
+        ["--cache-path", "c.json"],
+    ],
+    ids=["json", "baseline", "write-baseline", "no-cache", "cache-path"],
 )
 def test_json_alias_and_baseline_flags_are_gone(bad_file, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["lint", str(bad_file), "--no-cache", *flag])
+        main(["lint", str(bad_file), *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_result_cache_round_trip(bad_file, tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    args = ["lint", str(bad_file), "--cache-path", str(cache)]
-    assert main(args) == 1
-    assert cache.exists()
-    assert main(args) == 1
-    assert "1 cached" in capsys.readouterr().out
 
 
 def test_whole_tree_is_clean(capsys, monkeypatch):
@@ -78,7 +75,7 @@ def test_whole_tree_is_clean(capsys, monkeypatch):
     false positives (fix the rule).  This mirrors the CI lint step.
     """
     monkeypatch.chdir(REPO_ROOT)
-    code = main(["lint", "src", "tests", "--no-cache", "--format", "json"])
+    code = main(["lint", "src", "tests", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["findings"] == []
     assert payload["counts"]["errors"] == 0

@@ -1,6 +1,6 @@
-"""Engine behavior: discovery, caching, inline suppression."""
+"""Engine behavior: discovery, decoding, inline suppression, one pass."""
 
-import json
+import sys
 
 import pytest
 
@@ -40,77 +40,6 @@ class TestDiscovery:
             discover_files([tmp_path / "nope"])
 
 
-class TestCaching:
-    def test_second_run_is_served_from_cache(self, tmp_path):
-        pkg = make_tree(tmp_path)
-        cache = tmp_path / "lint-cache.json"
-        first = LintEngine(cache_path=cache).lint_paths([pkg])
-        assert first.n_cached == 0 and len(first.findings) == 1
-        second = LintEngine(cache_path=cache).lint_paths([pkg])
-        assert second.n_cached == 1
-        assert [f.to_dict() for f in second.findings] == [
-            f.to_dict() for f in first.findings
-        ]
-
-    def test_content_change_invalidates_entry(self, tmp_path):
-        pkg = make_tree(tmp_path)
-        cache = tmp_path / "lint-cache.json"
-        LintEngine(cache_path=cache).lint_paths([pkg])
-        (pkg / "bad.py").write_text(BAD + "\nx = 1\n")
-        report = LintEngine(cache_path=cache).lint_paths([pkg])
-        assert report.n_cached == 0 and len(report.findings) == 1
-
-    def test_rule_version_bump_invalidates_cache(self, tmp_path):
-        pkg = make_tree(tmp_path)
-        cache = tmp_path / "lint-cache.json"
-        LintEngine(cache_path=cache).lint_paths([pkg])
-        payload = json.loads(cache.read_text())
-        payload["rules"] = "stale-fingerprint"
-        cache.write_text(json.dumps(payload))
-        report = LintEngine(cache_path=cache).lint_paths([pkg])
-        assert report.n_cached == 0
-
-    def test_rule_source_change_invalidates_cache(self, tmp_path):
-        """Editing a rule's logic must be a cache miss even when the
-        author forgets to bump ``version`` — the fingerprint hashes the
-        rule class source, not just the (id, version) pair."""
-        from repro.analysis.engine import Rule, rules_fingerprint
-
-        class EditionOne(Rule):
-            id = "TST001"
-            version = 1
-
-            def check(self, file):
-                return []
-
-        class EditionTwo(Rule):
-            id = "TST001"
-            version = 1
-
-            def check(self, file):
-                return [self.finding(file, file.tree, "changed logic")]
-
-        assert rules_fingerprint([EditionOne()]) != rules_fingerprint(
-            [EditionTwo()]
-        )
-
-        pkg = make_tree(tmp_path)
-        cache = tmp_path / "lint-cache.json"
-        LintEngine(rules=[EditionOne()], cache_path=cache).lint_paths([pkg])
-        report = LintEngine(rules=[EditionTwo()], cache_path=cache).lint_paths(
-            [pkg]
-        )
-        assert report.n_cached == 0
-        assert [f.message for f in report.findings] == ["changed logic"]
-
-    def test_corrupt_cache_is_treated_as_cold(self, tmp_path):
-        pkg = make_tree(tmp_path)
-        cache = tmp_path / "lint-cache.json"
-        cache.write_text("{not json")
-        report = LintEngine(cache_path=cache).lint_paths([pkg])
-        assert report.n_cached == 0 and len(report.findings) == 1
-
-
 class TestSuppression:
     def test_inline_ignore_silences_one_line(self, tmp_path):
         pkg = tmp_path / "pkg"
@@ -120,24 +49,10 @@ class TestSuppression:
             "a = default_rng()  # lint: ignore[DET001]\n"
             "b = default_rng()\n"
         )
-        report = LintEngine(cache_path=None).lint_paths([pkg])
+        report = LintEngine().lint_paths([pkg])
         assert len(report.findings) == 1
         assert report.findings[0].line == 3
         assert report.n_suppressed_inline == 1
-
-    def test_inline_ignore_survives_a_cached_run(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "ok.py").write_text(
-            "from numpy.random import default_rng\n"
-            "rng = default_rng()  # lint: ignore[DET001]\n"
-        )
-        cache = tmp_path / "lint-cache.json"
-        for expected_cached in (0, 1):
-            report = LintEngine(cache_path=cache).lint_paths([pkg])
-            assert report.n_cached == expected_cached
-            assert report.findings == []
-            assert report.n_suppressed_inline == 1
 
 
 class TestFindings:
@@ -152,13 +67,13 @@ class TestFindings:
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "broken.py").write_text("def f(:\n")
-        report = LintEngine(cache_path=None).lint_paths([pkg])
+        report = LintEngine().lint_paths([pkg])
         assert [f.rule for f in report.findings] == ["PARSE"]
         assert report.n_errors == 1
 
     def test_report_dict_carries_format_header(self, tmp_path):
         pkg = make_tree(tmp_path)
-        payload = LintEngine(cache_path=None).lint_paths([pkg]).to_dict()
+        payload = LintEngine().lint_paths([pkg]).to_dict()
         assert payload["format"] == "lint_report"
         assert payload["version"] == ANALYSIS_VERSION
         assert payload["counts"]["errors"] == 1
@@ -167,6 +82,83 @@ class TestFindings:
 
     def test_render_summarizes_counts(self, tmp_path):
         pkg = make_tree(tmp_path)
-        text = LintEngine(cache_path=None).lint_paths([pkg]).render()
+        text = LintEngine().lint_paths([pkg]).render()
         assert "1 error(s), 0 warning(s)" in text
         assert "DET001" in text
+
+
+class TestDecoding:
+    def test_pep263_cookie_is_honoured(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "latin.py").write_bytes(
+            b"# -*- coding: latin-1 -*-\n"
+            b"from numpy.random import default_rng\n"
+            b"name = '\xe9'\n"
+            b"rng = default_rng()\n"
+        )
+        report = LintEngine().lint_paths([pkg])
+        assert [(f.rule, f.line) for f in report.findings] == [("DET001", 4)]
+
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        pkg = make_tree(tmp_path)
+        (pkg / "garbled.py").write_bytes(b"x = 1\ny = '\xff\xfe'\n")
+        report = LintEngine().lint_paths([pkg])
+        by_file = {f.path.rpartition("/")[2]: f for f in report.findings}
+        assert sorted((name, f.rule) for name, f in by_file.items()) == [
+            ("bad.py", "DET001"),
+            ("garbled.py", "PARSE"),
+        ]
+        assert by_file["garbled.py"].line == 2
+        assert by_file["garbled.py"].message.startswith("cannot decode")
+        assert report.n_files == 2 and report.n_errors == 2
+
+
+NESTED = """\
+from numpy.random import default_rng
+
+
+def outer(seed):
+    def inner(walk_seed):
+        return default_rng(walk_seed)
+
+    return inner(seed), default_rng(seed)
+"""
+
+
+class TestOnePass:
+    def test_bindings_and_dataflow_are_built_once(self, tmp_path, monkeypatch):
+        """Every rule runs, yet the file is bound once and each function's
+        dataflow is built once: the rules share the file's facts."""
+        from repro.analysis import dataflow, names
+
+        real_bindings = names.import_bindings
+        real_flow = dataflow.FunctionDataflow
+        calls: dict[str, list[str]] = {"bindings": [], "dataflow": []}
+
+        def counting_bindings(*args):
+            calls["bindings"].append("file")
+            return real_bindings(*args)
+
+        class CountingFlow(real_flow):
+            def __init__(self, func, bindings):
+                calls["dataflow"].append(func.name)
+                super().__init__(func, bindings)
+
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("repro.analysis"):
+                continue
+            if getattr(module, "import_bindings", None) is real_bindings:
+                monkeypatch.setattr(module, "import_bindings", counting_bindings)
+            if getattr(module, "FunctionDataflow", None) is real_flow:
+                monkeypatch.setattr(module, "FunctionDataflow", CountingFlow)
+
+        path = tmp_path / "src" / "repro" / "nested.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(NESTED)
+        monkeypatch.chdir(tmp_path)
+        report = LintEngine().lint_paths([path])
+
+        assert report.findings == []
+        assert calls["bindings"] == ["file"]
+        assert sorted(calls["dataflow"]) == ["inner", "outer"]

@@ -16,7 +16,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def lint_fixture(name: str, display: str):
     """Lint one fixture file as if it lived at ``display``."""
-    engine = LintEngine(cache_path=None)
+    engine = LintEngine()
     return engine.lint_text((FIXTURES / name).read_text(), display=display)
 
 
@@ -57,12 +57,12 @@ class TestDET002:
 
     def test_obs_timer_modules_are_allowlisted(self):
         text = (FIXTURES / "det002.py").read_text()
-        engine = LintEngine(cache_path=None)
+        engine = LintEngine()
         assert engine.lint_text(text, display="src/repro/obs/clock.py") == []
 
     def test_metrics_timers_read_the_clock_module_too(self):
         text = (FIXTURES / "det002.py").read_text()
-        engine = LintEngine(cache_path=None)
+        engine = LintEngine()
         findings = engine.lint_text(text, display="src/repro/obs/metrics.py")
         assert rules_of(findings) == ["DET002"] * 3
 
@@ -121,7 +121,7 @@ class TestDET101:
             "    packed = (base, step, 1)\n"
             "    rng = np.random.default_rng(packed)\n"
         )
-        engine = LintEngine(cache_path=None)
+        engine = LintEngine()
         assert engine.lint_text(text, display="src/repro/fixture.py") == []
 
     def test_attribute_chain_lineage(self):
@@ -130,7 +130,7 @@ class TestDET101:
             "def go(self_like, job) -> None:\n"
             "    rng = np.random.default_rng(job.walk_seed + 777)\n"
         )
-        engine = LintEngine(cache_path=None)
+        engine = LintEngine()
         assert engine.lint_text(text, display="src/repro/fixture.py") == []
 
     def test_dataclass_seed_field_lineage(self):
@@ -142,7 +142,7 @@ class TestDET101:
             "    def __post_init__(self) -> None:\n"
             "        self._rng = np.random.default_rng(self.seed)\n"
         )
-        engine = LintEngine(cache_path=None)
+        engine = LintEngine()
         assert engine.lint_text(text, display="src/repro/fixture.py") == []
 
 
@@ -162,7 +162,7 @@ class TestPUR101:
             "    from repro.fleet import run_walks\n"
             "    return run_walks(jobs, callback=lambda name: None)\n"
         )
-        engine = LintEngine(cache_path=None)
+        engine = LintEngine()
         findings = engine.lint_text(text, display="src/repro/fixture.py")
         assert rules_of(findings) == ["PUR001"]
 
@@ -175,7 +175,7 @@ class TestPUR101:
             "    jobs = [spec for spec in specs]\n"
             "    return run_walks(jobs)\n"
         )
-        engine = LintEngine(cache_path=None)
+        engine = LintEngine()
         assert engine.lint_text(text, display="src/repro/fixture.py") == []
 
     def test_tests_are_out_of_scope(self):

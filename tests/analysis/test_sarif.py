@@ -10,7 +10,7 @@ BAD = "from numpy.random import default_rng\nrng = default_rng()\n"
 
 def bad_report(tmp_path):
     (tmp_path / "bad.py").write_text(BAD)
-    return LintEngine(cache_path=None).lint_paths([tmp_path / "bad.py"])
+    return LintEngine().lint_paths([tmp_path / "bad.py"])
 
 
 class TestToSarif:
@@ -54,7 +54,7 @@ class TestToSarif:
 
     def test_clean_report_serializes_with_empty_results(self, tmp_path):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        report = LintEngine(cache_path=None).lint_paths([tmp_path / "ok.py"])
+        report = LintEngine().lint_paths([tmp_path / "ok.py"])
         log = to_sarif(report, default_rules())
         assert log["runs"][0]["results"] == []
         json.dumps(log)  # must be JSON-serializable end to end
@@ -65,8 +65,6 @@ def test_cli_format_sarif(tmp_path, capsys):
 
     target = tmp_path / "ok.py"
     target.write_text("x = 1\n")
-    assert (
-        main(["lint", str(target), "--no-cache", "--format", "sarif"]) == 0
-    )
+    assert main(["lint", str(target), "--format", "sarif"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == SARIF_VERSION
