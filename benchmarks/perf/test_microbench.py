@@ -10,10 +10,11 @@ office's first 60 survey steps, and the BMA readout (mixture plus
 Eq. 4 mean) >= 1.2x over its ``(I, 2)`` reference on office's 448-cell
 grid.  The sensor trace's queries, over office's first 120 survey
 moments, must keep >= 2x over the full region loop (the box-culled
-``Place.environment_at``), >= 4x over one single-ray call per AP (the
-batched ``FloorPlan.walls_crossed``) and >= 1.5x over one call per AP
-and tower plus a fresh satellite solve (the batched radio moment:
-``wifi_mean_rssi``, ``cell_mean_rssi`` and ``sky_geometry``).  The
+``Place.environment_at``), >= 12x over one single-ray call per AP and
+moment (one paired ``FloorPlan.walls_crossed`` call over every pair)
+and >= 3.5x over one call per AP and tower plus a fresh satellite
+solve per moment (the radio pass: ``wifi_means`` and ``cell_means``
+over all 120 moments, and ``sky_geometry``).  The
 fusion scheme's box-culled nearest-fingerprint lookup must keep >= 1.1x
 over one SciPy ``cKDTree`` query on the clouds of office's first 60
 survey steps.
@@ -23,13 +24,15 @@ variants interleaved, so host drift lands on both alike.
 
 The floors are deliberately below the observed speedups (mean +- std
 over ten runs on a 2-vCPU dev host: 7.1 +- 0.7x, 3.3 +- 0.1x,
-1.48 +- 0.04x, 2.86 +- 0.10x, 6.9 +- 0.2x, 1.97 +- 0.07x and
-1.42 +- 0.10x) so they fail on a real regression — a database
-silently falling back to a Python loop, a cull that keeps every
-primitive, a readout back on ``(I, 2)`` temporaries, a lookup testing
-every region, a count back to one call per AP, a radio moment back to
-one call per transmitter, a nearest-fingerprint lookup slower than the
-tree it replaced — not on scheduler noise.
+1.48 +- 0.04x, 2.86 +- 0.10x and 1.42 +- 0.10x; over twelve runs
+40.7 +- 4.8x for ``wall_count`` and 7.2 +- 0.4x for ``radio_moment``,
+which read 6.9x and 1.97x with one batched call per moment) so they
+fail on a real regression — a database silently falling back to a
+Python loop, a cull that keeps every primitive, a readout back on
+``(I, 2)`` temporaries, a lookup testing every region, a count back
+to one call per moment, a radio pass back to one query per moment, a
+nearest-fingerprint lookup slower than the tree it replaced — not on
+scheduler noise.
 """
 
 import pytest
@@ -41,8 +44,8 @@ MIN_NEAREST_SPEEDUP = 5.0
 MIN_MAP_CONSTRAINT_SPEEDUP = 2.0
 MIN_BMA_READOUT_SPEEDUP = 1.2
 MIN_ENVIRONMENT_AT_SPEEDUP = 2.0
-MIN_WALL_COUNT_SPEEDUP = 4.0
-MIN_RADIO_MOMENT_SPEEDUP = 1.5
+MIN_WALL_COUNT_SPEEDUP = 12.0
+MIN_RADIO_MOMENT_SPEEDUP = 3.5
 MIN_NEAREST_FINGERPRINT_SPEEDUP = 1.1
 
 
@@ -96,13 +99,13 @@ def test_environment_at_cull_speedup(bench_report):
 
 def test_wall_count_batch_speedup(bench_report):
     speedup = bench_report.speedups()["wall_count"]
-    print(f"wall_count: {speedup:.1f}x over one single-ray call per AP")
+    print(f"wall_count: {speedup:.1f}x over one single-ray call per AP and moment")
     assert speedup >= MIN_WALL_COUNT_SPEEDUP
 
 
 def test_radio_moment_batch_speedup(bench_report):
     speedup = bench_report.speedups()["radio_moment"]
-    print(f"radio_moment: {speedup:.1f}x over one call per transmitter")
+    print(f"radio_moment: {speedup:.1f}x over one call per moment and transmitter")
     assert speedup >= MIN_RADIO_MOMENT_SPEEDUP
 
 

@@ -101,6 +101,29 @@ def _origin(kind: str, detail: str, node: ast.AST) -> Origin:
     )
 
 
+def _scope_nodes(func: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast.AST]:
+    """Yield every node of ``func``'s body in its own scope, each once.
+
+    The body of a nested function, lambda or class is another scope and
+    is not entered; what the enclosing scope evaluates for it (its
+    decorators, parameter defaults and class bases) is.
+    """
+    stack: list[ast.AST] = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(getattr(node, "decorator_list", []))
+            stack.extend(node.args.defaults)
+            stack.extend(d for d in node.args.kw_defaults if d is not None)
+        elif isinstance(node, ast.ClassDef):
+            stack.extend(node.decorator_list)
+            stack.extend(node.bases)
+            stack.extend(node.keywords)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _local_statements(func: ast.AST) -> Iterator[ast.stmt]:
     """Yield every statement in ``func``'s own scope, skipping nested defs.
 
@@ -216,15 +239,17 @@ class FunctionDataflow:
 
         for statement in _local_statements(self.func):
             self._collect_statement(statement)
-        # Comprehension targets live in their own scope but carry useful
-        # lineage: bind each to its iterable.
-        for node in ast.walk(self.func):
+        for node in _scope_nodes(self.func):
+            # Comprehension targets live in their own scope but carry
+            # useful lineage: bind each to its iterable.
             if isinstance(
                 node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
             ):
                 for comp in node.generators:
-                    for name, value in _pair_targets(comp.target, comp.iter):
-                        self.assignments.setdefault(name, []).append(value)
+                    self._record(comp.target, comp.iter)
+            # NamedExpr (walrus) can hide anywhere in an expression.
+            elif isinstance(node, ast.NamedExpr):
+                self._record(node.target, node.value)
 
     def _collect_statement(self, statement: ast.stmt) -> None:
         if isinstance(statement, ast.Assign):
@@ -243,10 +268,6 @@ class FunctionDataflow:
                     self._record(item.optional_vars, item.context_expr)
         elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self.local_functions.add(statement.name)
-        # NamedExpr (walrus) can hide anywhere in an expression.
-        for node in ast.walk(statement):
-            if isinstance(node, ast.NamedExpr):
-                self._record(node.target, node.value)
 
     def _record(self, target: ast.expr, value: ast.expr) -> None:
         for name, expr in _pair_targets(target, value):

@@ -9,22 +9,25 @@ rasterizers, mixture and Eq. 4 mean before they dropped their
 ``(I, 2)`` temporaries; of the sensor trace's place queries before
 the compiled place index: the region loop of ``Place.environment_at``
 without its box cull, the ``Segment``-based ``Polygon.contains``, and
-the one-ray-per-call ``FloorPlan.walls_crossed``; and of the fusion
+the one-ray-per-call ``FloorPlan.walls_crossed``; of the fusion
 scheme's nearest-fingerprint lookup before it dropped SciPy's
-``cKDTree``.  They serve two purposes:
+``cKDTree``; and of the sensor trace before its radio pass, each
+moment's radio queried on its own and its mean dicts noised one by
+one.  They serve two purposes:
 
 * **Golden equivalence** — the dense fingerprint databases must agree
   with them to 1e-9 (:mod:`tests.radio.test_kernel_equivalence` pins
   this), and shadowing, the batched radio moment, the culled map
   constraint, the BMA readout, the culled environment lookup, the
-  batched wall count and the box-culled nearest-fingerprint lookup
-  (its distances, and its surveyed spots wherever the nearest is
-  unique) must agree bit-for-bit
+  paired wall count, the box-culled nearest-fingerprint lookup (its
+  distances, and its surveyed spots wherever the nearest is unique)
+  and the radio pass of a recorded walk must agree bit-for-bit
   (:mod:`tests.radio.test_kernel_equivalence`,
   :mod:`tests.schemes.test_particle_filter`,
   :mod:`tests.geometry.test_grid_equivalence`,
   :mod:`tests.world.test_place_index`,
-  :mod:`tests.schemes.test_nearest_fingerprint`).
+  :mod:`tests.schemes.test_nearest_fingerprint`,
+  :mod:`tests.sensors.test_radio_pass`).
 * **Honest speedups** — the microbench suite (``repro bench``) times the
   code that runs against these baselines on the same inputs, so the
   recorded speedups measure it, not a strawman.
@@ -41,6 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.geometry import Grid, Point, Polygon, Segment
+from repro.motion import Walk
 from repro.radio import (
     CELL_SENSITIVITY_DBM,
     WIFI_SENSITIVITY_DBM,
@@ -48,6 +52,7 @@ from repro.radio import (
     PropagationModel,
     RadioEnvironment,
 )
+from repro.radio.deployment import CELL_NOISE_DB
 from repro.radio.fingerprint import MISSING_RSSI_DBM, Fingerprint
 from repro.radio.gaussian_fingerprint import (
     DEFAULT_STD_DB,
@@ -57,7 +62,9 @@ from repro.radio.gaussian_fingerprint import (
 from repro.radio.propagation import N_SHADOWING_WAVES, wave_bank
 from repro.schemes.base import SchemeOutput
 from repro.schemes.particle_filter import _corridor_arrays, _indoor_region_arrays
-from repro.world import EnvironmentProfile, EnvironmentType, Place
+from repro.sensors import GpsReceiver, ImuSimulator, SensorSnapshot, Smartphone
+from repro.sensors.phone import LANDMARK_DETECTION_PROB
+from repro.world import EnvironmentProfile, EnvironmentType, Place, profile_of
 from repro.world.place import compile_place_index
 
 
@@ -125,11 +132,13 @@ def radio_moment_reference(
     and per tower, and the satellite geometry solved afresh.
 
     ``ap_positions`` is the ``(T, 2)`` AP array the environment used to
-    pack at construction; the walls are counted in one batched call, as
-    before.
+    pack at construction; every AP's walls are counted in one batched
+    call per moment, as before.
     """
     walls = radio.place.floorplan.walls_crossed(
-        compile_place_index(radio.place).walls, ap_positions, point
+        compile_place_index(radio.place).walls,
+        ap_positions,
+        np.broadcast_to((point.x, point.y), ap_positions.shape),
     ).tolist()
     wifi: dict[str, float] = {}
     for ap, n_walls in zip(radio.access_points, walls):
@@ -158,6 +167,75 @@ def radio_moment_reference(
         dict(strongest[: profile.audible_towers_cap]),
         (len(visible), Constellation.hdop(visible)),
     )
+
+
+def noisy_scan_reference(
+    means: dict[str, float],
+    noise_db: float,
+    sensitivity_dbm: float,
+    rng: np.random.Generator,
+) -> dict[str, float]:
+    """Pre-pass noisy scan: one vector draw over one moment's mean dict."""
+    noise = rng.normal(0.0, noise_db, size=len(means)).tolist()
+    scan: dict[str, float] = {}
+    for (identifier, mean), delta in zip(means.items(), noise):
+        value = mean + delta
+        if value >= sensitivity_dbm:
+            scan[identifier] = value
+    return scan
+
+
+def record_walk_reference(
+    phone: Smartphone, walk: Walk, seed: int = 0
+) -> list[SensorSnapshot]:
+    """Pre-pass ``Smartphone.record_walk``: each moment's radio queried on
+    its own (:func:`radio_moment_reference`), its noise-free dicts built,
+    then noised, with every draw in the same order."""
+    rng = np.random.default_rng(seed)
+    radio = phone.radio
+    imu = ImuSimulator(device=phone.device, gait=walk.gait, rng=rng)
+    gps = GpsReceiver(radio=radio, frame=phone.frame, rng=rng)
+    place = radio.place
+    ap_xy = np.array(
+        [[ap.position.x, ap.position.y] for ap in radio.access_points]
+    ).reshape(-1, 2)
+    snapshots = []
+    for moment in walk.moments:
+        position = moment.position
+        profile = profile_of(place.environment_at(position))
+        means = radio_moment_reference(radio, ap_xy, position, profile)
+        wifi = phone.device.apply_to_scan(
+            noisy_scan_reference(
+                means.wifi, profile.wifi_noise_db, WIFI_SENSITIVITY_DBM, rng
+            )
+        )
+        cell = phone.device.apply_to_scan(
+            noisy_scan_reference(means.cell, CELL_NOISE_DB, CELL_SENSITIVITY_DBM, rng)
+        )
+        light = max(
+            0.0,
+            float(
+                rng.normal(profile.ambient_light_lux, profile.ambient_light_lux * 0.15)
+            ),
+        )
+        detected = tuple(
+            lm
+            for lm in place.floorplan.detectable_landmarks(position)
+            if rng.random() < LANDMARK_DETECTION_PROB
+        )
+        snapshots.append(
+            SensorSnapshot(
+                index=moment.index,
+                time_s=moment.time_s,
+                wifi_scan=wifi,
+                cell_scan=cell,
+                gps=gps.observe(position, profile),
+                imu=imu.sense(moment, profile.magnetic_sigma_ut),
+                light_lux=light,
+                detected_landmarks=detected,
+            )
+        )
+    return snapshots
 
 
 def rssi_distance_reference(a: dict[str, float], b: dict[str, float]) -> float:

@@ -8,8 +8,8 @@ nearest-fingerprint lookup, in two variants on identical inputs:
 ``FingerprintDatabase.nearest``, the compiled
 :class:`~repro.schemes.particle_filter.MapConstraint`, the
 temporary-free :class:`~repro.geometry.Grid` readout, the box-culled
-``Place.environment_at``, the batched ``FloorPlan.walls_crossed``, the
-batched radio moment of :class:`~repro.radio.RadioEnvironment`, or the
+``Place.environment_at``, the paired ``FloorPlan.walls_crossed``, the
+radio pass of :class:`~repro.radio.RadioEnvironment`, or the
 box-culled :func:`~repro.schemes.fusion.nearest_fingerprint`).
 The two variants are timed interleaved (:func:`time_interleaved`), so
 host drift during a run moves both alike, not their ratio.  The
@@ -371,8 +371,9 @@ def _place_query_benches(setup: Any, walk: Any, repeats: int) -> dict[str, Timin
     ``environment_at`` looks each moment's environment up: the box-culled
     ``Place.environment_at`` against the full region loop.
     ``wall_count`` counts the walls between every AP and each moment:
-    one batched ``FloorPlan.walls_crossed`` per moment against one
-    single-ray reference call per AP, as ``wifi_mean_rssi`` used to make.
+    one paired ``FloorPlan.walls_crossed`` call over every (moment, AP)
+    pair against one single-ray reference call per pair, as
+    ``wifi_mean_rssi`` used to make.
     """
     from repro.bench import baselines
     from repro.world.place import compile_place_index
@@ -380,7 +381,8 @@ def _place_query_benches(setup: Any, walk: Any, repeats: int) -> dict[str, Timin
     place = setup.place
     points = [moment.position for moment in walk.moments[:120]]
     aps = [ap.position for ap in setup.radio.access_points]
-    ap_xy = np.array([[p.x, p.y] for p in aps]).reshape(-1, 2)
+    starts = np.array([[ap.x, ap.y] for _ in points for ap in aps]).reshape(-1, 2)
+    ends = np.array([[p.x, p.y] for p in points for _ in aps]).reshape(-1, 2)
     plan = place.floorplan
     packed = compile_place_index(place).walls
     wall_arrays = baselines.map_arrays(place).walls
@@ -399,8 +401,7 @@ def _place_query_benches(setup: Any, walk: Any, repeats: int) -> dict[str, Timin
                 baselines.walls_crossed_reference(plan.walls, wall_arrays, ap, p)
 
     def walls_kernel() -> None:
-        for p in points:
-            plan.walls_crossed(packed, ap_xy, p)
+        plan.walls_crossed(packed, starts, ends)
 
     return {
         **_pair("environment_at", env_scalar, env_kernel, repeats),
@@ -409,13 +410,14 @@ def _place_query_benches(setup: Any, walk: Any, repeats: int) -> dict[str, Timin
 
 
 def _radio_moment_bench(setup: Any, walk: Any, repeats: int) -> dict[str, Timing]:
-    """The radio part of a recorded moment, over the walk's first 120 moments.
+    """The radio part of recording the walk's first 120 moments.
 
-    Each moment asks for the Wi-Fi and cellular mean RSSI vectors and the
-    satellite geometry: one batched pass per technology plus the
-    sky-view memo, against one reference call per AP and per tower plus
-    a fresh ``(H^T H)^{-1}`` solve, as ``record_walk`` used to make.
-    Both count walls in the same batched call.
+    Each moment needs the Wi-Fi and cellular mean readings and the
+    satellite geometry: one radio pass over all 120 moments (walls
+    counted only where an AP can still be heard) plus the sky-view
+    memo, against one reference call per moment, AP and tower plus a
+    fresh ``(H^T H)^{-1}`` solve per moment, as ``record_walk`` used to
+    make.
     """
     from repro.bench import baselines
     from repro.world import profile_of
@@ -423,19 +425,18 @@ def _radio_moment_bench(setup: Any, walk: Any, repeats: int) -> dict[str, Timing
     radio = setup.radio
     points = [moment.position for moment in walk.moments[:120]]
     profiles = [profile_of(setup.place.environment_at(p)) for p in points]
-    moments = list(zip(points, profiles))
     ap_xy = np.array(
         [[ap.position.x, ap.position.y] for ap in radio.access_points]
     ).reshape(-1, 2)
 
     def scalar() -> None:
-        for p, profile in moments:
+        for p, profile in zip(points, profiles):
             baselines.radio_moment_reference(radio, ap_xy, p, profile)
 
     def kernel() -> None:
-        for p, profile in moments:
-            radio.wifi_mean_rssi(p, profile)
-            radio.cell_mean_rssi(p, profile)
+        radio.wifi_means(points, profiles)
+        radio.cell_means(points, profiles)
+        for profile in profiles:
             radio.sky_geometry(profile)
 
     return _pair("radio_moment", scalar, kernel, repeats)

@@ -12,6 +12,13 @@ makes fingerprints informative (the field is stable between the offline
 survey and online queries made "within half an hour", §III-B) while still
 varying across space.
 
+A recorded walk evaluates the model for every (moment, transmitter) pair
+at once: :meth:`PropagationModel.free_loss_db` and
+:meth:`PropagationModel.shadowing_db` give the wall-free parts as
+``(n, T)`` arrays, and :meth:`PropagationModel.received_dbm` charges the
+walls afterwards, in the order :meth:`PropagationModel.path_loss_db`
+does, so the result is the one-pair arithmetic bit for bit.
+
 The EZ [4] model-based localization the paper discusses (log-distance +
 trilateration) is implemented on top of the same model in
 :mod:`repro.schemes.model_based` as an extension.
@@ -149,14 +156,65 @@ class PropagationModel:
     shadowing_sigma_db: float
     shadowing_scale_m: float
 
+    def __post_init__(self) -> None:
+        # The radio pass skips the wall count of a transmitter that is
+        # inaudible through no walls; that holds only while walls can
+        # take signal away and never add it.
+        if not self.wall_loss_db >= 0.0:
+            raise ValueError("wall_loss_db must be non-negative")
+
     def path_loss_db(self, distance_m: float, walls: int = 0) -> float:
-        """Return deterministic path loss at ``distance_m`` through ``walls``."""
+        """Return deterministic path loss at ``distance_m`` through ``walls``.
+
+        The wall term is added last, so the loss through ``walls`` is
+        exactly ``path_loss_db(distance_m) + walls * wall_loss_db``: the
+        radio pass adds walls to a wall-free loss computed before it
+        knows them.
+        """
         d = max(distance_m, REFERENCE_DISTANCE_M)
         return (
             self.pl0_db
             + 10.0 * self.exponent * math.log10(d / REFERENCE_DISTANCE_M)
             + walls * self.wall_loss_db
         )
+
+    def free_loss_db(
+        self, xs: Sequence[float], ys: Sequence[float], field: TransmitterField
+    ) -> np.ndarray:
+        """Return the wall-free path loss of every (point, transmitter) pair.
+
+        ``xs`` and ``ys`` are the ``n`` points' coordinates; the result is
+        ``(n, T)``.  It runs per pair on plain floats: ``math.hypot`` and
+        ``math.log10`` round differently from their numpy twins on a
+        small share of inputs, so a vectorized form would not reproduce
+        the recorded traces.
+        """
+        loss = self.path_loss_db
+        positions = field.positions.tolist()
+        return np.array(
+            [
+                loss(math.hypot(tx_x - x, tx_y - y))
+                for x, y in zip(xs, ys)
+                for tx_x, tx_y in positions
+            ]
+        ).reshape(len(xs), len(field))
+
+    def received_dbm(
+        self,
+        free_loss_db: np.ndarray,
+        shadowing_db: np.ndarray,
+        walls: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Return the noise-free RSSI from its parts, elementwise.
+
+        ``walls`` holds the walls crossed by each ray (none when
+        omitted); each is charged on top of the wall-free loss, in the
+        order :meth:`path_loss_db` charges it.
+        """
+        loss = free_loss_db
+        if walls is not None:
+            loss = loss + walls * self.wall_loss_db
+        return self.tx_power_dbm - loss - shadowing_db
 
     def mean_rssi_dbm(
         self,
@@ -167,39 +225,38 @@ class PropagationModel:
     ) -> np.ndarray:
         """Return the noise-free RSSI at ``(x, y)`` of every transmitter.
 
-        ``walls`` holds the walls crossed by each transmitter's ray
-        (none when omitted).  Path loss runs per transmitter on plain
-        floats: ``math.hypot`` and ``math.log10`` round differently from
-        their numpy twins on a small share of inputs, so a vectorized
-        form would not reproduce the recorded traces.
+        The one-point case of :meth:`free_loss_db`, :meth:`shadowing_db`
+        and :meth:`received_dbm`; ``walls`` holds the walls crossed by
+        each transmitter's ray (none when omitted).
         """
-        n_walls = walls.tolist() if walls is not None else [0] * len(field)
-        loss = np.array(
-            [
-                self.path_loss_db(math.hypot(tx_x - x, tx_y - y), w)
-                for (tx_x, tx_y), w in zip(field.positions.tolist(), n_walls)
-            ]
-        )
-        return self.tx_power_dbm - loss - self.shadowing_db(x, y, field)
+        free_loss = self.free_loss_db([x], [y], field)[0]
+        return self.received_dbm(free_loss, self.shadowing_db(x, y, field), walls)
 
-    def shadowing_db(self, x: float, y: float, field: TransmitterField) -> np.ndarray:
-        """Return the static shadowing at ``(x, y)`` of every transmitter.
+    def shadowing_db(
+        self, x: float | np.ndarray, y: float | np.ndarray, field: TransmitterField
+    ) -> np.ndarray:
+        """Return the static shadowing of every transmitter at ``(x, y)``.
 
         Each transmitter's seed fixes the phases and direction vectors of
         a small bank of plane-wave sinusoids (:func:`wave_bank`).  The
         result is smooth over ``shadowing_scale_m`` and reproducible for
         any query point, which is what fingerprinting needs (the field is
-        the fingerprint).  One numpy pass covers all ``T`` banks; each
-        row sums its waves in the same order as a single bank would.
+        the fingerprint).  A point gives a ``(T,)`` row; ``(n,)``
+        coordinate arrays give ``(n, T)``, one ``np.sin`` pass over
+        ``(n, T, N_SHADOWING_WAVES)``.  Each row sums its waves in the
+        same order as a single bank would.
         """
+        x = np.asarray(x, dtype=float)[..., None, None]
+        y = np.asarray(y, dtype=float)[..., None, None]
         if self.shadowing_sigma_db <= 0.0:
-            return np.zeros(len(field))
+            points = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+            return np.zeros(points + (len(field),))
         wavenumber = 2.0 * math.pi / self.shadowing_scale_m
         arg = (
             wavenumber * (x * field.cos_angles + y * field.sin_angles)
             + field.phases
         )
-        return self.shadowing_sigma_db * np.sin(arg).sum(axis=1) / _WAVE_NORM
+        return self.shadowing_sigma_db * np.sin(arg).sum(axis=-1) / _WAVE_NORM
 
     def distance_for_rssi(self, rssi_dbm: float) -> float:
         """Invert the deterministic model: distance implied by an RSSI.

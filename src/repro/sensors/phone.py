@@ -4,7 +4,9 @@
 environment, a device profile, and a walk, it produces the per-step
 :class:`~repro.sensors.snapshot.SensorSnapshot` stream that every
 localization scheme and UniLoc itself consume.  All randomness flows
-through one generator so recorded traces are reproducible.
+through one generator so recorded traces are reproducible; the radio
+pass that computes a walk's noise-free readings draws nothing, so the
+draw order per moment is that of recording one moment at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.sensors.device import DeviceProfile
 from repro.sensors.gps import GpsReceiver
 from repro.sensors.imu import ImuSimulator
 from repro.sensors.snapshot import SensorSnapshot
-from repro.world import profile_of
 from repro.world.geodesy import NTU_FRAME, LocalTangentPlane
 
 #: Probability that a physically present landmark signature is actually
@@ -42,15 +43,19 @@ class Smartphone:
         non-reference device produces offset readings until some consumer
         applies online calibration (Fig. 8d).
 
-        Each moment looks its environment up once
-        (:meth:`~repro.world.Place.environment_at`) and hands the profile
-        to the Wi-Fi, cellular and GPS models.  Each radio technology is
-        one numpy pass over all its transmitters, and the GPS satellite
-        count and HDOP come from the environment's memoized sky view
-        (:class:`~repro.radio.RadioEnvironment`).  Every draw comes from
-        one generator, in a fixed order per moment: Wi-Fi noise (one
-        vector draw), cellular noise (one vector draw), light, landmark
-        detections, the GPS fix, the IMU.
+        Recording runs in two phases.  The first is deterministic and
+        draws nothing: it looks up every moment's environment once
+        (:meth:`~repro.world.Place.environment_at`) and computes the
+        noise-free Wi-Fi and cellular readings of the whole walk in one
+        radio pass (:meth:`~repro.radio.RadioEnvironment.wifi_means`,
+        :meth:`~repro.radio.RadioEnvironment.cell_means`), counting walls
+        only for the APs that can still be heard.  The second walks the
+        moments and draws from one generator, in a fixed order per
+        moment: Wi-Fi noise (one vector draw), cellular noise (one
+        vector draw), light, landmark detections, the GPS fix, the IMU.
+        Each scan dict is built once, after its noise; the GPS
+        satellite count and HDOP come from the environment's memoized
+        sky view.
 
         Args:
             walk: the ground-truth walk to sense.
@@ -63,16 +68,16 @@ class Smartphone:
         imu = ImuSimulator(device=self.device, gait=walk.gait, rng=rng)
         gps = GpsReceiver(radio=self.radio, frame=self.frame, rng=rng)
         place = self.radio.place
+        positions = [moment.position for moment in walk.moments]
+        profiles = self.radio.profiles_at(positions)
+        wifi_means = self.radio.wifi_means(positions, profiles)
+        cell_means = self.radio.cell_means(positions, profiles)
+        apply_to_scan = self.device.apply_to_scan
         snapshots = []
-        for moment in walk.moments:
+        for i, (moment, env_profile) in enumerate(zip(walk.moments, profiles)):
             position = moment.position
-            env_profile = profile_of(place.environment_at(position))
-            wifi = self.device.apply_to_scan(
-                self.radio.wifi_rssi(position, env_profile, rng)
-            )
-            cell = self.device.apply_to_scan(
-                self.radio.cell_rssi(position, env_profile, rng)
-            )
+            wifi = apply_to_scan(wifi_means.scan(i, rng))
+            cell = apply_to_scan(cell_means.scan(i, rng))
             light = max(
                 0.0,
                 float(

@@ -95,6 +95,30 @@ class TestOriginResolution:
         origins = flow.origins(ast.parse("shadow", mode="eval").body)
         assert kinds(origins) == ["param"]
 
+    def test_nested_scopes_bind_no_enclosing_names(self):
+        text = (
+            "def outer(seed, seeds):\n"
+            "    def inner():\n"
+            "        picked = [x for x in seeds]\n"
+            "        if (y := seeds):\n"
+            "            pass\n"
+            "    grab = lambda: [z for z in seeds]\n"
+            "    x = y = z = seed\n"
+        )
+        for var in ("x", "y", "z"):
+            assert {o.detail for o in origins_of(text, var)} == {"seed"}, var
+
+    def test_walrus_in_a_nested_block_binds_once(self):
+        text = (
+            "def f(seed):\n"
+            "    if seed:\n"
+            "        for _ in range(2):\n"
+            "            if (x := seed):\n"
+            "                pass\n"
+        )
+        assert len(flow_of(text).assignments["x"]) == 1
+        assert {o.detail for o in origins_of(text, "x")} == {"seed"}
+
     def test_for_loop_and_enumerate_targets(self):
         text = (
             "def f(seeds):\n"

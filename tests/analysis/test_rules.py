@@ -113,6 +113,18 @@ class TestDET101:
     def test_tests_are_out_of_scope(self):
         assert lint_fixture("det101.py", "tests/test_fixture.py") == []
 
+    def test_nested_comprehension_leaves_the_enclosing_seed_alone(self):
+        # A nested function's comprehension target is the nested
+        # function's own: it must not lend ``x`` lineage from ``seeds``.
+        body = "    x = 5\n    rng = np.random.default_rng(x)\n"
+        nested = "    def inner():\n        return [x for x in seeds]\n"
+        head = "import numpy as np\ndef go(seeds) -> None:\n"
+        engine = LintEngine()
+        for text in (head + body, head + nested + body):
+            findings = engine.lint_text(text, display="src/repro/a.py")
+            assert rules_of(findings) == ["DET101"], text
+            assert "seeded from constants only" in findings[0].message
+
     def test_seed_lineage_through_aliases_and_arithmetic(self):
         text = (
             "import numpy as np\n"

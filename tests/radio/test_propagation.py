@@ -1,7 +1,10 @@
 """Unit tests for the RF propagation model."""
 
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Point
 from repro.radio import (
@@ -51,6 +54,41 @@ class TestPathLoss:
         clear = model.path_loss_db(5.0, walls=0)
         blocked = model.path_loss_db(5.0, walls=3)
         assert blocked - clear == pytest.approx(15.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        distance=st.one_of(
+            st.floats(0.0, 1.0),
+            st.floats(1.0, 5_000.0),
+            st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1.0 + 2**-52]),
+        ),
+        walls=st.integers(0, 200),
+        wall_loss=st.sampled_from([0.0, 5.0, 8.0, 3.3, 0.1]),
+        exponent=st.sampled_from([2.0, 2.8, 3.2, 3.7]),
+    )
+    def test_walls_add_to_the_wall_free_loss_exactly(
+        self, distance, walls, wall_loss, exponent
+    ):
+        """The radio pass charges walls on top of a wall-free loss; that
+        must be bit for bit the loss computed with the walls."""
+        model = PropagationModel(18.0, 40.0, exponent, wall_loss, 4.0, 12.0)
+        through = model.path_loss_db(distance, walls)
+        assert through == model.path_loss_db(distance, 0) + walls * wall_loss
+        # The numpy form the pass uses: an int64 wall count array.
+        added = model.received_dbm(
+            np.array([model.path_loss_db(distance)]),
+            np.zeros(1),
+            np.array([walls], dtype=np.int64),
+        )
+        assert added.tolist() == [model.tx_power_dbm - through]
+
+    @pytest.mark.parametrize("wall_loss", [-1.0, -1e-12, float("nan")])
+    def test_negative_wall_loss_is_rejected(self, wall_loss):
+        with pytest.raises(ValueError, match="wall_loss_db"):
+            PropagationModel(18.0, 40.0, 2.8, wall_loss, 4.0, 12.0)
+
+    def test_zero_wall_loss_is_allowed(self):
+        assert PropagationModel(18.0, 40.0, 2.8, 0.0, 4.0, 12.0).wall_loss_db == 0.0
 
 
 class TestShadowing:

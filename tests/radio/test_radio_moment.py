@@ -106,8 +106,9 @@ def test_batched_field_equals_reference_for_both_technologies(name):
     radio = radio_of(name)
     packed = compile_place_index(radio.place).walls
     for point in field_points(radio.place):
+        starts = ap_positions(radio)
         walls = radio.place.floorplan.walls_crossed(
-            packed, ap_positions(radio), point
+            packed, starts, np.broadcast_to((point.x, point.y), starts.shape)
         ).tolist()
         assert_field_matches_reference(
             radio.wifi_model, radio.access_points, point, walls

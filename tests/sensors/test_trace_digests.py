@@ -4,10 +4,12 @@ The sensor trace and the three surveys are the inputs of every walk,
 golden and benchmark digest downstream, so a speed-up of the radio or
 place queries must leave them byte-identical.  These sha256 digests
 were recorded before the radio moment was batched (per-transmitter
-shadowing, per-moment GPS geometry, ``Segment``-based polygon test);
-each is taken over the ``repr`` of the snapshots or survey entries, so
-a one-ulp drift, a reordered scan or a float turned ``np.float64`` all
-change it.
+shadowing, per-moment GPS geometry, ``Segment``-based polygon test),
+and hold unchanged since recording became one radio pass per walk
+(wall-free readings for every moment first, walls counted only for
+the APs still audible, noise drawn afterwards); each is taken over the
+``repr`` of the snapshots or survey entries, so a one-ulp drift, a
+reordered scan or a float turned ``np.float64`` all change it.
 
 Regenerate only on a deliberate change of the simulated sensors:
 ``PYTHONPATH=src python tests/sensors/test_trace_digests.py``.
@@ -209,7 +211,7 @@ def place_digests(name: str) -> dict[str, str]:
     return out
 
 
-#: Campus (192 APs) takes about 7 s; every other place under 1 s.
+#: Campus (192 APs) takes about 3 s; every other place under 1 s.
 PLACES = [
     pytest.param(name, marks=pytest.mark.slow) if name == "campus" else name
     for name in sorted(place_builders())

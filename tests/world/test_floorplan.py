@@ -11,7 +11,9 @@ from repro.world.floorplan import pack_walls
 
 def crossings(plan, a, b):
     """Walls crossed by the one ray ``a -> b``."""
-    counts = plan.walls_crossed(pack_walls(plan.walls), np.array([[a.x, a.y]]), b)
+    counts = plan.walls_crossed(
+        pack_walls(plan.walls), np.array([[a.x, a.y]]), np.array([[b.x, b.y]])
+    )
     assert counts.shape == (1,)
     return int(counts[0])
 

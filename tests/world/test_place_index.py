@@ -1,8 +1,8 @@
 """The compiled place index answers exactly as the loops it replaced.
 
 ``Place.environment_at`` skips regions by padded box, and
-``FloorPlan.walls_crossed`` counts every AP of a moment in one batched
-pass; :mod:`repro.bench.baselines` keeps the region loop and the
+``FloorPlan.walls_crossed`` counts any number of paired rays in one
+chunked pass; :mod:`repro.bench.baselines` keeps the region loop and the
 one-ray-per-call count they replaced.  Labels and integer counts must be
 equal on every builder place.
 """
@@ -20,7 +20,7 @@ from repro.geometry import Point, Segment
 from repro.motion import DEFAULT_GAIT, generate_walk
 from repro.radio import RadioEnvironment
 from repro.schemes.particle_filter import _crosses_wall, compile_map_constraint
-from repro.world import FloorPlan
+from repro.world import FloorPlan, floorplan
 from repro.world.floorplan import pack_walls
 from repro.world.place import REGION_BOX_PAD_M, compile_place_index
 
@@ -130,26 +130,34 @@ def moment_positions(place, stride):
             yield moment.position
 
 
+def paired(rays):
+    """``(starts, ends)`` arrays of ``(start, end)`` point pairs."""
+    starts = np.array([[a.x, a.y] for a, _ in rays]).reshape(-1, 2)
+    ends = np.array([[b.x, b.y] for _, b in rays]).reshape(-1, 2)
+    return starts, ends
+
+
 class TestWallCount:
     @pytest.mark.parametrize("name", WALLED)
     def test_every_ap_and_moment_of_every_path(self, name):
+        """One paired call over every (moment, AP) pair of every path."""
         place = place_of(name)
         radio = RadioEnvironment.deploy(place, seed=3)
         plan = place.floorplan
         packed = compile_place_index(place).walls
         wall_arrays = baselines.map_arrays(place).walls
         aps = [ap.position for ap in radio.access_points]
-        ap_xy = np.array([[p.x, p.y] for p in aps])
-        n_crossings = 0
-        for point in moment_positions(place, MOMENT_STRIDE.get(name, 1)):
-            counts = plan.walls_crossed(packed, ap_xy, point)
-            expected = [
-                baselines.walls_crossed_reference(plan.walls, wall_arrays, ap, point)
-                for ap in aps
-            ]
-            assert counts.tolist() == expected
-            n_crossings += sum(expected)
-        assert n_crossings > 0
+        rays = [
+            (ap, point)
+            for point in moment_positions(place, MOMENT_STRIDE.get(name, 1))
+            for ap in aps
+        ]
+        expected = [
+            baselines.walls_crossed_reference(plan.walls, wall_arrays, ap, point)
+            for ap, point in rays
+        ]
+        assert plan.walls_crossed(packed, *paired(rays)).tolist() == expected
+        assert sum(expected) > 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -189,9 +197,37 @@ class TestWallCount:
     def test_no_walls_counts_zero(self):
         place = place_of("open-space")
         starts = np.array([[0.0, 0.0], [5.0, 5.0]])
+        ends = np.array([[10.0, 10.0], [-3.0, 4.0]])
         packed = compile_place_index(place).walls
-        counts = place.floorplan.walls_crossed(packed, starts, Point(10.0, 10.0))
+        counts = place.floorplan.walls_crossed(packed, starts, ends)
         assert counts.tolist() == [0, 0]
+
+    def test_no_rays_counts_nothing(self):
+        place = place_of("office")
+        packed = compile_place_index(place).walls
+        empty = np.zeros((0, 2))
+        assert place.floorplan.walls_crossed(packed, empty, empty).shape == (0,)
+
+    def test_chunking_leaves_every_count_alone(self, monkeypatch):
+        """Rays along walls land in every chunk, so the collinear fallback
+        must charge the ray of its own chunk."""
+        place = place_of("office")
+        plan = place.floorplan
+        packed = compile_place_index(place).walls
+        rays = []
+        for segment in plan.walls:
+            rays.append((segment.point_at(-0.5), segment.point_at(0.6)))
+            rays.append((segment.point_at(0.5), Point(0.0, 0.0)))
+        starts, ends = paired(rays)
+        whole = plan.walls_crossed(packed, starts, ends).tolist()
+        wall_arrays = baselines.map_arrays(place).walls
+        assert whole == [
+            baselines.walls_crossed_reference(plan.walls, wall_arrays, a, b)
+            for a, b in rays
+        ]
+        for budget in (1, packed.shape[1] * 3, packed.shape[1] * 7 + 1):
+            monkeypatch.setattr(floorplan, "WALL_COUNT_CHUNK", budget)
+            assert plan.walls_crossed(packed, starts, ends).tolist() == whole
 
     def test_map_constraint_shares_the_packed_walls(self):
         place = BUILDERS["office"]()
@@ -199,27 +235,19 @@ class TestWallCount:
 
 
 def assert_counts_match(place, rays):
-    """Each ray's batched count equals the reference, alone and batched
-    with the other rays sharing its end."""
+    """Each ray's paired count equals the reference, alone and in one
+    call with the other rays."""
     plan = place.floorplan
     packed = compile_place_index(place).walls
     wall_arrays = baselines.map_arrays(place).walls
-    for start, end in rays:
-        expected = baselines.walls_crossed_reference(
-            plan.walls, wall_arrays, start, end
-        )
-        got = plan.walls_crossed(packed, np.array([[start.x, start.y]]), end)
-        assert got.tolist() == [expected], (start, end)
-    by_end: dict = {}
-    for start, end in rays:
-        by_end.setdefault(end, []).append(start)
-    for end, starts in by_end.items():
-        xy = np.array([[p.x, p.y] for p in starts])
-        expected = [
-            baselines.walls_crossed_reference(plan.walls, wall_arrays, p, end)
-            for p in starts
-        ]
-        assert plan.walls_crossed(packed, xy, end).tolist() == expected
+    expected = [
+        baselines.walls_crossed_reference(plan.walls, wall_arrays, start, end)
+        for start, end in rays
+    ]
+    for ray, count in zip(rays, expected):
+        got = plan.walls_crossed(packed, *paired([ray]))
+        assert got.tolist() == [count], ray
+    assert plan.walls_crossed(packed, *paired(rays)).tolist() == expected
 
 
 class TestTwoWallPredicates:
@@ -233,7 +261,7 @@ class TestTwoWallPredicates:
     def crossed(self, a, b):
         packed = pack_walls([self.WALL])
         plan = FloorPlan(corridors=[], walls=[self.WALL], landmarks=[])
-        count = int(plan.walls_crossed(packed, np.array([[a.x, a.y]]), b)[0])
+        count = int(plan.walls_crossed(packed, *paired([(a, b)]))[0])
         move = _crosses_wall(
             packed,
             np.array([a.x]),
