@@ -9,10 +9,16 @@ substrate the experiments run on.
 
 Quickstart::
 
-    from repro.eval import build_system, run_path_experiment
+    from repro.eval import (
+        PlaceSetup, build_framework, run_walk, train_error_models,
+    )
+    from repro.world import build_daily_path_place
 
-    system = build_system(seed=1)
-    result = run_path_experiment(system, "path1")
+    models = train_error_models(seed=0)
+    setup = PlaceSetup.create(build_daily_path_place(), seed=3)
+    walk, snapshots = setup.record_walk("path1")
+    framework = build_framework(setup, models, walk.moments[0].position)
+    result = run_walk(framework, setup.place, "path1", walk, snapshots)
     print(result.mean_error("uniloc2"))
 """
 

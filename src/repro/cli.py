@@ -367,7 +367,8 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Print a telemetry log's run block, then one table per walk."""
-    from repro.obs import read_telemetry, render_log, summarize_log
+    from repro.obs.report import render_log, summarize_log
+    from repro.obs.telemetry import read_telemetry
 
     with _reading_log():
         meta, events = read_telemetry(args.log)

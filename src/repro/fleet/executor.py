@@ -44,11 +44,8 @@ returns the failures in-band with ``on_failure="return"``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import traceback as _traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
@@ -69,6 +66,8 @@ from repro.obs.telemetry import (
 from repro.sensors import NEXUS_5X, DeviceProfile
 
 if TYPE_CHECKING:
+    from multiprocessing.context import BaseContext
+
     from repro.faults.plan import FaultPlan
 
 #: How many times a job whose worker died is re-queued before it is
@@ -416,8 +415,10 @@ def _execute_in_worker(
     return result, frame.metrics.snapshot()
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _pool_context() -> BaseContext:
     """Prefer fork (workers inherit warm in-memory artifacts) over spawn."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -478,6 +479,11 @@ def iter_walks(
                 result = frame.walk(job)
             yield index, result
         return
+
+    # Only a pool loads the process machinery; the inline path, and every
+    # walker process, imports none of it.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
 
     global _WORKER_CACHE
     _WORKER_CACHE = cache  # inherited by fork workers

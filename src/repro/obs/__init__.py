@@ -9,16 +9,21 @@ recorded event — metric deltas, spans, faults, job lifecycle, and each
 scored step decision with its stage timings — goes into one
 ``uniloc_telemetry`` JSONL stream (:mod:`repro.obs.telemetry`), written
 by one :class:`TelemetryWriter` and read back through one decoder by
-:func:`read_telemetry` and :func:`follow_telemetry`;
+:func:`read_telemetry` and :func:`follow_telemetry`.  The worker
+spools of a fleet run stay inside :mod:`repro.obs.telemetry`.
+
+This package exports only what a walker runs: the clock, the metrics
+and the telemetry stream.  The post-run tools are imported from their
+own modules, so a walker process never loads them:
 :mod:`repro.obs.report` summarizes a whole log in one pass (``repro
-report``), and :class:`PrometheusExporter` serializes the registry its
-metric events rebuild (``repro telemetry export``).  The worker
-spools of a fleet run stay inside :mod:`repro.obs.telemetry`.  See
-README's "Observability" section for the event schema and CLI workflow.
+report``), :mod:`repro.obs.exporters` serializes the registry its
+metric events rebuild as Prometheus text (``repro telemetry export``),
+and :mod:`repro.obs.profiler` is the sampling profiler behind ``repro
+profile``.  See README's "Observability" section for the event schema
+and CLI workflow.
 """
 
 from repro.obs import clock
-from repro.obs.exporters import PrometheusExporter, prometheus_name
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -26,20 +31,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Timer,
     percentile,
-)
-from repro.obs.profiler import (
-    HotFunction,
-    SamplingProfiler,
-    profile_callable,
-)
-from repro.obs.report import (
-    LogSummary,
-    SchemeSummary,
-    TraceSummary,
-    render_log,
-    render_report,
-    summarize_log,
-    summarize_trace,
 )
 from repro.obs.telemetry import (
     NOOP_EMITTER,
@@ -74,17 +65,11 @@ __all__ = [
     "EventSinkLike",
     "Gauge",
     "Histogram",
-    "HotFunction",
-    "LogSummary",
     "MetricsRegistry",
     "NoopEmitter",
-    "PrometheusExporter",
-    "SamplingProfiler",
-    "SchemeSummary",
     "TelemetrySession",
     "TelemetryWriter",
     "Timer",
-    "TraceSummary",
     "apply_metric_event",
     "clock",
     "current_session",
@@ -94,14 +79,8 @@ __all__ = [
     "format_event",
     "iter_telemetry",
     "percentile",
-    "profile_callable",
-    "prometheus_name",
     "read_telemetry",
     "registry_from_events",
-    "render_log",
-    "render_report",
     "set_session",
-    "summarize_log",
-    "summarize_trace",
     "telemetry_session",
 ]

@@ -218,7 +218,8 @@ def test_run_walk_emits_aggregatable_trace(framework, office_system, tmp_path):
     WalkResult reports."""
     import pytest as _pytest
 
-    from repro.obs import read_telemetry, summarize_log
+    from repro.obs import read_telemetry
+    from repro.obs.report import summarize_log
     from repro.obs.telemetry import TelemetrySession
 
     setup, walk, snaps = (

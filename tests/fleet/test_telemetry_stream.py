@@ -15,7 +15,8 @@ from dataclasses import replace
 import pytest
 
 from repro.fleet import ArtifactCache, WalkJob, run_walks
-from repro.obs import MetricsRegistry, summarize_log
+from repro.obs import MetricsRegistry
+from repro.obs.report import summarize_log
 from repro.obs.telemetry import (
     TelemetrySession,
     fault_timeline,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, PrometheusExporter, prometheus_name
+from repro.obs import MetricsRegistry
+from repro.obs.exporters import PrometheusExporter, prometheus_name
 
 
 def _sample_registry():

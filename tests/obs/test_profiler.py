@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.obs import SamplingProfiler, profile_callable
+from repro.obs.profiler import SamplingProfiler, profile_callable
 from repro.obs.profiler import frame_label
 
 

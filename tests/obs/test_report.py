@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import render_log, render_report, summarize_log, summarize_trace
+from repro.obs.report import render_log, render_report, summarize_log, summarize_trace
 from repro.obs.telemetry import EventContext, make_event
 
 META = {"type": "meta", "run_id": "run-test", "experiment": "fig7"}

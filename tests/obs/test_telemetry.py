@@ -355,7 +355,7 @@ def _job_events():
 
 
 def test_summarize_telemetry_rolls_up_jobs_and_schemes():
-    from repro.obs import render_log, summarize_log
+    from repro.obs.report import render_log, summarize_log
 
     meta, events = _job_events()
     summary = summarize_log(meta, events)
